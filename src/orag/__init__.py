@@ -10,7 +10,6 @@ from .catalog import (
     Catalog,
     ItemId,
     ProjectionMode,
-    create_catalog,
     project_row,
     read_snapshot,
     write_snapshot,

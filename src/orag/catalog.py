@@ -39,20 +39,19 @@ class ProjectionMode(enum.Enum):
 
 
 def project_row(v: np.ndarray, mode: ProjectionMode) -> np.ndarray:
-    """Project a single row into the feasible set for `mode`.
+    """Project a row, or each row of an (n, d) block, into the feasible set.
 
-    Mode NONE returns the input unchanged; UNIT_BALL rescales onto the unit
-    sphere only when the norm exceeds 1. Idempotent in both modes.
+    Mode NONE returns the input unchanged; UNIT_BALL rescales a row onto the
+    unit sphere only when its norm exceeds 1. The norm is sqrt(v . v) per
+    row, the same bits as `np.linalg.norm` of that row alone.
     """
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise NonFiniteInput("row contains non-finite entries")
     if mode is ProjectionMode.NONE:
         return v
-    norm = float(np.linalg.norm(v))
-    if norm <= 1.0:
-        return v
-    return v / norm
+    norm = np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
+    return v / np.maximum(norm, 1.0)
 
 
 class Catalog:
@@ -120,16 +119,14 @@ class Catalog:
             raise ConcurrentMutation("catalog is already being mutated")
         self._writing = True
 
-    def _done(self):
-        self._writing = False
-        self.generation += 1
-
-    def _check_vec(self, vec) -> np.ndarray:
-        v = np.asarray(vec, dtype=self.dtype).ravel()
-        if v.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"expected length {self.dim}, got {v.shape}"
-            )
+    def _check_rows(self, rows: list) -> np.ndarray:
+        """A non-empty list of vectors as one finite (n, dim) block in the catalog dtype."""
+        try:
+            v = np.asarray(rows, dtype=self.dtype).reshape(len(rows), -1)
+        except ValueError:
+            raise DimensionMismatch("rows are not equal-length numeric vectors") from None
+        if v.shape[1] != self.dim:
+            raise DimensionMismatch(f"expected length {self.dim}, got {v.shape[1]}")
         if not np.all(np.isfinite(v)):
             raise NonFiniteInput("vector contains non-finite entries")
         return v
@@ -139,7 +136,7 @@ class Catalog:
             raise DuplicateId(item_id)
         if item_id in self._retired:
             raise IdRetired(item_id)
-        v = project_row(self._check_vec(vec), self.projection).astype(self.dtype)
+        v = project_row(self._check_rows([vec])[0], self.projection).astype(self.dtype)
         pos = bisect.bisect_left(self._ids, item_id)
         self._ids.insert(pos, item_id)
         self._matrix = np.insert(self._matrix, pos, v, axis=0)
@@ -168,14 +165,19 @@ class Catalog:
         self.generation += 1
 
     def update_rows(self, deltas: dict[ItemId, np.ndarray], eta: float) -> None:
-        """Apply theta_i <- project(theta_i - eta * g_i) for each id in `deltas`."""
+        """Apply theta_i <- project(theta_i - eta * g_i) for each id in `deltas`.
+
+        All or nothing: every id, width and value is checked before any row
+        is written, so a failed update leaves rows and `generation` as they were.
+        """
         self._mutate()
         try:
-            for item_id, g in deltas.items():
-                if item_id not in self._index:
-                    raise UnknownId(item_id)
-                g = self._check_vec(g)
-                pos = self._index[item_id]
+            if deltas:
+                try:
+                    pos = list(map(self._index.__getitem__, deltas))
+                except KeyError as e:
+                    raise UnknownId(e.args[0]) from None
+                g = self._check_rows(list(deltas.values()))
                 new = self._matrix[pos] - eta * g
                 self._matrix[pos] = project_row(new, self.projection).astype(self.dtype)
         finally:
@@ -195,15 +197,6 @@ class Catalog:
         if len(self) == 0:
             return 0.0
         return float(np.max(np.linalg.norm(self._matrix, axis=1)))
-
-
-def create_catalog(
-    dim: int,
-    items: Iterable[tuple[ItemId, Sequence[float]]],
-    projection: ProjectionMode = ProjectionMode.NONE,
-    dtype: type = np.float64,
-) -> Catalog:
-    return Catalog(dim, items, projection=projection, dtype=dtype)
 
 
 # -- binary snapshot --------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .catalog import Catalog, ItemId, ProjectionMode
+from .catalog import Catalog, ItemId
 from .errors import (
     EmptyBatch,
     GenerationMismatch,
@@ -92,7 +92,8 @@ def horizon_tuned_eta(theta_bar: float, p_low: float, q_bar: float, horizon: int
     return math.sqrt(p_low * theta_bar / (q_bar * (1 - p_low) * (1 + 2 * p_low) * horizon))
 
 
-def _check_feedback(p: ProbabilityVector, fb: Feedback) -> float:
+def _propensity(p: ProbabilityVector, fb: Feedback, clip_propensity: float | None) -> float:
+    """p[chosen] checked against the logged propensity, floored at `clip_propensity`."""
     prop = p[fb.chosen]
     if fb.propensity <= 0:
         raise ZeroPropensity(f"propensity {fb.propensity}")
@@ -100,7 +101,16 @@ def _check_feedback(p: ProbabilityVector, fb: Feedback) -> float:
         raise PropensityMismatch(
             f"feedback propensity {fb.propensity} != p[{fb.chosen}] = {prop}"
         )
-    return prop
+    return prop if clip_propensity is None else max(prop, clip_propensity)
+
+
+def _full_rows(p: ProbabilityVector, q, fb: Feedback, clip_propensity: float | None) -> np.ndarray:
+    """The full-support gradient as one (I, d) block, rows in `p.ids` order."""
+    prop = _propensity(p, fb, clip_propensity)
+    coeff = p.probs.copy()
+    if fb.success:
+        coeff[p.index_of(fb.chosen)] -= 1.0 / prop
+    return np.outer(coeff, _as_query(q))
 
 
 def estimate_gradient_full(
@@ -111,26 +121,16 @@ def estimate_gradient_full(
     `clip_propensity` floors the denominator; it trades the exact
     unbiasedness for bounded weights and is off by default.
     """
-    prop = _check_feedback(p, fb)
-    if clip_propensity is not None:
-        prop = max(prop, clip_propensity)
-    qv = _as_query(q)
-    coeff = p.probs.copy()
-    if fb.success:
-        coeff[p.index_of(fb.chosen)] -= 1.0 / prop
-    return GradientBatch({i: c * qv for i, c in zip(p.ids, coeff)}, t=t)
+    return GradientBatch(dict(zip(p.ids, _full_rows(p, q, fb, clip_propensity))), t=t)
 
 
 def estimate_gradient_chosen_only(
     p: ProbabilityVector, q, fb: Feedback, t: int = 0, clip_propensity: float | None = None
 ) -> GradientBatch:
     """Cheaper estimate touching only the chosen item's row."""
-    prop = _check_feedback(p, fb)
-    if clip_propensity is not None:
-        prop = max(prop, clip_propensity)
-    qv = _as_query(q)
+    prop = _propensity(p, fb, clip_propensity)
     coeff = 1.0 - (1.0 / prop if fb.success else 0.0)
-    return GradientBatch({fb.chosen: coeff * qv}, t=t)
+    return GradientBatch({fb.chosen: coeff * _as_query(q)}, t=t)
 
 
 def estimate_gradient_batched(
@@ -140,31 +140,21 @@ def estimate_gradient_batched(
     if len(events) == 0:
         raise EmptyBatch("batch must contain at least one event")
     gen = events[0][0].generation
-    support = events[0][0].ids
-    total: dict[ItemId, np.ndarray] = {}
+    total = None
     for p, q, fb in events:
         if p.generation != gen:
             raise GenerationMismatch(
                 f"batch mixes catalog generations {gen} and {p.generation}"
             )
-        g = estimate_gradient_full(p, q, fb)
-        for i in support:
-            if i in total:
-                total[i] = total[i] + g[i]
-            else:
-                total[i] = g[i].copy()
-    scale = 1.0 / len(events)
-    return GradientBatch({i: v * scale for i, v in total.items()}, t=t)
+        rows = _full_rows(p, q, fb, None)
+        total = rows if total is None else total + rows
+    return GradientBatch(dict(zip(events[0][0].ids, total * (1.0 / len(events)))), t=t)
 
 
-def apply_update(
-    catalog: Catalog, g: GradientBatch, eta: float, mode: ProjectionMode | None = None
-) -> None:
+def apply_update(catalog: Catalog, g: GradientBatch, eta: float) -> None:
     """theta_i <- project(theta_i - eta * g_i); rows absent from g unchanged."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if mode is not None:
-        catalog.projection = mode
     catalog.update_rows(g.directions, eta)
 
 
@@ -181,6 +171,40 @@ class RoundRecord:
 
 
 FeedbackOracle = Callable[[int, ItemId], bool]
+
+
+def learn_from_feedback(
+    p: ProbabilityVector,
+    q,
+    chosen: ItemId,
+    success: bool,
+    catalog: Catalog,
+    eta: float,
+    update_mode: UpdateMode,
+    t: int,
+    query_id: str,
+    clip_propensity: float | None = None,
+) -> RoundRecord:
+    """Turn one success bit into a gradient estimate, update the catalog, record the round.
+
+    The single update path shared by every step function; `p` is the policy
+    the chosen item was drawn under.
+    """
+    fb = Feedback(chosen=chosen, success=success, propensity=p[chosen])
+    if update_mode is UpdateMode.FULL:
+        g = estimate_gradient_full(p, q, fb, t=t, clip_propensity=clip_propensity)
+    else:
+        g = estimate_gradient_chosen_only(p, q, fb, t=t, clip_propensity=clip_propensity)
+    apply_update(catalog, g, eta)
+    return RoundRecord(
+        t=t,
+        query_id=query_id,
+        chosen=chosen,
+        success=success,
+        propensity=fb.propensity,
+        eta=eta,
+        generation=catalog.generation,
+    )
 
 
 def step(
@@ -200,19 +224,7 @@ def step(
     p = score(q, catalog)
     chosen = sample_one(p, rng)
     success = bool(feedback_oracle(t, chosen))
-    fb = Feedback(chosen=chosen, success=success, propensity=p[chosen])
-    if update_mode is UpdateMode.FULL:
-        g = estimate_gradient_full(p, q, fb, t=t, clip_propensity=clip_propensity)
-    else:
-        g = estimate_gradient_chosen_only(p, q, fb, t=t, clip_propensity=clip_propensity)
-    eta = schedule.eta(t)
-    apply_update(catalog, g, eta)
-    return RoundRecord(
-        t=t,
-        query_id=query_id or getattr(q, "query_id", ""),
-        chosen=chosen,
-        success=success,
-        propensity=fb.propensity,
-        eta=eta,
-        generation=catalog.generation,
+    return learn_from_feedback(
+        p, q, chosen, success, catalog, schedule.eta(t), update_mode, t,
+        query_id or getattr(q, "query_id", ""), clip_propensity,
     )

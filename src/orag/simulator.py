@@ -19,7 +19,6 @@ import numpy as np
 from .catalog import Catalog, ItemId, ProjectionMode
 from .errors import InvalidConfig, UndefinedRound
 from .learner import (
-    Feedback,
     LearningRateSchedule,
     RoundRecord,
     ScheduleKind,

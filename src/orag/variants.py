@@ -14,16 +14,9 @@ import numpy as np
 
 from .catalog import Catalog, ItemId
 from .errors import InvalidConfig, KTooLarge
-from .learner import (
-    Feedback,
-    LearningRateSchedule,
-    RoundRecord,
-    UpdateMode,
-    apply_update,
-    estimate_gradient_chosen_only,
-    estimate_gradient_full,
-    step,
-)
+from .learner import LearningRateSchedule, RoundRecord, UpdateMode, learn_from_feedback, step
+# Unused here, but the benchmark's tracer patches them at this module's names.
+from .learner import apply_update, estimate_gradient_chosen_only, estimate_gradient_full  # noqa: F401
 from .policy import (
     QueryEmbedding,
     RandomSource,
@@ -89,21 +82,9 @@ def step_with_rerank(
     if chosen not in candidates:
         raise InvalidConfig("reranker returned an item outside the candidate set")
     success = bool(feedback_oracle(t, chosen))
-    fb = Feedback(chosen=chosen, success=success, propensity=p[chosen])
-    if update_mode is UpdateMode.FULL:
-        g = estimate_gradient_full(p, q, fb, t=t, clip_propensity=clip_propensity)
-    else:
-        g = estimate_gradient_chosen_only(p, q, fb, t=t, clip_propensity=clip_propensity)
-    eta = schedule.eta(t)
-    apply_update(catalog, g, eta)
-    return RoundRecord(
-        t=t,
-        query_id=getattr(q, "query_id", ""),
-        chosen=chosen,
-        success=success,
-        propensity=fb.propensity,
-        eta=eta,
-        generation=catalog.generation,
+    return learn_from_feedback(
+        p, q, chosen, success, catalog, schedule.eta(t), update_mode, t,
+        getattr(q, "query_id", ""), clip_propensity,
     )
 
 
@@ -182,22 +163,9 @@ def step_multihop(
     for h, q in enumerate(round_.subqueries, start=1):
         p = score(q, catalog)
         chosen = sample_one(p, rng)
-        y = int(round_.judge(q, chosen))
-        fb = Feedback(chosen=chosen, success=bool(y), propensity=p[chosen])
-        if update_mode is UpdateMode.FULL:
-            g = estimate_gradient_full(p, q, fb, t=t, clip_propensity=clip_propensity)
-        else:
-            g = estimate_gradient_chosen_only(p, q, fb, t=t, clip_propensity=clip_propensity)
-        apply_update(catalog, g, eta)
-        records.append(
-            RoundRecord(
-                t=t,
-                query_id=q.query_id or f"t{t}h{h}",
-                chosen=chosen,
-                success=bool(y),
-                propensity=fb.propensity,
-                eta=eta,
-                generation=catalog.generation,
-            )
-        )
+        success = bool(int(round_.judge(q, chosen)))
+        records.append(learn_from_feedback(
+            p, q, chosen, success, catalog, eta, update_mode, t,
+            q.query_id or f"t{t}h{h}", clip_propensity,
+        ))
     return records

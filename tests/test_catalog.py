@@ -4,7 +4,6 @@ import pytest
 from orag.catalog import (
     Catalog,
     ProjectionMode,
-    create_catalog,
     project_row,
     read_snapshot,
     write_snapshot,
@@ -161,9 +160,57 @@ def test_copy_is_independent():
     assert dup.generation == cat.generation + 1
 
 
-def test_create_catalog_helper():
-    cat = create_catalog(2, [("x", [1.0, 2.0])])
-    assert cat.ids == ("x",)
+def _assert_untouched(cat, rows, generation):
+    np.testing.assert_array_equal(cat.matrix(), rows)
+    assert cat.generation == generation
+
+
+def test_update_rows_unknown_id_writes_nothing():
+    cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [0.5, 0.5])])
+    rows, gen = cat.matrix().copy(), cat.generation
+    g = np.array([1.0, 0.0])
+    with pytest.raises(UnknownId):
+        cat.update_rows({"a": g, "missing": g}, eta=0.1)
+    _assert_untouched(cat, rows, gen)
+
+
+def test_update_rows_overflow_writes_nothing():
+    cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [1e308, 0.0])])
+    rows, gen = cat.matrix().copy(), cat.generation
+    with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
+        cat.update_rows({"a": np.array([1.0, 0.0]), "b": np.array([-1e308, 0.0])}, eta=1.0)
+    _assert_untouched(cat, rows, gen)
+
+
+def test_update_rows_wrong_width_writes_nothing():
+    cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [0.5, 0.5])])
+    rows, gen = cat.matrix().copy(), cat.generation
+    with pytest.raises(DimensionMismatch):
+        cat.update_rows({"a": np.ones(2), "b": np.ones(3)}, eta=0.1)
+    _assert_untouched(cat, rows, gen)
+
+
+def test_update_rows_empty_mapping_only_bumps_generation():
+    cat = Catalog(2, [("a", [0.3, 0.7])])
+    cat.update_rows({}, eta=0.1)
+    np.testing.assert_array_equal(cat.row("a"), [0.3, 0.7])
+    assert cat.generation == 1
+
+
+def test_project_row_block_matches_per_row_reference():
+    # Reference: the per-row rule with np.linalg.norm. Equal bits, not a
+    # tolerance: the golden digests depend on them.
+    def reference(row):
+        norm = float(np.linalg.norm(row))
+        return row if norm <= 1.0 else row / norm
+
+    rng = np.random.default_rng(2)
+    for d in (1, 5, 16, 64):
+        block = rng.normal(scale=2.0 / np.sqrt(d), size=(200, d))
+        expected = np.stack([reference(v) for v in block])
+        np.testing.assert_array_equal(project_row(block, ProjectionMode.UNIT_BALL), expected)
+        for v, e in zip(block, expected):
+            np.testing.assert_array_equal(project_row(v, ProjectionMode.UNIT_BALL), e)
 
 
 def test_ids_stay_sorted():

@@ -143,13 +143,8 @@ def test_apply_update_arithmetic():
 
 
 def test_apply_update_projection():
-    cat = Catalog(2, [("a", [1.0, 0.0])])
-    apply_update(
-        cat,
-        GradientBatch({"a": np.array([-10.0, 0.0])}),
-        eta=0.2,
-        mode=ProjectionMode.UNIT_BALL,
-    )
+    cat = Catalog(2, [("a", [1.0, 0.0])], projection=ProjectionMode.UNIT_BALL)
+    apply_update(cat, GradientBatch({"a": np.array([-10.0, 0.0])}), eta=0.2)
     np.testing.assert_allclose(cat.row("a"), [1.0, 0.0])
 
 

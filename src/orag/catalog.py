@@ -2,12 +2,13 @@
 
 The catalog owns the live embedding matrix. Item ids are stable within a run:
 once removed, an id is retired and can never be re-added, so event logs stay
-unambiguous. Rows are kept in a dense matrix aligned with the sorted id order.
+unambiguous. The canonical order of rows is the sorted id order.
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import enum
 import os
 import struct
@@ -16,7 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    ConcurrentMutation,
     DimensionMismatch,
     DuplicateId,
     IdRetired,
@@ -30,8 +30,6 @@ ItemId = str
 SNAPSHOT_MAGIC = b"ORAG"
 SNAPSHOT_VERSION = 1
 
-_UNIT_BALL_SLACK = 1e-12
-
 
 class ProjectionMode(enum.Enum):
     NONE = "none"
@@ -42,24 +40,42 @@ def project_row(v: np.ndarray, mode: ProjectionMode) -> np.ndarray:
     """Project a row, or each row of an (n, d) block, into the feasible set.
 
     Mode NONE returns the input unchanged; UNIT_BALL rescales a row onto the
-    unit sphere only when its norm exceeds 1. The norm is sqrt(v . v) per
-    row, the same bits as `np.linalg.norm` of that row alone.
+    unit sphere only when its norm exceeds 1 (see `row_norms`).
     """
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise NonFiniteInput("row contains non-finite entries")
     if mode is ProjectionMode.NONE:
         return v
-    norm = np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
-    return v / np.maximum(norm, 1.0)
+    return v / np.maximum(row_norms(v), 1.0)
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """sqrt(v . v) per row, last axis kept; the bits of `np.linalg.norm` of each row alone."""
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
+
+
+def row_chunks(n: int, dim: int) -> list[slice]:
+    """Slices covering range(n), each 64 KB of float64 rows of width `dim`.
+
+    Row-wise work done chunk by chunk allocates 64 KB temporaries, not
+    catalog-sized ones. Once glibc has freed one mapped catalog-sized block,
+    it serves the next ones from the brk heap, where they fragment it: peak
+    RSS then moved by whole blocks between identical runs.
+    """
+    step = max(1, (1 << 13) // dim)
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 class Catalog:
     """Mapping ItemId -> embedding row plus a generation counter.
 
-    Single-writer: every mutation goes through `_mutate`, which detects
-    re-entrant/concurrent writes. `generation` strictly increases across
-    mutations so readers can tell snapshots apart.
+    Rows sit in slots [0, n) of a buffer that doubles when full; a dict maps
+    id -> slot, `_order` lists the slots in id order, and `remove_item` moves
+    the last slot into the hole. Add/remove cost O(d) plus O(I) memmoves and
+    scans of the sorted ids and `_order`, no O(I) Python; `update_rows` and
+    `row` one dict lookup per row; `matrix()` one gather. `generation` bumps
+    once per successful mutation, never on a failed one.
     """
 
     def __init__(
@@ -77,14 +93,39 @@ class Catalog:
         self.projection = projection
         self.dtype = dtype
         self.generation = 0
-        self._ids: list[ItemId] = []            # sorted
-        self._index: dict[ItemId, int] = {}
-        self._matrix = np.empty((0, dim), dtype=dtype)
         self._retired: set[ItemId] = set()
-        self._writing = False
-        for item_id, vec in items:
-            self._insert(str(item_id), vec)
-        self.generation = 0  # construction is not a mutation
+        pairs = list(items)
+        self._load([str(i) for i, _ in pairs], [v for _, v in pairs])
+
+    @classmethod
+    def from_rows(cls, dim: int, ids: Sequence[ItemId], rows: np.ndarray,
+                  projection: ProjectionMode = ProjectionMode.NONE, dtype: type = np.float64,
+                  copy: bool = True):
+        """Bulk constructor: `ids[k]` -> `rows[k]` for an (n, dim) block.
+
+        With `copy=False` the caller gives `rows` up: a writable block of the
+        catalog dtype becomes the catalog's storage as it is.
+        """
+        if len(ids) != len(rows):
+            raise DimensionMismatch(f"{len(ids)} ids for {len(rows)} rows")
+        cat = cls(dim, projection=projection, dtype=dtype)
+        cat._load([str(i) for i in ids], rows, copy)
+        return cat
+
+    def _load(self, ids: list[ItemId], rows, copy: bool = True) -> None:
+        """Fill the empty storage in one block; `rows` is a list of vectors or an (n, dim) block."""
+        n = len(ids)
+        self._slot = dict(zip(ids, range(n)))    # id -> slot
+        if len(self._slot) != n:
+            raise DuplicateId(next(i for k, i in enumerate(ids) if self._slot[i] != k))
+        v = project_row(self._check_rows(rows), self.projection)
+        # Copy only a block that is still the caller's.
+        shared = isinstance(rows, np.ndarray) and np.may_share_memory(v, rows)
+        self._rows = v.astype(self.dtype, copy=copy and shared)
+        order = sorted(range(n), key=ids.__getitem__)
+        self._ids = [ids[k] for k in order]      # sorted
+        self._order = np.array(order, dtype=np.intp)
+        self._ids_tuple: tuple[ItemId, ...] | None = None
 
     # -- read side ----------------------------------------------------------
 
@@ -92,76 +133,77 @@ class Catalog:
         return len(self._ids)
 
     def __contains__(self, item_id: ItemId) -> bool:
-        return item_id in self._index
+        return item_id in self._slot
 
     @property
     def ids(self) -> tuple[ItemId, ...]:
         """Item ids in the canonical (sorted) order."""
-        return tuple(self._ids)
+        if self._ids_tuple is None:
+            self._ids_tuple = tuple(self._ids)
+        return self._ids_tuple
 
-    def matrix(self) -> np.ndarray:
-        """Dense rows in id order; a view, do not write through it."""
-        return self._matrix
+    def matrix(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows in id order, as a fresh (I, dim) array the caller owns, or
+        written into `out`, a C-contiguous (I, dim) array of the catalog dtype."""
+        if out is None:
+            return self._rows[self._order]
+        # mode="clip": the default "raise" copies through a temporary array.
+        return self._rows.take(self._order, axis=0, out=out, mode="clip")
 
     def row(self, item_id: ItemId) -> np.ndarray:
         try:
-            return self._matrix[self._index[item_id]].copy()
+            return self._rows[self._slot[item_id]].copy()
         except KeyError:
             raise UnknownId(item_id) from None
 
     def items(self) -> list[tuple[ItemId, np.ndarray]]:
-        return [(i, self._matrix[self._index[i]].copy()) for i in self._ids]
+        return [(i, self._rows[self._slot[i]].copy()) for i in self._ids]
 
     # -- write side ---------------------------------------------------------
 
-    def _mutate(self):
-        if self._writing:
-            raise ConcurrentMutation("catalog is already being mutated")
-        self._writing = True
-
-    def _check_rows(self, rows: list) -> np.ndarray:
-        """A non-empty list of vectors as one finite (n, dim) block in the catalog dtype."""
+    def _check_rows(self, rows) -> np.ndarray:
+        """A list of vectors as one finite (n, dim) block in the catalog dtype."""
         try:
-            v = np.asarray(rows, dtype=self.dtype).reshape(len(rows), -1)
+            v = np.asarray(rows, dtype=self.dtype).reshape(len(rows), self.dim)
         except ValueError:
-            raise DimensionMismatch("rows are not equal-length numeric vectors") from None
-        if v.shape[1] != self.dim:
-            raise DimensionMismatch(f"expected length {self.dim}, got {v.shape[1]}")
+            raise DimensionMismatch(f"rows must be numeric vectors of length {self.dim}") from None
         if not np.all(np.isfinite(v)):
             raise NonFiniteInput("vector contains non-finite entries")
         return v
 
-    def _insert(self, item_id: ItemId, vec):
-        if item_id in self._index:
+    def add_item(self, item_id: ItemId, init: Sequence[float]) -> None:
+        item_id = str(item_id)
+        if item_id in self._slot:
             raise DuplicateId(item_id)
         if item_id in self._retired:
             raise IdRetired(item_id)
-        v = project_row(self._check_rows([vec])[0], self.projection).astype(self.dtype)
+        v = project_row(self._check_rows([init])[0], self.projection).astype(self.dtype)
+        n = len(self._ids)
+        if n == len(self._rows):  # full: double the capacity
+            self._rows = np.concatenate([self._rows, np.empty((max(n, 8), self.dim), self.dtype)])
+        self._rows[n] = v
+        self._slot[item_id] = n
         pos = bisect.bisect_left(self._ids, item_id)
         self._ids.insert(pos, item_id)
-        self._matrix = np.insert(self._matrix, pos, v, axis=0)
-        self._index = {i: k for k, i in enumerate(self._ids)}
-
-    def add_item(self, item_id: ItemId, init: Sequence[float]) -> None:
-        self._mutate()
-        try:
-            self._insert(str(item_id), init)
-        finally:
-            self._writing = False
+        self._order = np.insert(self._order, pos, n)
+        self._ids_tuple = None
         self.generation += 1
 
     def remove_item(self, item_id: ItemId) -> None:
-        self._mutate()
         try:
-            if item_id not in self._index:
-                raise UnknownId(item_id)
-            pos = self._index[item_id]
-            self._ids.pop(pos)
-            self._matrix = np.delete(self._matrix, pos, axis=0)
-            self._index = {i: k for k, i in enumerate(self._ids)}
-            self._retired.add(item_id)
-        finally:
-            self._writing = False
+            hole = self._slot.pop(item_id)
+        except KeyError:
+            raise UnknownId(item_id) from None
+        pos = bisect.bisect_left(self._ids, item_id)
+        del self._ids[pos]
+        self._order = np.delete(self._order, pos)
+        last = len(self._ids)
+        if hole != last:  # the last slot moves into the hole
+            k = int(np.argmax(self._order == last))
+            self._rows[hole] = self._rows[last]
+            self._slot[self._ids[k]] = self._order[k] = hole
+        self._retired.add(item_id)
+        self._ids_tuple = None
         self.generation += 1
 
     def update_rows(self, deltas: dict[ItemId, np.ndarray], eta: float) -> None:
@@ -170,33 +212,24 @@ class Catalog:
         All or nothing: every id, width and value is checked before any row
         is written, so a failed update leaves rows and `generation` as they were.
         """
-        self._mutate()
-        try:
-            if deltas:
-                try:
-                    pos = list(map(self._index.__getitem__, deltas))
-                except KeyError as e:
-                    raise UnknownId(e.args[0]) from None
-                g = self._check_rows(list(deltas.values()))
-                new = self._matrix[pos] - eta * g
-                self._matrix[pos] = project_row(new, self.projection).astype(self.dtype)
-        finally:
-            self._writing = False
+        if deltas:
+            try:
+                slots = list(map(self._slot.__getitem__, deltas))
+            except KeyError as e:
+                raise UnknownId(e.args[0]) from None
+            g = self._check_rows(list(deltas.values()))
+            new = self._rows[slots] - eta * g
+            self._rows[slots] = project_row(new, self.projection).astype(self.dtype)
         self.generation += 1
 
     def copy(self) -> "Catalog":
-        out = Catalog(self.dim, projection=self.projection, dtype=self.dtype)
-        out._ids = list(self._ids)
-        out._index = dict(self._index)
-        out._matrix = self._matrix.copy()
-        out._retired = set(self._retired)
-        out.generation = self.generation
+        out = copy.copy(self)
+        out._rows, out._order = self._rows[: len(self)].copy(), self._order.copy()
+        out._slot, out._ids, out._retired = dict(self._slot), list(self._ids), set(self._retired)
         return out
 
     def max_row_norm(self) -> float:
-        if len(self) == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(self._matrix, axis=1)))
+        return float(np.max(np.linalg.norm(self._rows[: len(self)], axis=1), initial=0.0))
 
 
 # -- binary snapshot --------------------------------------------------------
@@ -206,42 +239,49 @@ class Catalog:
 
 
 def write_snapshot(catalog: Catalog, path: str) -> None:
-    """Write a bit-exact catalog snapshot via temp-file-then-rename."""
+    """Write a bit-exact snapshot via a temp file and a rename; a failure leaves no temp file."""
     dtag = 0 if catalog.dtype == np.float64 else 1
     tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(SNAPSHOT_MAGIC)
-        f.write(struct.pack("<IQQB", SNAPSHOT_VERSION, len(catalog), catalog.dim, dtag))
-        for item_id in catalog.ids:
-            raw = item_id.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-        f.write(catalog.matrix().astype("<f8" if dtag == 0 else "<f4").tobytes())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(SNAPSHOT_MAGIC)
+            f.write(struct.pack("<IQQB", SNAPSHOT_VERSION, len(catalog), catalog.dim, dtag))
+            for raw in map(str.encode, catalog.ids):
+                f.write(struct.pack("<I", len(raw)) + raw)
+            for chunk in row_chunks(len(catalog), catalog.dim):
+                rows = catalog._rows[catalog._order[chunk]]
+                f.write(np.ascontiguousarray(rows, dtype="<f8" if dtag == 0 else "<f4"))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # writing or renaming failed
+            os.remove(tmp)
 
 
 def read_snapshot(path: str, projection: ProjectionMode = ProjectionMode.NONE) -> Catalog:
+    """Read a snapshot; any deviation from the layout raises `SnapshotFormatError`."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != SNAPSHOT_MAGIC:
         raise SnapshotFormatError("bad magic bytes")
     try:
         version, count, dim, dtag = struct.unpack_from("<IQQB", data, 4)
-    except struct.error as e:
-        raise SnapshotFormatError(str(e)) from None
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotFormatError(f"unsupported version {version}")
-    if dtag not in (0, 1):
-        raise SnapshotFormatError(f"unknown dtype tag {dtag}")
-    off = 4 + struct.calcsize("<IQQB")
-    ids = []
-    for _ in range(count):
-        (n,) = struct.unpack_from("<I", data, off)
-        off += 4
-        ids.append(data[off : off + n].decode("utf-8"))
-        off += n
-    dtype = np.float64 if dtag == 0 else np.float32
-    wire = "<f8" if dtag == 0 else "<f4"
-    values = np.frombuffer(data, dtype=wire, count=count * dim, offset=off)
-    rows = values.reshape(count, dim).astype(dtype)
-    return Catalog(dim, zip(ids, rows), projection=projection, dtype=dtype)
+        if version != SNAPSHOT_VERSION:
+            raise SnapshotFormatError(f"unsupported version {version}")
+        if dtag not in (0, 1):
+            raise SnapshotFormatError(f"unknown dtype tag {dtag}")
+        off = 4 + struct.calcsize("<IQQB")
+        ids = []
+        for _ in range(count):
+            (n,) = struct.unpack_from("<I", data, off)
+            (raw,) = struct.unpack_from(f"{n}s", data, off + 4)
+            ids.append(raw.decode("utf-8"))
+            off += 4 + n
+    except (struct.error, UnicodeDecodeError) as e:
+        raise SnapshotFormatError(f"truncated or malformed: {e}") from None
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise SnapshotFormatError("ids are not strictly increasing")
+    wire = np.dtype("<f8" if dtag == 0 else "<f4")
+    if len(data) - off != count * dim * wire.itemsize:
+        raise SnapshotFormatError("row block is truncated or followed by extra bytes")
+    rows = np.frombuffer(data, dtype=wire, offset=off).reshape(count, dim)
+    return Catalog.from_rows(dim, ids, rows, projection=projection, dtype=wire.type)

@@ -29,10 +29,6 @@ class EmptyCatalog(OragError):
     pass
 
 
-class ConcurrentMutation(OragError):
-    """Two writers tried to mutate one catalog at the same time."""
-
-
 class KTooLarge(OragError):
     pass
 

@@ -77,7 +77,7 @@ def train_oracle(
     if len(events) == 0:
         raise EmptyEvents("oracle needs at least one event")
     queries, labels = _event_arrays(events, init)
-    theta = init.matrix().astype(np.float64).copy()
+    theta = init.matrix().astype(np.float64, copy=False)
     onehot = np.zeros((len(labels), len(init)))
     onehot[np.arange(len(labels)), labels] = 1.0
     loss = total_loss(theta, queries, labels)
@@ -100,7 +100,7 @@ def train_oracle(
         step *= 1.05  # cautious growth; backtracking undoes overshoot
         if improved < tol:
             break
-    fitted = Catalog(init.dim, zip(init.ids, theta))
+    fitted = Catalog.from_rows(init.dim, init.ids, theta)
     return OracleFit(catalog=fitted, loss=loss, passes=used)
 
 
@@ -130,7 +130,7 @@ def regret_curve(episode_log, oracle: Catalog) -> RegretLedger:
     queries, labels = _event_arrays(
         list(zip(episode_log.queries, episode_log.true_items)), oracle
     )
-    p = softmax_rows(queries @ oracle.matrix().astype(np.float64).T)
+    p = softmax_rows(queries @ oracle.matrix().astype(np.float64, copy=False).T)
     oracle_losses = -np.log(p[np.arange(len(labels)), labels])
     return RegretLedger(
         online_loss=online,

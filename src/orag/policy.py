@@ -8,7 +8,9 @@ item drawn, so (seed, event log) fully reproduces a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,20 +55,37 @@ class ProbabilityVector:
     ids: tuple[ItemId, ...]
     probs: np.ndarray
     generation: int
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index = {i: k for k, i in enumerate(self.ids)}
 
     def __getitem__(self, item_id: ItemId) -> float:
-        return float(self.probs[self._index[item_id]])
+        return float(self.probs[self.index_of(item_id)])
 
     def index_of(self, item_id: ItemId) -> int:
-        return self._index[item_id]
+        """Bisects the sorted ids `score` makes; unsorted hand-built ids fall back to a scan."""
+        k = bisect.bisect_left(self.ids, item_id) if isinstance(item_id, str) else 0
+        if k < len(self.ids) and self.ids[k] == item_id:
+            return k
+        try:
+            return self.ids.index(item_id)
+        except ValueError:
+            raise KeyError(item_id) from None
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+_per_thread = threading.local()
+
+
+def _gather_buffer(catalog: Catalog) -> np.ndarray:
+    """A per-thread (I, dim) array of the catalog dtype for `score`'s gather.
+
+    It is kept between calls, so a round allocates no catalog-sized array;
+    the bytes under it grow to the largest catalog scored and are not freed.
+    """
+    nbytes = len(catalog) * catalog.dim * np.dtype(catalog.dtype).itemsize
+    if len(getattr(_per_thread, "buf", ())) < nbytes:
+        _per_thread.buf = np.empty(nbytes, np.uint8)
+    return _per_thread.buf[:nbytes].view(catalog.dtype).reshape(len(catalog), catalog.dim)
 
 
 def score(q, catalog: Catalog) -> ProbabilityVector:
@@ -78,7 +97,9 @@ def score(q, catalog: Catalog) -> ProbabilityVector:
         raise DimensionMismatch(f"query length {qv.shape[0]} != catalog dim {catalog.dim}")
     if not np.all(np.isfinite(qv)):
         raise NonFiniteInput("query contains non-finite entries")
-    logits = catalog.matrix().astype(np.float64) @ qv
+    # Rows in id order, not slot order: a matrix-vector product's bits can
+    # depend on the row order.
+    logits = catalog.matrix(out=_gather_buffer(catalog)).astype(np.float64, copy=False) @ qv
     logits -= logits.max()
     # exp underflows to exact zero below ~-745; the softmax of finite logits
     # is mathematically positive, so floor the gap to keep every entry > 0.
@@ -102,15 +123,13 @@ def sample_k_without_replacement(
     """Sequential renormalized draws; output order equals draw order."""
     if k < 1 or k > len(p.ids):
         raise KTooLarge(f"K={k} with I={len(p.ids)} items")
-    probs = p.probs.copy()
-    alive = list(range(len(p.ids)))
+    alive = np.arange(len(p.ids))
     out: list[ItemId] = []
     for _ in range(k):
         u = rng.uniform()
-        weights = probs[alive]
-        cdf = np.cumsum(weights)
+        cdf = np.cumsum(p.probs[alive])
         j = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
         j = min(j, len(alive) - 1)
         out.append(p.ids[alive[j]])
-        alive.pop(j)
+        alive = np.delete(alive, j)
     return out

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import Catalog, ItemId, ProjectionMode
+from .catalog import Catalog, ItemId, ProjectionMode, row_chunks, row_norms
 from .errors import InvalidConfig, UndefinedRound
 from .learner import (
     LearningRateSchedule,
@@ -60,9 +60,10 @@ class EpisodeConfig:
             raise InvalidConfig("repeat_passes must be >= 1")
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else v
+def _unit(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """v / |v| for a row or per row of a block; rows of norm 0 stay as they are."""
+    n = row_norms(v)
+    return np.divide(v, np.where(n > 0, n, 1.0), out=out)
 
 
 @dataclass
@@ -145,7 +146,8 @@ def make_environment(
         raise InvalidConfig("noise_scale must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     latents = rng.normal(size=(config.I, config.d))
-    latents /= np.linalg.norm(latents, axis=1, keepdims=True)
+    for chunk in row_chunks(config.I, config.d):
+        latents[chunk] /= np.linalg.norm(latents[chunk], axis=1, keepdims=True)
     ids = [f"item{k:04d}" for k in range(config.I)]
     return Environment(
         true_items=dict(zip(ids, latents)),
@@ -167,15 +169,18 @@ def initial_catalog(
     """Rows = normalize(latent + init_noise * gaussian); seeded by env.seed."""
     rng = np.random.default_rng(np.random.SeedSequence([env.seed, 2]))
     ids = sorted(env.true_items)
-    rows = []
-    for item_id in ids:
-        latent = env.true_items[item_id]
-        noisy = latent + init_noise * rng.normal(size=latent.shape)
-        rows.append((item_id, _unit(noisy)))
+    # One block, filled in place chunk by chunk: the bits of
+    # _unit(stacked latents + init_noise * normal).
+    rows = rng.normal(size=(len(ids), env.dim))
+    rows *= init_noise
+    for chunk in row_chunks(len(ids), env.dim):
+        rows[chunk] += np.stack([env.true_items[i] for i in ids[chunk]])
+        _unit(rows[chunk], out=rows[chunk])
     if restrict_to is not None:
         keep = set(restrict_to)
-        rows = [r for r in rows if r[0] in keep]
-    return Catalog(env.dim, rows, projection=projection)
+        idx = [k for k, i in enumerate(ids) if i in keep]
+        ids, rows = [ids[k] for k in idx], rows[idx]
+    return Catalog.from_rows(env.dim, ids, rows, projection=projection, copy=False)
 
 
 def feedback_oracle(env: Environment, t: int, chosen: ItemId) -> bool:

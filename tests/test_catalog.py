@@ -266,3 +266,201 @@ def test_snapshot_never_leaves_partial_file(tmp_path):
     import os
 
     assert os.listdir(tmp_path) == ["x.orag"]
+
+
+def test_matrix_is_a_fresh_array():
+    cat = Catalog(2, [("b", [0.0, 1.0]), ("a", [1.0, 0.0])])
+    m = cat.matrix()
+    m[:] = 7.0
+    np.testing.assert_array_equal(cat.matrix(), [[1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("projection", list(ProjectionMode))
+def test_constructor_matches_one_by_one_adds(dtype, projection):
+    # The bulk build against the one-row-at-a-time path it replaced: same
+    # ids, same bits, ids given unsorted and partly as non-str values.
+    rng = np.random.default_rng(4)
+    keys = [f"id{k}" for k in rng.permutation(60)] + [7, 3.5, "7.5"]
+    rows = rng.normal(scale=2.0, size=(len(keys), 5))
+    ref = Catalog(5, projection=projection, dtype=dtype)
+    for k, r in zip(keys, rows):
+        ref.add_item(k, list(r))
+    for bulk in (Catalog(5, zip(keys, rows), projection=projection, dtype=dtype),
+                 Catalog.from_rows(5, keys, rows, projection=projection, dtype=dtype)):
+        assert bulk.ids == ref.ids
+        assert bulk.dtype == dtype
+        assert bulk.matrix().tobytes() == ref.matrix().tobytes()
+        assert bulk.generation == 0
+        assert all(bulk.row(i).tobytes() == ref.row(i).tobytes() for i in ref.ids)
+
+
+@pytest.mark.parametrize("items, error", [
+    ([(1, [0.0, 0.0]), ("1", [1.0, 1.0])], DuplicateId),
+    ([("a", [0.0, 0.0]), ("b", [1.0, 1.0]), ("a", [2.0, 2.0])], DuplicateId),
+    ([("a", [0.0, 0.0]), ("b", [1.0])], DimensionMismatch),
+    ([("a", [0.0, 0.0, 0.0])], DimensionMismatch),
+    ([("a", ["x", 0.0])], DimensionMismatch),
+    ([("a", [0.0, 0.0]), ("b", [np.nan, 1.0])], NonFiniteInput),
+    ([("a", [np.inf, 0.0])], NonFiniteInput),
+])
+def test_constructor_errors(items, error):
+    with pytest.raises(error):
+        Catalog(2, items)
+    with pytest.raises(error):
+        cat = Catalog(2)
+        for k, v in items:
+            cat.add_item(k, v)
+
+
+def test_from_rows_needs_one_row_per_id():
+    with pytest.raises(DimensionMismatch):
+        Catalog.from_rows(2, ["a", "b"], np.zeros((3, 2)))
+
+
+def _snapshot_bytes(tmp_path, cat):
+    path = tmp_path / "cat.orag"
+    write_snapshot(cat, str(path))
+    return path, path.read_bytes()
+
+
+def _expect_format_error(path, raw):
+    path.write_bytes(raw)
+    with pytest.raises(SnapshotFormatError):
+        read_snapshot(str(path))
+
+
+def test_snapshot_truncated_anywhere(tmp_path):
+    cat = Catalog(2, [("a", [1.0, 2.0]), ("bb", [3.0, 4.0])])
+    path, raw = _snapshot_bytes(tmp_path, cat)
+    for cut in range(len(raw)):
+        _expect_format_error(path, raw[:cut])
+
+
+def test_snapshot_bad_utf8_id(tmp_path):
+    cat = Catalog(2, [("a", [1.0, 2.0])])
+    path, raw = _snapshot_bytes(tmp_path, cat)
+    header = 4 + 21 + 4  # magic, version/count/dim/dtype, id length
+    _expect_format_error(path, raw[:header] + b"\xff" + raw[header + 1:])
+
+
+def test_snapshot_trailing_bytes(tmp_path):
+    cat = Catalog(2, [("a", [1.0, 2.0])])
+    path, raw = _snapshot_bytes(tmp_path, cat)
+    _expect_format_error(path, raw + b"\x00")
+
+
+def test_snapshot_ids_not_increasing(tmp_path):
+    cat = Catalog(2, [("a", [1.0, 2.0]), ("b", [3.0, 4.0])])
+    path, raw = _snapshot_bytes(tmp_path, cat)
+    first, second = 4 + 21 + 4, 4 + 21 + 4 + 1 + 4  # offsets of "a" and "b"
+    assert raw[first:first + 1] == b"a" and raw[second:second + 1] == b"b"
+    _expect_format_error(path, raw[:first] + b"b" + raw[first + 1:second] + b"a" + raw[second + 1:])
+    _expect_format_error(path, raw[:second] + b"a" + raw[second + 1:])  # a repeated id
+
+
+def test_snapshot_failed_write_leaves_no_temp_file(tmp_path):
+    cat = Catalog(2, [("a", [1.0, 2.0])])
+    target = tmp_path / "taken"
+    target.mkdir()
+    (target / "keep").write_text("x")
+    with pytest.raises(OSError):
+        write_snapshot(cat, str(target))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_snapshot_round_trip_after_churn(tmp_path):
+    cat = Catalog(3, [(f"i{k}", np.full(3, float(k))) for k in range(6)])
+    cat.remove_item("i1")
+    cat.add_item("h", [9.0, 9.0, 9.0])
+    cat.remove_item("i5")
+    path, _ = _snapshot_bytes(tmp_path, cat)
+    back = read_snapshot(str(path))
+    assert back.ids == cat.ids == ("h", "i0", "i2", "i3", "i4")
+    assert back.matrix().tobytes() == cat.matrix().tobytes()
+
+
+def test_scale_build_snapshot_and_churn(tmp_path):
+    # Guards the cost model: the build, the snapshot round trip and each
+    # remove/add pair must not do O(I) Python work or O(I^2) copying.
+    import time
+
+    n, d = 20_000, 16
+    rng = np.random.default_rng(9)
+    start = time.perf_counter()
+    cat = Catalog(d, zip((f"item{k:06d}" for k in rng.permutation(n)), rng.normal(size=(n, d))))
+    path = str(tmp_path / "big.orag")
+    write_snapshot(cat, path)
+    back = read_snapshot(path)
+    for k, victim in enumerate(back.ids[::20]):
+        back.remove_item(victim)
+        back.add_item(f"new{k:04d}", rng.normal(size=d))
+    elapsed = time.perf_counter() - start
+    assert len(back) == n and back.generation == 2000
+    assert elapsed < 5.0, f"{elapsed:.1f} s"
+
+
+def _churned(n, dim, dtype=np.float64, seed=0):
+    rng = np.random.default_rng(seed)
+    cat = Catalog.from_rows(dim, [f"i{k:05d}" for k in rng.permutation(n)],
+                            rng.normal(size=(n, dim)), dtype=dtype)
+    for k, old in enumerate(list(cat.ids)[:: max(1, n // 50)]):
+        cat.remove_item(old)
+        cat.add_item(f"new{k:03d}", rng.normal(size=dim))
+    return cat
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_matrix_into_out_matches_fresh_matrix(dtype):
+    cat = _churned(300, 5, dtype)
+    out = np.full((len(cat), cat.dim), np.nan, dtype=dtype)
+    assert cat.matrix(out=out) is out
+    assert out.tobytes() == cat.matrix().tobytes()
+
+
+def test_from_rows_copies_unless_told_not_to():
+    rows = np.arange(6.0).reshape(3, 2)
+    copied = Catalog.from_rows(2, ["a", "b", "c"], rows)
+    adopted = Catalog.from_rows(2, ["a", "b", "c"], rows, copy=False)
+    rows[0] = -1.0
+    assert copied.row("a").tolist() == [0.0, 1.0]
+    assert adopted.row("a").tolist() == [-1.0, -1.0]
+    # A block of another dtype is converted, so never shared.
+    converted = Catalog.from_rows(2, ["a", "b", "c"], rows, dtype=np.float32, copy=False)
+    rows[0] = 5.0
+    assert converted.row("a").tolist() == [-1.0, -1.0]
+
+
+def test_snapshot_read_back_is_writable(tmp_path):
+    cat = _churned(40, 3)
+    path = str(tmp_path / "c.orag")
+    write_snapshot(cat, path)
+    back = read_snapshot(path)
+    back.update_rows({back.ids[0]: np.ones(3)}, 0.5)
+    assert back.row(back.ids[0]).tolist() == (cat.row(cat.ids[0]) - 0.5).tolist()
+
+
+@pytest.mark.parametrize("dtype, wire", [(np.float64, "<f8"), (np.float32, "<f4")])
+def test_snapshot_row_block_spans_chunks(tmp_path, dtype, wire):
+    # 5000 rows of width 3 are written in several chunks; the block must be
+    # the id-ordered matrix all the same.
+    cat = _churned(5000, 3, dtype)
+    path = str(tmp_path / "c.orag")
+    write_snapshot(cat, path)
+    data = (tmp_path / "c.orag").read_bytes()
+    block = cat.matrix().astype(wire).tobytes()
+    assert data.endswith(block)
+    assert read_snapshot(path).matrix().tobytes() == cat.matrix().tobytes()
+
+
+def test_snapshot_write_makes_no_catalog_sized_temporary(tmp_path):
+    import tracemalloc
+
+    cat = _churned(20000, 32)
+    tracemalloc.start()
+    try:
+        write_snapshot(cat, str(tmp_path / "c.orag"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cat.matrix().nbytes / 4

@@ -7,6 +7,7 @@ import pytest
 from orag.catalog import Catalog
 from orag.errors import DimensionMismatch, EmptyCatalog, KTooLarge, NonFiniteInput
 from orag.policy import (
+    ProbabilityVector,
     QueryEmbedding,
     RandomSource,
     sample_k_without_replacement,
@@ -181,3 +182,80 @@ def test_query_embedding_flattens_and_casts():
     q = QueryEmbedding([[1, 2]], query_id="x")
     assert q.q.shape == (2,)
     assert q.q.dtype == np.float64
+
+
+def _sample_k_list_reference(p, k, rng):
+    # The list-based sampler the array version replaced.
+    probs = p.probs.copy()
+    alive = list(range(len(p.ids)))
+    out = []
+    for _ in range(k):
+        u = rng.uniform()
+        cdf = np.cumsum(probs[alive])
+        j = min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(alive) - 1)
+        out.append(p.ids[alive[j]])
+        alive.pop(j)
+    return out
+
+
+def test_sample_k_matches_list_reference():
+    gen = np.random.default_rng(11)
+    for trial in range(200):
+        n = int(gen.integers(1, 300))
+        k = int(gen.integers(1, min(n, 12) + 1))
+        probs = gen.dirichlet(np.full(n, float(gen.choice([0.05, 1.0, 20.0]))))
+        p = ProbabilityVector(tuple(f"i{j:03d}" for j in range(n)), probs, 0)
+        a, b = RandomSource(trial), RandomSource(trial)
+        assert sample_k_without_replacement(p, k, a) == _sample_k_list_reference(p, k, b)
+        assert a.uniform() == b.uniform()  # the same number of draws consumed
+
+
+def test_probability_lookup_sorted_unsorted_and_missing():
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    for ids in (("a", "b", "c", "d"), ("c", "a", "d", "b")):
+        p = ProbabilityVector(ids, probs, 0)
+        for k, i in enumerate(ids):
+            assert p.index_of(i) == k and p[i] == probs[k]
+        for missing in ("", "bb", "e", 3):
+            with pytest.raises(KeyError):
+                p[missing]
+
+
+def _reference_probs(q, cat):
+    # score as it was before it reused a gather buffer.
+    logits = cat.matrix().astype(np.float64, copy=False) @ q
+    logits -= logits.max()
+    np.clip(logits, -700.0, None, out=logits)
+    w = np.exp(logits)
+    return w / w.sum()
+
+
+def test_score_bits_across_catalogs_of_other_sizes_and_dtypes():
+    rng = np.random.default_rng(5)
+    cats = [Catalog.from_rows(d, [f"i{k:05d}" for k in range(n)], rng.normal(size=(n, d)),
+                              dtype=dtype)
+            for n, d, dtype in [(3000, 8, np.float64), (40, 8, np.float32),
+                                (500, 3, np.float64), (3000, 8, np.float64)]]
+    for cat in cats + cats[::-1]:
+        q = 3.0 * rng.normal(size=cat.dim)
+        p = score(q, cat)
+        kept = p.probs.copy()
+        assert p.probs.tobytes() == _reference_probs(q, cat).tobytes()
+        score(rng.normal(size=cats[0].dim), cats[0])
+        assert p.probs.tobytes() == kept.tobytes()
+
+
+def test_score_makes_no_catalog_sized_temporary():
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    cat = Catalog.from_rows(32, [f"i{k:05d}" for k in range(20000)], rng.normal(size=(20000, 32)))
+    q = rng.normal(size=32)
+    score(q, cat)  # sizes the gather buffer
+    tracemalloc.start()
+    try:
+        score(q, cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cat.matrix().nbytes / 4

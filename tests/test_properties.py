@@ -1,9 +1,11 @@
 """Property-based checks for the algebraic invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from orag.catalog import Catalog, ProjectionMode, project_row, read_snapshot, write_snapshot
+from orag.errors import DimensionMismatch, DuplicateId, IdRetired, NonFiniteInput, UnknownId
 from orag.learner import (
     Feedback,
     estimate_gradient_chosen_only,
@@ -111,3 +113,87 @@ def test_snapshot_round_trip_random_catalogs(d, n, seed):
         back = read_snapshot(path)
     assert back.ids == cat.ids
     assert back.matrix().tobytes() == cat.matrix().tobytes()
+
+
+ids = st.text(alphabet="abc", min_size=1, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_catalog_matches_reference_dict(data):
+    # Random add/remove/update/copy sequences against a dict of rows
+    # computed one row at a time.
+    d = data.draw(st.integers(1, 4))
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+    projection = data.draw(st.sampled_from(list(ProjectionMode)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    cat = Catalog(d, projection=projection, dtype=dtype)
+    ref: dict[str, np.ndarray] = {}
+    retired: set[str] = set()
+    copies = []
+
+    def proj(v):
+        return project_row(np.asarray(v, dtype=dtype), projection).astype(dtype)
+
+    def state(c):
+        return c.ids, c.matrix().tobytes(), c.generation
+
+    for _ in range(data.draw(st.integers(1, 30))):
+        op = data.draw(st.sampled_from(["add", "add", "remove", "update", "copy", "bad_add"]))
+        gen, before = cat.generation, state(cat)
+        mutated = op == "update"  # an update bumps even when it writes no row
+        if op == "add":
+            item = data.draw(ids)
+            v = rng.normal(scale=2.0, size=d)
+            if item in retired:
+                with pytest.raises(IdRetired):
+                    cat.add_item(item, v)
+            elif item in ref:
+                with pytest.raises(DuplicateId):
+                    cat.add_item(item, v)
+            else:
+                cat.add_item(item, v)
+                ref[item] = proj(v)
+                mutated = True
+        elif op == "bad_add":
+            bad = data.draw(st.sampled_from(["width", "nan"]))
+            v = rng.normal(size=d + 1) if bad == "width" else np.full(d, np.nan)
+            with pytest.raises(DimensionMismatch if bad == "width" else NonFiniteInput):
+                cat.add_item(data.draw(ids.filter(lambda i: i not in ref and i not in retired)), v)
+        elif op == "remove":
+            if not ref:
+                with pytest.raises(UnknownId):
+                    cat.remove_item("zzz")
+            else:
+                item = data.draw(st.sampled_from(sorted(ref)))
+                cat.remove_item(item)
+                del ref[item]
+                retired.add(item)
+                mutated = True
+        elif op == "update":
+            chosen = data.draw(st.lists(st.sampled_from(sorted(ref)), unique=True)) if ref else []
+            deltas = {i: rng.normal(size=d) for i in chosen}
+            eta = float(rng.uniform(0.01, 2.0))
+            cat.update_rows(deltas, eta)
+            for i, g in deltas.items():
+                ref[i] = proj(ref[i] - eta * g.astype(dtype))
+        else:
+            dup = cat.copy()
+            assert state(dup) == before
+            if ref:
+                dup.remove_item(sorted(ref)[0])
+            dup.add_item("copy-only", np.ones(d))
+            copies.append((dup, state(dup)))
+            assert state(cat) == before
+        assert cat.generation == gen + mutated
+        if not mutated:
+            assert state(cat) == before
+        assert list(cat.ids) == sorted(ref) and len(cat) == len(ref)
+        expected = np.stack([ref[i] for i in sorted(ref)]) if ref else np.empty((0, d), dtype)
+        assert cat.matrix().dtype == dtype
+        assert cat.matrix().tobytes() == expected.tobytes()
+        for i in ref:
+            assert i in cat and cat.row(i).tobytes() == ref[i].tobytes()
+        assert all(i not in cat for i in retired)
+    for dup, snap in copies:
+        assert state(dup) == snap

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orag.catalog import ProjectionMode
+from orag.catalog import Catalog, ProjectionMode
 from orag.errors import InvalidConfig, UndefinedRound
 from orag.learner import LearningRateSchedule, ScheduleKind, UpdateMode
 from orag.metrics import rolling_accuracy
@@ -237,3 +237,58 @@ def test_multihop_episode_logs_one_record_per_hop():
     )
     assert len(log.rounds) == 30
     assert [r.t for r in log.rounds] == [t for t in range(1, 16) for _ in range(2)]
+
+
+@pytest.mark.parametrize("n_items", [37, 50, 1000])
+@pytest.mark.parametrize("noise", [0.0, 0.7])
+@pytest.mark.parametrize("projection", list(ProjectionMode))
+@pytest.mark.parametrize("restrict", [False, True])
+def test_initial_catalog_matches_per_row_reference(n_items, noise, projection, restrict):
+    # The block build against the per-row rows it replaced, added one at a
+    # time: normalize(latent + noise * normal) with the norm of np.linalg.norm.
+    env = make_environment(EpisodeConfig(T=5, I=n_items, d=16), 3)
+    ids = sorted(env.true_items)
+    keep = set(ids[::3]) if restrict else set(ids)
+    rng = np.random.default_rng(np.random.SeedSequence([env.seed, 2]))
+    ref = Catalog(env.dim, projection=projection)
+    for i in ids:
+        row = env.true_items[i] + noise * rng.normal(size=env.dim)
+        row = row / np.linalg.norm(row)
+        if i in keep:
+            ref.add_item(i, row)
+    cat = initial_catalog(env, noise, projection=projection,
+                          restrict_to=sorted(keep) if restrict else None)
+    assert cat.ids == ref.ids
+    assert cat.matrix().tobytes() == ref.matrix().tobytes()
+
+
+@pytest.mark.parametrize("n_items, dim", [(3000, 8), (3000, 5), (7, 3)])
+def test_make_environment_latents_match_whole_block_normalisation(n_items, dim):
+    # Latents are normalised chunk by chunk; each row must keep the bits of
+    # the whole-block np.linalg.norm.
+    env = make_environment(EpisodeConfig(T=5, I=n_items, d=dim), 11)
+    rng = np.random.default_rng(np.random.SeedSequence([11, 0]))
+    raw = rng.normal(size=(n_items, dim))
+    ref = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    got = np.stack([env.true_items[f"item{k:04d}"] for k in range(n_items)])
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_setup_makes_one_catalog_sized_block():
+    import tracemalloc
+
+    ep = EpisodeConfig(T=5, I=20000, d=32)
+    block = ep.I * ep.d * 8
+    tracemalloc.start()
+    try:
+        env = make_environment(ep, 2)
+        after_env = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cat = initial_catalog(env, 0.3)
+        peak = tracemalloc.get_traced_memory()[1] - after_env
+    finally:
+        tracemalloc.stop()
+    assert len(cat) == ep.I
+    # The catalog keeps the one block initial_catalog fills; ids, dicts and
+    # 64 KB chunk temporaries come on top.
+    assert peak < 2 * block

@@ -162,7 +162,7 @@ class Catalog:
     # -- write side ---------------------------------------------------------
 
     def _check_rows(self, rows) -> np.ndarray:
-        """A list of vectors as one finite (n, dim) block in the catalog dtype."""
+        """Rows (a list of vectors or a block) as one finite (n, dim) block in the catalog dtype."""
         try:
             v = np.asarray(rows, dtype=self.dtype).reshape(len(rows), self.dim)
         except ValueError:
@@ -206,20 +206,42 @@ class Catalog:
         self._ids_tuple = None
         self.generation += 1
 
-    def update_rows(self, deltas: dict[ItemId, np.ndarray], eta: float) -> None:
-        """Apply theta_i <- project(theta_i - eta * g_i) for each id in `deltas`.
+    def check_changes(self, removed: Sequence[ItemId],
+                      added: Sequence[tuple[ItemId, Sequence[float]]]) -> None:
+        """Raise what `remove_item` for each of `removed`, then `add_item` for
+        each of `added`, would raise, before anything is changed."""
+        gone: set[ItemId] = set()
+        for item_id in removed:
+            if item_id not in self._slot or item_id in gone:
+                raise UnknownId(item_id)
+            gone.add(item_id)
+        new: set[ItemId] = set()
+        for item_id in (str(i) for i, _ in added):
+            if item_id in self._retired or item_id in gone:
+                raise IdRetired(item_id)
+            if item_id in self._slot or item_id in new:
+                raise DuplicateId(item_id)
+            new.add(item_id)
+        self._check_rows([v for _, v in added])
+
+    def update_rows(self, ids: Sequence[ItemId], rows, eta: float) -> None:
+        """Apply theta_i <- project(theta_i - eta * g_i), where row k of the
+        (n, dim) block `rows` is g for `ids[k]`: the layout of `from_rows`.
 
         All or nothing: every id, width and value is checked before any row
         is written, so a failed update leaves rows and `generation` as they were.
         """
-        if deltas:
-            try:
-                slots = list(map(self._slot.__getitem__, deltas))
-            except KeyError as e:
-                raise UnknownId(e.args[0]) from None
-            g = self._check_rows(list(deltas.values()))
-            new = self._rows[slots] - eta * g
-            self._rows[slots] = project_row(new, self.projection).astype(self.dtype)
+        if len(ids) != len(rows):
+            raise DimensionMismatch(f"{len(ids)} ids for {len(rows)} rows")
+        try:
+            slots = list(map(self._slot.__getitem__, ids))
+        except KeyError as e:
+            raise UnknownId(e.args[0]) from None
+        if len(set(slots)) != len(slots):
+            raise DuplicateId(next(i for k, i in enumerate(ids) if i in ids[:k]))
+        g = self._check_rows(rows)
+        new = self._rows[slots] - eta * g
+        self._rows[slots] = project_row(new, self.projection).astype(self.dtype)
         self.generation += 1
 
     def copy(self) -> "Catalog":

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import enum
 import json
-from dataclasses import dataclass
-from typing import Optional
+import sys
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
 from .catalog import Catalog, ItemId, ProjectionMode, read_snapshot
 from .errors import (
     DimensionMismatch,
+    InvalidConfig,
     IoError,
     ParseError,
     SchemaError,
@@ -19,15 +22,6 @@ from .errors import (
 )
 from .learner import LearningRateSchedule, RoundRecord, ScheduleKind, UpdateMode
 from .simulator import EpisodeConfig, Variant
-
-_KNOWN_KEYS = {
-    "T", "I", "d", "K", "variant", "update_mode", "schedule", "c",
-    "projection", "repeat_passes", "sigma", "sigma_init", "alpha",
-    "shift_round", "shift_fraction", "seed", "out",
-    "queries_path", "items_path", "labels_path",
-}
-
-_REQUIRED_KEYS = {"T", "I", "d", "seed"}
 
 
 @dataclass
@@ -67,12 +61,37 @@ class RunConfig:
         )
 
 
-def _enum_field(raw, enum_cls, name: str):
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        valid = ", ".join(e.value for e in enum_cls)
-        raise ValidationError(f"{name}: expected one of {{{valid}}}, got {raw!r}") from None
+def _field_checks(cls) -> tuple[dict, set[str]]:
+    """(field name -> check, required field names) of a dataclass read from JSON.
+
+    A check returns its value (an enum by value) or raises `ValidationError` naming
+    the field: int rejects bool, float needs a finite number, Optional takes None."""
+    checks = {}
+    for name, tp in get_type_hints(cls).items():
+        args = [a for a in get_args(tp) if a is not type(None)]
+        checks[name] = _check_as(name, args[0] if args else tp, optional=bool(args))
+    return checks, {f.name for f in fields(cls) if f.default is MISSING}
+
+
+def _check_as(name: str, tp: type, optional: bool):
+    values = [e.value for e in tp] if issubclass(tp, enum.Enum) else None
+
+    def check(value):
+        if type(value) is tp or tp is float and type(value) is int:
+            if tp is not float or abs(value) <= sys.float_info.max:
+                return value
+        elif value is None and optional:
+            return None
+        elif values is not None and value in values:
+            return tp(value)
+        raise ValidationError(f"{name}: expected {values or tp.__name__}, got {value!r}")
+    return check
+
+
+_CONFIG_CHECKS, _CONFIG_REQUIRED = _field_checks(RunConfig)
+# Ranges `config.episode()` does not check.
+_RANGES = [("seed", 0, np.inf), ("sigma", 0, np.inf), ("sigma_init", 0, np.inf),
+           ("alpha", 0, 1), ("shift_fraction", 0, 1)]
 
 
 def load_config(path: str) -> RunConfig:
@@ -86,47 +105,26 @@ def load_config(path: str) -> RunConfig:
         raise ParseError(f"{path}: {e}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: config must be a single JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - set(_CONFIG_CHECKS)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(raw)
+    missing = _CONFIG_REQUIRED - set(raw)
     if missing:
         raise ValidationError(f"missing required keys: {sorted(missing)}")
-
-    cfg = dict(raw)
-    for key in ("variant",):
-        if key in cfg:
-            cfg[key] = _enum_field(cfg[key], Variant, key)
-    if "update_mode" in cfg:
-        cfg["update_mode"] = _enum_field(cfg["update_mode"], UpdateMode, "update_mode")
-    if "schedule" in cfg:
-        cfg["schedule"] = _enum_field(cfg["schedule"], ScheduleKind, "schedule")
-    if "projection" in cfg:
-        cfg["projection"] = _enum_field(cfg["projection"], ProjectionMode, "projection")
-
-    for key in ("T", "I", "d", "K", "seed", "repeat_passes"):
-        if key in cfg and not isinstance(cfg[key], int):
-            raise ValidationError(f"{key}: expected an integer, got {cfg[key]!r}")
-    config = RunConfig(**cfg)
-    if config.T < 1 or config.I < 1 or config.d < 1:
-        raise ValidationError("T, I, d must all be >= 1")
-    if not (1 <= config.K <= config.I):
-        raise ValidationError(f"K: must lie in [1, I]; got {config.K}")
-    if config.c <= 0:
-        raise ValidationError("c: schedule constant must be positive")
-    if config.sigma < 0 or config.sigma_init < 0:
-        raise ValidationError("sigma, sigma_init must be >= 0")
-    if not (0.0 <= config.alpha <= 1.0):
-        raise ValidationError("alpha: must lie in [0, 1]")
-    if config.repeat_passes < 1:
-        raise ValidationError("repeat_passes: must be >= 1")
+    config = RunConfig(**{k: _CONFIG_CHECKS[k](v) for k, v in raw.items()})
+    try:  # T, I, d, K, repeat_passes and c
+        config.episode()
+    except (InvalidConfig, ValueError) as e:
+        raise ValidationError(str(e)) from None
+    for name, low, high in _RANGES:
+        if not low <= getattr(config, name) <= high:
+            raise ValidationError(f"{name}: must lie in [{low}, {high}]")
     return config
 
 
 # -- JSONL event logs -------------------------------------------------------
 
-_EVENT_REQUIRED = {"t", "query_id", "chosen", "success", "propensity", "eta"}
-_EVENT_OPTIONAL = {"loss", "generation"}
+_EVENT_CHECKS, _EVENT_REQUIRED = _field_checks(RoundRecord)
 
 
 def write_event_log(records: list[RoundRecord], path: str) -> None:
@@ -169,25 +167,21 @@ def read_event_log(path: str) -> list[RoundRecord]:
         if not isinstance(row, dict):
             raise SchemaError(f"line {lineno}: expected a JSON object")
         keys = set(row)
-        if not _EVENT_REQUIRED <= keys or keys - _EVENT_REQUIRED - _EVENT_OPTIONAL:
+        if not _EVENT_REQUIRED <= keys or keys - set(_EVENT_CHECKS):
             raise SchemaError(f"line {lineno}: bad key set {sorted(keys)}")
-        if not isinstance(row["t"], int) or row["t"] <= last_t:
+        try:
+            rec = RoundRecord(**{k: _EVENT_CHECKS[k](v) for k, v in row.items()})
+        except ValidationError as e:
+            raise SchemaError(f"line {lineno}: {e}") from None
+        if rec.t <= last_t:
             raise SchemaError(f"line {lineno}: t must be a strictly increasing integer")
-        if not (0.0 < row["propensity"] <= 1.0):
+        if not (0.0 < rec.propensity <= 1.0):
             raise SchemaError(f"line {lineno}: propensity outside (0, 1]")
-        last_t = row["t"]
-        records.append(
-            RoundRecord(
-                t=row["t"],
-                query_id=row["query_id"],
-                chosen=row["chosen"],
-                success=bool(row["success"]),
-                propensity=float(row["propensity"]),
-                eta=float(row["eta"]),
-                loss=row.get("loss"),
-                generation=row.get("generation"),
-            )
-        )
+        if rec.eta <= 0 or (rec.generation is not None and rec.generation < 0):
+            raise SchemaError(f"line {lineno}: eta must be > 0 and generation >= 0")
+        last_t = rec.t
+        rec.propensity, rec.eta = float(rec.propensity), float(rec.eta)
+        records.append(rec)
     return records
 
 
@@ -232,6 +226,8 @@ def ingest_embedding_dump(queries_path: str, items_path: str, labels_path: str) 
             raise UnknownId(f"line {lineno}: unknown query id {qid!r}")
         if iid not in catalog:
             raise UnknownId(f"line {lineno}: unknown item id {iid!r}")
+        if qid in labels:
+            raise SchemaError(f"line {lineno}: query id {qid!r} is labelled twice")
         labels[qid] = iid
     query_ids = [q for q in queries_cat.ids if q in labels]
     queries = np.stack([queries_cat.row(q) for q in query_ids]) if query_ids else np.empty((0, catalog.dim))

@@ -7,8 +7,10 @@ p_c = p[c] at decision time, query q):
   chosen-only:    g_c = (1 - s / p_c) * q, all other items untouched
 
 Both are unbiased for the full-information gradient (p_i - 1{i=i*}) * q
-when the chosen item is drawn from p. Updates are plain (projected) gradient
-steps theta_i <- project(theta_i - eta_t * g_i).
+when the chosen item is drawn from p. The full estimate is the rank-1 block
+outer(p - s * e_c / p_c, q); the chosen-only one is its row c. An estimate is
+a `GradientBatch` of ids plus their rows, the layout `Catalog.update_rows`
+takes for the (projected) step theta_i <- project(theta_i - eta_t * g_i).
 """
 
 from __future__ import annotations
@@ -41,16 +43,17 @@ class Feedback:
 
 @dataclass
 class GradientBatch:
-    """Per-item update directions for one round (or one averaged batch)."""
+    """One round's (or batch's) update directions: row k of the (n, d) `rows` is for `ids[k]`."""
 
-    directions: dict[ItemId, np.ndarray]
+    ids: tuple[ItemId, ...]
+    rows: np.ndarray
     t: int = 0
 
     def __getitem__(self, item_id: ItemId) -> np.ndarray:
-        return self.directions[item_id]
+        return self.rows[self.ids.index(item_id)]
 
     def __contains__(self, item_id: ItemId) -> bool:
-        return item_id in self.directions
+        return item_id in self.ids
 
 
 class ScheduleKind(enum.Enum):
@@ -65,7 +68,7 @@ class LearningRateSchedule:
 
     def __post_init__(self):
         if self.c <= 0:
-            raise ValueError("schedule constant must be positive")
+            raise ValueError("c: schedule constant must be positive")
 
     def eta(self, t: int) -> float:
         if self.kind is ScheduleKind.CONSTANT:
@@ -121,7 +124,7 @@ def estimate_gradient_full(
     `clip_propensity` floors the denominator; it trades the exact
     unbiasedness for bounded weights and is off by default.
     """
-    return GradientBatch(dict(zip(p.ids, _full_rows(p, q, fb, clip_propensity))), t=t)
+    return GradientBatch(p.ids, _full_rows(p, q, fb, clip_propensity), t=t)
 
 
 def estimate_gradient_chosen_only(
@@ -130,7 +133,7 @@ def estimate_gradient_chosen_only(
     """Cheaper estimate touching only the chosen item's row."""
     prop = _propensity(p, fb, clip_propensity)
     coeff = 1.0 - (1.0 / prop if fb.success else 0.0)
-    return GradientBatch({fb.chosen: coeff * _as_query(q)}, t=t)
+    return GradientBatch((fb.chosen,), coeff * _as_query(q)[None, :], t=t)
 
 
 def estimate_gradient_batched(
@@ -148,14 +151,15 @@ def estimate_gradient_batched(
             )
         rows = _full_rows(p, q, fb, None)
         total = rows if total is None else total + rows
-    return GradientBatch(dict(zip(events[0][0].ids, total * (1.0 / len(events)))), t=t)
+    return GradientBatch(events[0][0].ids, total * (1.0 / len(events)), t=t)
 
 
 def apply_update(catalog: Catalog, g: GradientBatch, eta: float) -> None:
     """theta_i <- project(theta_i - eta * g_i); rows absent from g unchanged."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    catalog.update_rows(g.directions, eta)
+    # Positional: the benchmark's tracer counts the rows in the second argument.
+    catalog.update_rows(g.ids, g.rows, eta)
 
 
 @dataclass

@@ -103,10 +103,13 @@ class CatalogDelta:
 
 
 def apply_delta(catalog: Catalog, delta: CatalogDelta, t: int) -> None:
+    """Remove, then add, the delta's items: one `generation` bump per item,
+    and a delta that would fail anywhere changes nothing."""
     if delta.effective_at != t:
         raise InvalidConfig(
             f"delta effective_at={delta.effective_at} applied at round {t}"
         )
+    catalog.check_changes(delta.removed, delta.added)
     for item_id in delta.removed:
         catalog.remove_item(item_id)
     for item_id, init in delta.added:

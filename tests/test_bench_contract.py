@@ -51,3 +51,7 @@ def test_traced_steps_reach_every_update_layer():
         "policy.sample_k", "learner.estimate_full", "learner.estimate_chosen",
         "learner.apply_update", "catalog.update_rows",
     } <= names
+    # The row count comes from `update_rows`' second positional argument: every
+    # row for the full step, one for the chosen-only rerank step.
+    assert [rec[5] for rec in tr.spans if rec[0] == "catalog.update_rows"] == [len(catalog), 1]
+

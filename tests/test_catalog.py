@@ -99,7 +99,7 @@ def test_generation_increments_on_every_mutation():
     assert cat.generation == 0  # construction is not a mutation
     cat.add_item("b", [0.0, 1.0])
     assert cat.generation == 1
-    cat.update_rows({"a": np.zeros(2)}, eta=0.1)
+    cat.update_rows(["a"], np.zeros((1, 2)), eta=0.1)
     assert cat.generation == 2
     cat.remove_item("b")
     assert cat.generation == 3
@@ -121,19 +121,19 @@ def test_unit_ball_norm_invariant_under_random_ops():
         cat.add_item(f"i{k}", rng.normal(scale=5.0, size=3))
     for _ in range(30):
         deltas = {i: rng.normal(scale=2.0, size=3) for i in cat.ids}
-        cat.update_rows(deltas, eta=rng.uniform(0.01, 1.0))
+        cat.update_rows(list(deltas), list(deltas.values()), eta=rng.uniform(0.01, 1.0))
         assert cat.max_row_norm() <= 1.0 + 1e-12
 
 
 def test_update_rows_arithmetic():
     cat = Catalog(2, [("a", [0.0, 0.0])])
-    cat.update_rows({"a": np.array([1.0, 0.0])}, eta=0.1)
+    cat.update_rows(["a"], np.array([[1.0, 0.0]]), eta=0.1)
     np.testing.assert_allclose(cat.row("a"), [-0.1, 0.0])
 
 
 def test_update_rows_projects_after_step():
     cat = Catalog(2, [("a", [1.0, 0.0])], projection=ProjectionMode.UNIT_BALL)
-    cat.update_rows({"a": np.array([-10.0, 0.0])}, eta=0.2)
+    cat.update_rows(["a"], np.array([[-10.0, 0.0]]), eta=0.2)
     # raw step lands at [3, 0]; the unit ball pulls it back
     np.testing.assert_allclose(cat.row("a"), [1.0, 0.0])
 
@@ -141,13 +141,13 @@ def test_update_rows_projects_after_step():
 def test_update_rows_unknown_id():
     cat = Catalog(2, [("a", [0.0, 0.0])])
     with pytest.raises(UnknownId):
-        cat.update_rows({"zzz": np.zeros(2)}, eta=0.1)
+        cat.update_rows(["zzz"], np.zeros((1, 2)), eta=0.1)
 
 
 def test_zero_gradient_leaves_rows_unchanged_but_bumps_generation():
     cat = Catalog(2, [("a", [0.3, 0.7])])
     gen = cat.generation
-    cat.update_rows({"a": np.zeros(2)}, eta=1.0)
+    cat.update_rows(["a"], np.zeros((1, 2)), eta=1.0)
     np.testing.assert_array_equal(cat.row("a"), [0.3, 0.7])
     assert cat.generation == gen + 1
 
@@ -155,7 +155,7 @@ def test_zero_gradient_leaves_rows_unchanged_but_bumps_generation():
 def test_copy_is_independent():
     cat = Catalog(2, [("a", [1.0, 0.0])])
     dup = cat.copy()
-    dup.update_rows({"a": np.array([1.0, 1.0])}, eta=0.5)
+    dup.update_rows(["a"], np.array([[1.0, 1.0]]), eta=0.5)
     np.testing.assert_array_equal(cat.row("a"), [1.0, 0.0])
     assert dup.generation == cat.generation + 1
 
@@ -170,7 +170,7 @@ def test_update_rows_unknown_id_writes_nothing():
     rows, gen = cat.matrix().copy(), cat.generation
     g = np.array([1.0, 0.0])
     with pytest.raises(UnknownId):
-        cat.update_rows({"a": g, "missing": g}, eta=0.1)
+        cat.update_rows(["a", "missing"], [g, g], eta=0.1)
     _assert_untouched(cat, rows, gen)
 
 
@@ -178,7 +178,7 @@ def test_update_rows_overflow_writes_nothing():
     cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [1e308, 0.0])])
     rows, gen = cat.matrix().copy(), cat.generation
     with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
-        cat.update_rows({"a": np.array([1.0, 0.0]), "b": np.array([-1e308, 0.0])}, eta=1.0)
+        cat.update_rows(["a", "b"], np.array([[1.0, 0.0], [-1e308, 0.0]]), eta=1.0)
     _assert_untouched(cat, rows, gen)
 
 
@@ -186,13 +186,30 @@ def test_update_rows_wrong_width_writes_nothing():
     cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [0.5, 0.5])])
     rows, gen = cat.matrix().copy(), cat.generation
     with pytest.raises(DimensionMismatch):
-        cat.update_rows({"a": np.ones(2), "b": np.ones(3)}, eta=0.1)
+        cat.update_rows(["a", "b"], [np.ones(2), np.ones(3)], eta=0.1)
+    _assert_untouched(cat, rows, gen)
+
+
+def test_update_rows_row_count_mismatch_writes_nothing():
+    # A (1, d) block would otherwise broadcast over both rows.
+    cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [0.5, 0.5])])
+    rows, gen = cat.matrix().copy(), cat.generation
+    with pytest.raises(DimensionMismatch):
+        cat.update_rows(["a", "b"], np.ones((1, 2)), eta=0.1)
+    _assert_untouched(cat, rows, gen)
+
+
+def test_update_rows_repeated_id_writes_nothing():
+    cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [0.5, 0.5])])
+    rows, gen = cat.matrix().copy(), cat.generation
+    with pytest.raises(DuplicateId):
+        cat.update_rows(["a", "b", "a"], np.ones((3, 2)), eta=0.1)
     _assert_untouched(cat, rows, gen)
 
 
 def test_update_rows_empty_mapping_only_bumps_generation():
     cat = Catalog(2, [("a", [0.3, 0.7])])
-    cat.update_rows({}, eta=0.1)
+    cat.update_rows([], [], eta=0.1)
     np.testing.assert_array_equal(cat.row("a"), [0.3, 0.7])
     assert cat.generation == 1
 
@@ -436,7 +453,7 @@ def test_snapshot_read_back_is_writable(tmp_path):
     path = str(tmp_path / "c.orag")
     write_snapshot(cat, path)
     back = read_snapshot(path)
-    back.update_rows({back.ids[0]: np.ones(3)}, 0.5)
+    back.update_rows([back.ids[0]], np.ones((1, 3)), 0.5)
     assert back.row(back.ids[0]).tolist() == (cat.row(cat.ids[0]) - 0.5).tolist()
 
 

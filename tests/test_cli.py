@@ -3,8 +3,10 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from orag.catalog import Catalog, read_snapshot, write_snapshot
+from orag.errors import ValidationError
 from orag.cli import cli_main, run_from_config
 from orag.io_utils import load_config
 from orag.metrics import regret_curve, train_oracle
@@ -55,6 +57,18 @@ def test_missing_config_flag_exits_one(tmp_path, capsys):
 def test_validation_error_exits_one(tmp_path):
     bad = _cfg(tmp_path, {**MINIMAL, "foo": 1}, name="bad.json")
     assert cli_main(["simulate", "--config", bad, "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("bad", [
+    {"c": "x"}, {"alpha": "x"}, {"sigma_init": "y"}, {"shift_round": "x"}, {"T": True},
+    {"sigma": float("nan")}, {"c": float("nan")}, {"shift_fraction": 2.0},
+    {"c": 0}, {"c": 1e400}, {"repeat_passes": 0}, {"seed": -1}, {"projection": None},
+])
+def test_malformed_config_is_a_validation_error(tmp_path, bad):
+    path = _cfg(tmp_path, {**MINIMAL, "schedule": "constant", **bad}, name="bad.json")
+    with pytest.raises(ValidationError, match=next(iter(bad))):
+        load_config(path)
+    assert cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 1
 
 
 def test_regret_csv_matches_library_value(tmp_path):

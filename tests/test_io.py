@@ -159,6 +159,29 @@ def test_event_log_propensity_bounds(tmp_path):
         read_event_log(str(path))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("propensity", "0.5"), ("propensity", None), ("eta", "x"), ("eta", -0.1), ("eta", 0.0),
+    ("t", True), ("chosen", 3), ("query_id", None), ("success", "no"), ("success", 1),
+    ("loss", "1.5"), ("generation", "2"), ("generation", -1), ("generation", 2.0),
+])
+def test_event_log_field_types(tmp_path, field, value):
+    path = tmp_path / "typed.jsonl"
+    write_event_log(_records(), str(path))
+    first, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text(json.dumps({**json.loads(first), field: value}) + "\n" + "".join(rest))
+    with pytest.raises(SchemaError, match="line 1"):
+        read_event_log(str(path))
+
+
+def test_event_log_accepts_int_numbers_and_null_optionals(tmp_path):
+    path = tmp_path / "ints.jsonl"
+    path.write_text(json.dumps({"t": 1, "query_id": "q", "chosen": "a", "success": False,
+                                "propensity": 1, "eta": 2, "loss": None}) + "\n")
+    (rec,) = read_event_log(str(path))
+    assert (rec.propensity, rec.eta, rec.loss) == (1.0, 2.0, None)
+    assert type(rec.propensity) is float and type(rec.eta) is float
+
+
 def _dump(tmp_path, d_queries=4, d_items=4):
     rng = np.random.default_rng(0)
     queries = Catalog(d_queries, [(f"q{k}", rng.normal(size=d_queries)) for k in range(2)])
@@ -203,6 +226,13 @@ def test_ingest_dump_malformed_label_line(tmp_path):
     qp, ip, lp = _dump(tmp_path)
     (tmp_path / "labels.txt").write_text("q0 doc1 doc2\n")
     with pytest.raises(SchemaError, match="line 1"):
+        ingest_embedding_dump(qp, ip, lp)
+
+
+def test_ingest_dump_query_labelled_twice(tmp_path):
+    qp, ip, lp = _dump(tmp_path)
+    (tmp_path / "labels.txt").write_text("q0 doc1\nq1 doc2\nq0 doc2\n")
+    with pytest.raises(SchemaError, match="line 3"):
         ingest_embedding_dump(qp, ip, lp)
 
 

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from orag.catalog import Catalog
-from orag.errors import InvalidConfig, KTooLarge
+from orag.errors import (
+    DimensionMismatch,
+    DuplicateId,
+    IdRetired,
+    InvalidConfig,
+    KTooLarge,
+    NonFiniteInput,
+    UnknownId,
+)
 from orag.learner import (
     LearningRateSchedule,
     ScheduleKind,
@@ -108,6 +116,34 @@ def test_apply_delta_wrong_round():
     delta = CatalogDelta(added=[("new", np.zeros(3))], effective_at=5)
     with pytest.raises(InvalidConfig):
         apply_delta(cat, delta, t=4)
+
+
+@pytest.mark.parametrize("removed, added, error", [
+    (["i0", "ghost"], [], UnknownId),
+    (["i0", "i0"], [], UnknownId),
+    (["i0"], [("new", np.zeros(3)), ("gone", np.zeros(3))], IdRetired),
+    (["i0"], [("new", np.zeros(3)), ("new", np.ones(3))], DuplicateId),
+    (["i0"], [("new", np.zeros(3)), ("i1", np.ones(3))], DuplicateId),
+    (["i0"], [("new", np.zeros(3)), ("wide", np.zeros(4))], DimensionMismatch),
+    (["i0"], [("new", np.zeros(3)), ("nan", np.full(3, np.nan))], NonFiniteInput),
+])
+def test_failing_delta_changes_nothing(removed, added, error):
+    cat = _cat(3, n=5)
+    cat.add_item("gone", np.ones(3))
+    cat.remove_item("gone")
+    ids, rows, gen = cat.ids, cat.matrix(), cat.generation
+    with pytest.raises(error):
+        apply_delta(cat, CatalogDelta(added=added, removed=removed, effective_at=2), t=2)
+    assert cat.ids == ids and cat.generation == gen
+    assert cat.matrix().tobytes() == rows.tobytes()
+
+
+def test_delta_bumps_generation_once_per_item():
+    cat = _cat(3, n=5)
+    delta = CatalogDelta(added=[("x", np.ones(3)), ("y", np.ones(3))], removed=["i0"],
+                         effective_at=1)
+    apply_delta(cat, delta, t=1)
+    assert cat.generation == 3 and cat.ids == ("i1", "i2", "i3", "i4", "x", "y")
 
 
 def test_step_dynamic_with_no_delta_equals_plain_step():

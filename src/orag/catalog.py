@@ -74,8 +74,8 @@ class Catalog:
     id -> slot, `_order` lists the slots in id order, and `remove_item` moves
     the last slot into the hole. Add/remove cost O(d) plus O(I) memmoves and
     scans of the sorted ids and `_order`, no O(I) Python; `update_rows` and
-    `row` one dict lookup per row; `matrix()` one gather. `generation` bumps
-    once per successful mutation, never on a failed one.
+    `row` one dict lookup per row; `matrix()` one gather (`policy.score` reads
+    the slots in place). `generation` bumps once per successful mutation.
     """
 
     def __init__(

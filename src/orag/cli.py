@@ -122,9 +122,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 1 if e.code not in (0, None) else 0
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
+        cfg = load_config(args.config, seed=args.seed)
         out = _outdir(args)
 
         if args.command == "simulate":

@@ -94,8 +94,8 @@ _RANGES = [("seed", 0, np.inf), ("sigma", 0, np.inf), ("sigma_init", 0, np.inf),
            ("alpha", 0, 1), ("shift_fraction", 0, 1)]
 
 
-def load_config(path: str) -> RunConfig:
-    """Read, validate, and default-fill a JSON run configuration."""
+def load_config(path: str, seed: int | None = None) -> RunConfig:
+    """Read, validate, and default-fill a JSON run configuration; `seed` overrides the file's."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
@@ -111,6 +111,8 @@ def load_config(path: str) -> RunConfig:
     missing = _CONFIG_REQUIRED - set(raw)
     if missing:
         raise ValidationError(f"missing required keys: {sorted(missing)}")
+    if seed is not None:
+        raw["seed"] = seed
     config = RunConfig(**{k: _CONFIG_CHECKS[k](v) for k, v in raw.items()})
     try:  # T, I, d, K, repeat_passes and c
         config.episode()

@@ -9,12 +9,11 @@ item drawn, so (seed, event log) fully reproduces a run.
 from __future__ import annotations
 
 import bisect
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, ItemId
+from .catalog import Catalog, ItemId, row_chunks
 from .errors import DimensionMismatch, EmptyCatalog, KTooLarge, NonFiniteInput
 
 
@@ -73,21 +72,6 @@ class ProbabilityVector:
         return len(self.ids)
 
 
-_per_thread = threading.local()
-
-
-def _gather_buffer(catalog: Catalog) -> np.ndarray:
-    """A per-thread (I, dim) array of the catalog dtype for `score`'s gather.
-
-    It is kept between calls, so a round allocates no catalog-sized array;
-    the bytes under it grow to the largest catalog scored and are not freed.
-    """
-    nbytes = len(catalog) * catalog.dim * np.dtype(catalog.dtype).itemsize
-    if len(getattr(_per_thread, "buf", ())) < nbytes:
-        _per_thread.buf = np.empty(nbytes, np.uint8)
-    return _per_thread.buf[:nbytes].view(catalog.dtype).reshape(len(catalog), catalog.dim)
-
-
 def score(q, catalog: Catalog) -> ProbabilityVector:
     """Softmax of inner products between the query and every catalog row."""
     if len(catalog) == 0:
@@ -97,9 +81,17 @@ def score(q, catalog: Catalog) -> ProbabilityVector:
         raise DimensionMismatch(f"query length {qv.shape[0]} != catalog dim {catalog.dim}")
     if not np.all(np.isfinite(qv)):
         raise NonFiniteInput("query contains non-finite entries")
-    # Rows in id order, not slot order: a matrix-vector product's bits can
-    # depend on the row order.
-    logits = catalog.matrix(out=_gather_buffer(catalog)).astype(np.float64, copy=False) @ qv
+    # One dot product per row where the rows sit (slot order), then the I
+    # logits into id order. `np.vecdot` sums each row on its own, so a logit's
+    # bits depend only on its row and q, not on its slot; a matrix-vector
+    # product's can depend on where the row falls in the block. float32 rows
+    # widen 64 KB at a time: a whole-block `astype` would be catalog-sized.
+    rows = catalog._rows[: len(catalog)]
+    chunks = [slice(None)] if rows.dtype == np.float64 else row_chunks(len(rows), catalog.dim)
+    logits = np.empty(len(rows))
+    for c in chunks:
+        np.vecdot(rows[c].astype(np.float64, copy=False), qv, out=logits[c])
+    logits = logits[catalog._order]
     logits -= logits.max()
     # exp underflows to exact zero below ~-745; the softmax of finite logits
     # is mathematically positive, so floor the gap to keep every entry > 0.
@@ -123,13 +115,18 @@ def sample_k_without_replacement(
     """Sequential renormalized draws; output order equals draw order."""
     if k < 1 or k > len(p.ids):
         raise KTooLarge(f"K={k} with I={len(p.ids)} items")
-    alive = np.arange(len(p.ids))
-    out: list[ItemId] = []
-    for _ in range(k):
-        u = rng.uniform()
-        cdf = np.cumsum(p.probs[alive])
-        j = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
-        j = min(j, len(alive) - 1)
-        out.append(p.ids[alive[j]])
-        alive = np.delete(alive, j)
-    return out
+    w = np.array(p.probs)  # a drawn item's weight becomes zero
+    cdf = np.cumsum(w)
+    last, picks = len(w) - 1, []  # last live item: the pick when u * cdf[-1] rounds to cdf[-1]
+    while True:
+        j = min(int(np.searchsorted(cdf, rng.uniform() * cdf[-1], side="right")), last)
+        picks.append(j)
+        if len(picks) == k:
+            return [p.ids[i] for i in picks]
+        while last in picks:
+            last -= 1
+        # Redo the CDF from j on, seeded with the unchanged cdf[j-1]: cumsum
+        # adds left to right, so these are the bits of a whole recompute.
+        w[j] = cdf[j - 1] if j else 0.0
+        np.cumsum(w[j:], out=cdf[j:])
+        w[j] = 0.0

@@ -49,6 +49,15 @@ def test_seed_override_changes_the_log(tmp_path):
     assert a != b
 
 
+def test_seed_override_is_checked_like_the_config_seed(tmp_path, capsys):
+    cfg = _cfg(tmp_path)
+    with pytest.raises(ValidationError, match="seed"):
+        load_config(cfg, seed=-1)
+    assert load_config(cfg, seed=5).seed == 5
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
+    assert "seed" in capsys.readouterr().err
+
+
 def test_missing_config_flag_exits_one(tmp_path, capsys):
     assert cli_main(["simulate"]) == 1
     assert "usage" in capsys.readouterr().err.lower()

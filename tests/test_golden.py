@@ -98,83 +98,83 @@ def float32_digests(case: str) -> dict[str, str]:
 
 GOLDEN = {
     'simulate-plain-full-none': {
-        'events.jsonl': 'ebf1726d9b8f6ecfe17779f03f8efa6bb8dd79c6fa4aef9e98a0239a23eb44d4',
-        'catalog.orag': '2f5f57c56e90beff6baa9b95eface2cc07fb9b5b146ea89e4c6c3d0f05d1f51b',
+        'events.jsonl': 'ac970afdd80af2c98cd23b14774f3422a6fdd60e6d71a202b012c6631000031e',
+        'catalog.orag': '4f6092ecca66d4e353662034e3d96801722820aec23dd925f266e8257d079c49',
     },
     'simulate-plain-full-unit_ball': {
-        'events.jsonl': '37c28f2a1343ae6b5fd34de720a9226cc66e717d29f41999dd0fc18ffa1023f9',
-        'catalog.orag': 'aca06528af20bb52d8db9eb6a7073623054243aad527850183e3cb5ab798d432',
+        'events.jsonl': '96ace85d42862ff2c3d6f0ef89406a6928d7efc792da9ed1f216ee70600296d0',
+        'catalog.orag': '9f013c4ec3bff8c2533af35a4500573d88a49cf9a5e738a4bbf93446526097f8',
     },
     'simulate-plain-chosen_only-none': {
-        'events.jsonl': 'b1c2d41ba177d4594610248c24453b4345e87fc50af095012b6058c65fa6d2e7',
-        'catalog.orag': '1706843669fc8792fd91558777c229f826f0b884456bf72d81e7c6a03f7e6014',
+        'events.jsonl': '95924723d68409506b1616fac510c26a08fb3cd5c9716daa374bc4f0fa83e506',
+        'catalog.orag': 'b9eb5ddcd897b0318f46e878dfd289f43c4eea8ddbfb8250b5adb3f02301856e',
     },
     'simulate-plain-chosen_only-unit_ball': {
-        'events.jsonl': '883adcaf1b3f19b35f1d8e8bd279b3eaa80b1cc3ccfc37d06bbb21a22661ef6b',
-        'catalog.orag': 'fabf748af964bd59b0aba45f5eb9f296e84b8e119ab70a0ffcfeccc990f18fc2',
+        'events.jsonl': '131d8ccd70e84c832b6337bd6875feec10c574bcb2cd5a761a9b5e35aa8655f2',
+        'catalog.orag': '0bb655fbc0d45dcce2d41dc190577a5074dcee629ee64d78561abaef97e73c2a',
     },
     'simulate-rerank-full-none': {
-        'events.jsonl': 'e7db370e0ee67e256a2f067bddbbb895e15b6426a651987d84b8a0898a15b5cf',
-        'catalog.orag': '3c6145ac73b7bca84bfa29cbbf99f474c9993a19db6bc1859dc998892dc7241c',
+        'events.jsonl': '7ec3937400019bd17b07ad0d4f06944058c6a0f3a630d53f6ea300cccc8b5ccb',
+        'catalog.orag': '6cfd4b89c25e3e5a40d69f7ce98b67573910471fea5ea7f62e9af24ecd1ef0b0',
     },
     'simulate-rerank-full-unit_ball': {
-        'events.jsonl': 'aa457cb470b5c2ee4424590546ddf50749190d3091ba858448d21afc00b0e133',
-        'catalog.orag': 'ddf0959a9efddd71d6c9dd175e25879456b9c2fb099a2be7e05931f6f5d1336e',
+        'events.jsonl': 'cd99b544ef09dc57cc749ef2fd3ce09b489fcf8b9a4a0b68175fbbeb1a39d420',
+        'catalog.orag': '9c0522ee059af0374210ef7f9d386604e1b3b49aa9b8967611c76d9f1ffbe40c',
     },
     'simulate-rerank-chosen_only-none': {
-        'events.jsonl': 'e3f13ce882af4395d8475c28d9ba59a2ab7821163907cf85bfe2cc885f5db5f4',
-        'catalog.orag': '94c25b1ee077f9555a09d69f5de9b89c831e9ee1bb8a4ac90a420696372cb92c',
+        'events.jsonl': 'c1c6b4afaa8c2b9b1747669dc1350c95ddd78b64df9b0191e9362884e5311383',
+        'catalog.orag': '27f8aa35ba858385f6bf5a2faa4607a567414598cee8b6e5c09f97c8948c146a',
     },
     'simulate-rerank-chosen_only-unit_ball': {
-        'events.jsonl': '7b4334ffe9dbb7c8e21accdf026a167d88f28de8476b3b3aed200c69f8daf022',
-        'catalog.orag': 'f5623411b040da38d3bfe288771670db08774bf6d29b32a36ccf0057d962f2d7',
+        'events.jsonl': '932db3fc9b14cb0542600ceb6501da94a5d214f0c66901fb37d4ae851e7155a2',
+        'catalog.orag': 'b26ab5a1d4eb232ee1a060d949c72871f48e381eea7013e91524cdd870eac2b2',
     },
     'simulate-dynamic-full-none': {
-        'events.jsonl': 'f609dbf084a80df0b8e0fab113fe408a23c7025a56eab43ff7503c6aa7ae121e',
-        'catalog.orag': '342bb216165c0e8bd52c16aa9bc14aba4080953757ba78d8e1436a6c10cb8d0e',
+        'events.jsonl': 'de8c768e48fd9fff6b40f1f194e6d65bfd357ce90e46e136987f21e144c2e09f',
+        'catalog.orag': 'd523889fbb5cba392b1008fcec9e23d48771b9f6cc16b86d249e302d0c494626',
     },
     'simulate-dynamic-full-unit_ball': {
-        'events.jsonl': '307e0d1f43edc6dd025d82e785e62d15c3f312877788c583a42f4044d094877a',
-        'catalog.orag': '337131edecbcef8942d063ca15a34d5168656dd64e7b49d1e34f02f8dce365af',
+        'events.jsonl': '1aafa1d395fb5e00b712fb9eaab18bc72fbf86fbb1f62152e59569b4302574b1',
+        'catalog.orag': '8dc814e58b1430e82c171ea05eb69ec6f7d0e1c97b4542b250fe87b3bcc9629a',
     },
     'simulate-dynamic-chosen_only-none': {
-        'events.jsonl': 'b8f544e5794d90474672491040781631d2657df47be342dad2bd3111d51539e1',
-        'catalog.orag': 'fa22556754a04311a90a512b07d7a6a9346dcac342227300d2c149563fc18a77',
+        'events.jsonl': '719f9589ec4907fc93b6649dad001179ecdaeb46918fdd96af72b4209029eca8',
+        'catalog.orag': 'f3a8bd2231eea10eb6b77b073e6bcd4226ea1f216b7d63fb6f08719ab75ca9a2',
     },
     'simulate-dynamic-chosen_only-unit_ball': {
-        'events.jsonl': '730a0b06637ddfb890e9db3f80a9b46e927da4d25c703280dfa15f1f15a4a16b',
-        'catalog.orag': '436f5cdf983576fcbf5068bb11aafc79c7ed7e635d91e8347568f1f4aec28d34',
+        'events.jsonl': 'dd411cbc996647220b5786c6986767afba3162957f7729f508436e1a244ac54e',
+        'catalog.orag': '9dce96430b7abcc791b2358c4c5e475bacdcd391f138bec323770daaa331c6ea',
     },
     'simulate-multihop-full-none': {
-        'events.jsonl': '90de6b85d88f122f5a6380ae0f5d549812fb7fd1318fbbab190b102dcfb323b4',
-        'catalog.orag': '9689a555b784a73a5eaac2f43d1bd358550557099697c0cb49b83184a96a96f6',
+        'events.jsonl': 'd8935717ab6d3efa313d84d845585a37cf2197542a1db8b4043748ae07fbf2e2',
+        'catalog.orag': '299d3f6ab7757d3fbb15cde9b71ca7c0321b990e529cc4e6d31e6e0a0bbf60f0',
     },
     'simulate-multihop-full-unit_ball': {
-        'events.jsonl': 'a1c1fbe7395a26969607a1ebc7a23e83a0d6ba571af7f1535e0a2cc23d26459e',
-        'catalog.orag': '5186cc3fd57de37ed960691c38367ed6529ebc7fba0436529f437250998bce08',
+        'events.jsonl': 'a01600513b1c741f95aa362439e978a16dd7d2d41ef53b6d3fe960fd000f4bcd',
+        'catalog.orag': '8c4577f799d3e930b8e9d395d31cf05c302fc90d6d2a305b855d94cc39790238',
     },
     'simulate-multihop-chosen_only-none': {
-        'events.jsonl': '383b176e3f3b4359a908107c8ed374cdac7f0bda87f3d63501ed8977736ab1cc',
-        'catalog.orag': '8b5ec74e03b51e625b0c3a6c6ce8e870cc92dc4bc607b902c280032a92900aaa',
+        'events.jsonl': '7681052f851dd517d95f8e4d1f0a65f4ca96925fd21664ea3e09a64d5f9a19e0',
+        'catalog.orag': '00a006168d359ddb864dc69769766a7826dfdf4f07f6ad3a8faa621d24874468',
     },
     'simulate-multihop-chosen_only-unit_ball': {
-        'events.jsonl': '60e0067a36a9ab8eaabca594dc4ff5ab8262af0a85e3fe272fadf616ea29e2d6',
-        'catalog.orag': '78586d4c7d6b7b56e66971bcd2b56b695d53337d4490860f7d5a0ac14f6f4fe3',
+        'events.jsonl': '613ce47cbe0dbc96c25b79ba7f5e12e3a65107fff1d11f0da78824b2898140e8',
+        'catalog.orag': '2828195b577bc5cf4dabd466860e4356f011aeff034b58015ed57150099e8b10',
     },
     'float32-full-none': {
-        'records': 'cf9e3e39a297377ea83dd8e0eed72915a2023386a5cc4fe1ce1b1dca97563030',
+        'records': '1da54151bc4a39092ee3d936a4dcac861158285052dec49c7d4506320464fd3e',
         'matrix': 'b91099863a56855469ebe3187a0876495b2dc7ed95cfbad0bf7eaff6e901a1a1',
     },
     'float32-full-unit_ball': {
-        'records': '7133b44511dceb940b32dbbe5dcbaab75ebcbc0045c77b24fab78b9355b87d55',
+        'records': 'b1aa51bbdaa7d97e0940eb3d4f05b5fa572042df1bac2cd5bef4df34541da695',
         'matrix': '63466d12965dfa29691924d9d6d0ff6385a906dd8ef1986d7971ac7713ebf9bb',
     },
     'float32-chosen_only-none': {
-        'records': 'ed0dceaf49f8134b4e5f8176f8e5281b0ab67ef5eda98bab43b109a6db0ea6ab',
+        'records': '23050a89038b69decd5317932358d02166a8be0611a731792191e4ae937887dc',
         'matrix': '50eab5b2925808e735503dc8cce56f5631caa8a07ed5e910b3edfe6482d87e1c',
     },
     'float32-chosen_only-unit_ball': {
-        'records': '2fdcae4ef9e2513ac8b629d516b21a54d6fb65d635fbdbc50cf27a24806bcfc0',
+        'records': '7dd386481c491a198a20333ef87fcb8f0ceed1e9562689fd64df1a48cf2aa375',
         'matrix': '1f0e92570993083fc7e37d34e8361994be782c4a99742a26d115afe964b2914c',
     },
 }

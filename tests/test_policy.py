@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from orag.catalog import Catalog
+from orag.catalog import Catalog, read_snapshot, write_snapshot
 from orag.errors import DimensionMismatch, EmptyCatalog, KTooLarge, NonFiniteInput
 from orag.policy import (
     ProbabilityVector,
@@ -222,8 +222,8 @@ def test_probability_lookup_sorted_unsorted_and_missing():
 
 
 def _reference_probs(q, cat):
-    # score as it was before it reused a gather buffer.
-    logits = cat.matrix().astype(np.float64, copy=False) @ q
+    # score's formula: one dot product per row on its own, rows in id order.
+    logits = np.array([np.dot(row, q) for row in cat.matrix().astype(np.float64)])
     logits -= logits.max()
     np.clip(logits, -700.0, None, out=logits)
     w = np.exp(logits)
@@ -245,13 +245,15 @@ def test_score_bits_across_catalogs_of_other_sizes_and_dtypes():
         assert p.probs.tobytes() == kept.tobytes()
 
 
-def test_score_makes_no_catalog_sized_temporary():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_score_makes_no_catalog_sized_temporary(dtype):
     import tracemalloc
 
     rng = np.random.default_rng(6)
-    cat = Catalog.from_rows(32, [f"i{k:05d}" for k in range(20000)], rng.normal(size=(20000, 32)))
+    cat = Catalog.from_rows(32, [f"i{k:05d}" for k in range(20000)], rng.normal(size=(20000, 32)),
+                            dtype=dtype)
     q = rng.normal(size=32)
-    score(q, cat)  # sizes the gather buffer
+    score(q, cat)  # warm-up
     tracemalloc.start()
     try:
         score(q, cat)
@@ -259,3 +261,110 @@ def test_score_makes_no_catalog_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < cat.matrix().nbytes / 4
+
+
+def _churned(n, dim, dtype, seed=0):
+    # Slot order far from id order: shuffled build, then remove/add in a loop.
+    rng = np.random.default_rng(seed)
+    cat = Catalog.from_rows(dim, [f"i{k:05d}" for k in rng.permutation(n)],
+                            rng.normal(size=(n, dim)), dtype=dtype)
+    for k, old in enumerate(list(cat.ids)[:: max(1, n // 50)]):
+        cat.remove_item(old)
+        cat.add_item(f"new{k:03d}", rng.normal(size=dim))
+    return cat
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_score_bits_do_not_depend_on_row_layout(dtype, tmp_path):
+    rng = np.random.default_rng(8)
+    for n, d in [(2000, 64), (777, 7), (50, 16)]:
+        churned = _churned(n, d, dtype, seed=n)
+        write_snapshot(churned, str(tmp_path / "c.orag"))
+        layouts = [churned, read_snapshot(str(tmp_path / "c.orag")),
+                   Catalog.from_rows(d, churned.ids, churned.matrix(), dtype=dtype)]
+        for _ in range(5):
+            q = 3.0 * rng.normal(size=d)
+            first, *rest = (score(q, cat) for cat in layouts)
+            assert first.probs.tobytes() == _reference_probs(q, churned).tobytes()
+            for p in rest:
+                assert p.ids == first.ids and p.probs.tobytes() == first.probs.tobytes()
+
+
+class _Counting:
+    """A uniform source that returns the given `us` (or a seeded stream) and counts its draws."""
+
+    def __init__(self, seed=0, us=None):
+        self.us, self.calls = iter(us) if us is not None else None, 0
+        self.rng = RandomSource(seed)
+
+    def uniform(self):
+        self.calls += 1
+        return self.rng.uniform() if self.us is None else next(self.us)
+
+
+def _assert_same_as_reference(probs, k, **source):
+    p = ProbabilityVector(tuple(f"i{j:03d}" for j in range(len(probs))), np.asarray(probs), 0)
+    a, b = _Counting(**source), _Counting(**source)
+    assert sample_k_without_replacement(p, k, a) == _sample_k_list_reference(p, k, b)
+    assert a.calls == b.calls == k
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sample_k_largest_uniform_matches_reference(dtype):
+    # In float32, u * cdf[-1] rounds up to cdf[-1], so every draw is clamped
+    # to the last item still live; in float64 it picks the last positive weight.
+    top = 1.0 - 2.0**-53
+    for probs in ([0.2, 0.3, 0.5], [0.5, 0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0]):
+        for k in range(1, len(probs) + 1):
+            _assert_same_as_reference(np.array(probs, dtype), k, us=[top] * k)
+
+
+def test_sample_k_exact_zero_weights_match_reference():
+    gen = np.random.default_rng(12)
+    for trial in range(100):
+        n = int(gen.integers(2, 40))
+        probs = gen.dirichlet(np.ones(n))
+        probs[gen.random(n) < 0.4] = 0.0  # zeros in the middle
+        probs[-int(gen.integers(1, n)):] = 0.0  # and a zero tail
+        for k in sorted({1, int(gen.integers(1, n + 1)), n}):
+            _assert_same_as_reference(probs, k, seed=trial)
+
+
+def test_sample_k_whole_catalog_and_single_item_match_reference():
+    gen = np.random.default_rng(13)
+    for trial in range(50):
+        n = int(gen.integers(1, 60))
+        probs = gen.dirichlet(np.full(n, 0.3))
+        _assert_same_as_reference(probs, n, seed=trial)
+    _assert_same_as_reference(np.array([1.0]), 1, seed=0)
+    _assert_same_as_reference(np.array([0.0]), 1, seed=0)
+
+
+def _boundary_uniforms(probs, k, gen):
+    """Uniforms whose targets u * cdf[-1] land on a value of the CDF the
+    reference rebuilds for that draw (on a rounding boundary of a pick): a
+    sampler whose CDF differs from it in the last bit picks another item."""
+    alive, us = list(range(len(probs))), []
+    for _ in range(k):
+        cdf = np.cumsum(probs[alive])
+        m = int(gen.integers(len(alive)))
+        u = cdf[m] / cdf[-1]
+        for _ in range(4):  # walk u onto the boundary where one exists
+            u = np.nextafter(u, np.inf if u * cdf[-1] < cdf[m] else -np.inf)
+            if u * cdf[-1] == cdf[m]:
+                break
+        us.append(float(min(u, np.nextafter(1.0, 0.0))))
+        j = min(int(np.searchsorted(cdf, us[-1] * cdf[-1], side="right")), len(alive) - 1)
+        alive.pop(j)
+    return us
+
+
+def test_sample_k_boundary_uniforms_match_reference():
+    gen = np.random.default_rng(14)
+    for trial in range(100):
+        n = int(gen.integers(50, 400))
+        probs = gen.dirichlet(np.full(n, float(gen.choice([0.05, 1.0]))))
+        p = ProbabilityVector(tuple(f"i{j:03d}" for j in range(n)), probs, 0)
+        us = _boundary_uniforms(probs, 12, gen)
+        assert (sample_k_without_replacement(p, 12, _Counting(us=us))
+                == _sample_k_list_reference(p, 12, _Counting(us=us)))

@@ -74,8 +74,8 @@ class Catalog:
     id -> slot, `_order` lists the slots in id order, and `remove_item` moves
     the last slot into the hole. Add/remove cost O(d) plus O(I) memmoves and
     scans of the sorted ids and `_order`, no O(I) Python; `update_rows` and
-    `row` one dict lookup per row; `matrix()` one gather (`policy.score` reads
-    the slots in place). `generation` bumps once per successful mutation.
+    `row` one dict lookup per row (none for all rows); `matrix()` one gather
+    (`policy.score` reads the slots in place). Each successful mutation bumps `generation`.
     """
 
     def __init__(
@@ -142,13 +142,9 @@ class Catalog:
             self._ids_tuple = tuple(self._ids)
         return self._ids_tuple
 
-    def matrix(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The rows in id order, as a fresh (I, dim) array the caller owns, or
-        written into `out`, a C-contiguous (I, dim) array of the catalog dtype."""
-        if out is None:
-            return self._rows[self._order]
-        # mode="clip": the default "raise" copies through a temporary array.
-        return self._rows.take(self._order, axis=0, out=out, mode="clip")
+    def matrix(self) -> np.ndarray:
+        """The rows in id order, as a fresh (I, dim) array the caller owns."""
+        return self._rows[self._order]
 
     def row(self, item_id: ItemId) -> np.ndarray:
         try:
@@ -224,24 +220,40 @@ class Catalog:
             new.add(item_id)
         self._check_rows([v for _, v in added])
 
-    def update_rows(self, ids: Sequence[ItemId], rows, eta: float) -> None:
-        """Apply theta_i <- project(theta_i - eta * g_i), where row k of the
-        (n, dim) block `rows` is g for `ids[k]`: the layout of `from_rows`.
+    def update_rows(self, ids: Sequence[ItemId], coeff, queries, eta: float) -> None:
+        """Apply theta_i <- project(theta_i - eta * g_i), where g for `ids[k]` is
+        `coeff[k] @ queries`, an (n, B) coefficient block over (B, dim) queries.
 
-        All or nothing: every id, width and value is checked before any row
-        is written, so a failed update leaves rows and `generation` as they were.
-        """
-        if len(ids) != len(rows):
-            raise DimensionMismatch(f"{len(ids)} ids for {len(rows)} rows")
+        The catalog's own `ids` tuple steps the slot block where it sits, with no
+        id lookups. All or nothing: a failed update leaves rows and `generation`
+        as they were."""
         try:
-            slots = list(map(self._slot.__getitem__, ids))
-        except KeyError as e:
-            raise UnknownId(e.args[0]) from None
-        if len(set(slots)) != len(slots):
-            raise DuplicateId(next(i for k, i in enumerate(ids) if i in ids[:k]))
-        g = self._check_rows(rows)
-        new = self._rows[slots] - eta * g
-        self._rows[slots] = project_row(new, self.projection).astype(self.dtype)
+            coeff, queries = np.asarray(coeff, np.float64), np.asarray(queries, np.float64)
+            if coeff.shape != (len(ids), len(queries)) or queries.shape[1:] != (self.dim,):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise DimensionMismatch(f"need ({len(ids)}, B) and (B, {self.dim}) blocks") from None
+        if ids is self._ids_tuple:  # every row: the coefficients go into slot order
+            slots, by_slot = slice(0, len(ids)), np.empty_like(coeff)
+            by_slot[self._order] = coeff
+            coeff = by_slot
+        else:
+            try:
+                slots = list(map(self._slot.__getitem__, ids))
+            except KeyError as e:
+                raise UnknownId(e.args[0]) from None
+            if len(set(slots)) != len(slots):
+                raise DuplicateId(next(i for k, i in enumerate(ids) if i in ids[:k]))
+        rows = self._rows[slots]
+        tmp = np.empty(rows.shape, self.dtype)  # g in float64, rounded once to the catalog dtype
+        (np.multiply if len(queries) == 1 else np.matmul)(coeff, queries, out=tmp)
+        tmp *= eta
+        np.subtract(rows, tmp, out=tmp)
+        if not np.isfinite(tmp).all():
+            raise NonFiniteInput("update makes a row non-finite")
+        if self.projection is ProjectionMode.UNIT_BALL:  # the bits of `project_row`
+            tmp /= np.maximum(row_norms(tmp.astype(np.float64, copy=False)), 1.0)
+        self._rows[slots] = tmp
         self.generation += 1
 
     def copy(self) -> "Catalog":

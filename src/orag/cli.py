@@ -13,14 +13,7 @@ from .catalog import write_snapshot
 from .errors import OragError, ValidationError, InvalidConfig, ParseError
 from .io_utils import RunConfig, ingest_embedding_dump, load_config, write_event_log
 from .learner import LearningRateSchedule, RoundRecord, UpdateMode, step
-from .metrics import (
-    RankedList,
-    ndcg_at_k,
-    recall_at_k,
-    regret_curve,
-    rolling_accuracy,
-    train_oracle,
-)
+from .metrics import RankedList, ndcg_at_k, recall_at_k, regret_curve, train_oracle
 from .policy import QueryEmbedding, RandomSource, score
 from .simulator import (
     EpisodeLog,

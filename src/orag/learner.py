@@ -9,8 +9,9 @@ p_c = p[c] at decision time, query q):
 Both are unbiased for the full-information gradient (p_i - 1{i=i*}) * q
 when the chosen item is drawn from p. The full estimate is the rank-1 block
 outer(p - s * e_c / p_c, q); the chosen-only one is its row c. An estimate is
-a `GradientBatch` of ids plus their rows, the layout `Catalog.update_rows`
-takes for the (projected) step theta_i <- project(theta_i - eta_t * g_i).
+a `GradientBatch` of those coefficients and q (B = 1 query; a batch has one
+per event), never an (I, d) block: what `Catalog.update_rows` takes for the
+(projected) step theta_i <- project(theta_i - eta_t * g_i).
 """
 
 from __future__ import annotations
@@ -43,14 +44,15 @@ class Feedback:
 
 @dataclass
 class GradientBatch:
-    """One round's (or batch's) update directions: row k of the (n, d) `rows` is for `ids[k]`."""
+    """Update directions: the row for `ids[k]` is `coeff[k] @ queries`, (n, B) over (B, d)."""
 
     ids: tuple[ItemId, ...]
-    rows: np.ndarray
+    coeff: np.ndarray
+    queries: np.ndarray
     t: int = 0
 
     def __getitem__(self, item_id: ItemId) -> np.ndarray:
-        return self.rows[self.ids.index(item_id)]
+        return self.coeff[self.ids.index(item_id)] @ self.queries
 
     def __contains__(self, item_id: ItemId) -> bool:
         return item_id in self.ids
@@ -107,15 +109,6 @@ def _propensity(p: ProbabilityVector, fb: Feedback, clip_propensity: float | Non
     return prop if clip_propensity is None else max(prop, clip_propensity)
 
 
-def _full_rows(p: ProbabilityVector, q, fb: Feedback, clip_propensity: float | None) -> np.ndarray:
-    """The full-support gradient as one (I, d) block, rows in `p.ids` order."""
-    prop = _propensity(p, fb, clip_propensity)
-    coeff = p.probs.copy()
-    if fb.success:
-        coeff[p.index_of(fb.chosen)] -= 1.0 / prop
-    return np.outer(coeff, _as_query(q))
-
-
 def estimate_gradient_full(
     p: ProbabilityVector, q, fb: Feedback, t: int = 0, clip_propensity: float | None = None
 ) -> GradientBatch:
@@ -124,7 +117,11 @@ def estimate_gradient_full(
     `clip_propensity` floors the denominator; it trades the exact
     unbiasedness for bounded weights and is off by default.
     """
-    return GradientBatch(p.ids, _full_rows(p, q, fb, clip_propensity), t=t)
+    prop = _propensity(p, fb, clip_propensity)
+    coeff = p.probs.copy()  # p - s * e_c / p_c
+    if fb.success:
+        coeff[p.index_of(fb.chosen)] -= 1.0 / prop
+    return GradientBatch(p.ids, coeff[:, None], _as_query(q)[None, :], t=t)
 
 
 def estimate_gradient_chosen_only(
@@ -133,25 +130,24 @@ def estimate_gradient_chosen_only(
     """Cheaper estimate touching only the chosen item's row."""
     prop = _propensity(p, fb, clip_propensity)
     coeff = 1.0 - (1.0 / prop if fb.success else 0.0)
-    return GradientBatch((fb.chosen,), coeff * _as_query(q)[None, :], t=t)
+    return GradientBatch((fb.chosen,), np.array([[coeff]]), _as_query(q)[None, :], t=t)
 
 
 def estimate_gradient_batched(
     events: Sequence[tuple[ProbabilityVector, object, Feedback]], t: int = 0
 ) -> GradientBatch:
-    """Arithmetic mean of per-event full gradients at one fixed catalog state."""
+    """Arithmetic mean of per-event full gradients at one fixed catalog state:
+    one coefficient column and one query per event."""
     if len(events) == 0:
         raise EmptyBatch("batch must contain at least one event")
     gen = events[0][0].generation
-    total = None
+    parts = []
     for p, q, fb in events:
         if p.generation != gen:
-            raise GenerationMismatch(
-                f"batch mixes catalog generations {gen} and {p.generation}"
-            )
-        rows = _full_rows(p, q, fb, None)
-        total = rows if total is None else total + rows
-    return GradientBatch(events[0][0].ids, total * (1.0 / len(events)), t=t)
+            raise GenerationMismatch(f"batch mixes catalog generations {gen} and {p.generation}")
+        parts.append(estimate_gradient_full(p, q, fb))
+    coeff = np.hstack([g.coeff for g in parts]) * (1.0 / len(events))
+    return GradientBatch(events[0][0].ids, coeff, np.vstack([g.queries for g in parts]), t=t)
 
 
 def apply_update(catalog: Catalog, g: GradientBatch, eta: float) -> None:
@@ -159,7 +155,7 @@ def apply_update(catalog: Catalog, g: GradientBatch, eta: float) -> None:
     if eta <= 0:
         raise ValueError("eta must be positive")
     # Positional: the benchmark's tracer counts the rows in the second argument.
-    catalog.update_rows(g.ids, g.rows, eta)
+    catalog.update_rows(g.ids, g.coeff, g.queries, eta)
 
 
 @dataclass
@@ -195,11 +191,9 @@ def learn_from_feedback(
     the chosen item was drawn under.
     """
     fb = Feedback(chosen=chosen, success=success, propensity=p[chosen])
-    if update_mode is UpdateMode.FULL:
-        g = estimate_gradient_full(p, q, fb, t=t, clip_propensity=clip_propensity)
-    else:
-        g = estimate_gradient_chosen_only(p, q, fb, t=t, clip_propensity=clip_propensity)
-    apply_update(catalog, g, eta)
+    estimate = (estimate_gradient_full if update_mode is UpdateMode.FULL
+                else estimate_gradient_chosen_only)
+    apply_update(catalog, estimate(p, q, fb, t=t, clip_propensity=clip_propensity), eta)
     return RoundRecord(
         t=t,
         query_id=query_id,

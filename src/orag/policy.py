@@ -79,7 +79,7 @@ def score(q, catalog: Catalog) -> ProbabilityVector:
     qv = _as_query(q)
     if qv.shape != (catalog.dim,):
         raise DimensionMismatch(f"query length {qv.shape[0]} != catalog dim {catalog.dim}")
-    if not np.all(np.isfinite(qv)):
+    if not np.isfinite(qv).all():
         raise NonFiniteInput("query contains non-finite entries")
     # One dot product per row where the rows sit (slot order), then the I
     # logits into id order. `np.vecdot` sums each row on its own, so a logit's
@@ -95,9 +95,10 @@ def score(q, catalog: Catalog) -> ProbabilityVector:
     logits -= logits.max()
     # exp underflows to exact zero below ~-745; the softmax of finite logits
     # is mathematically positive, so floor the gap to keep every entry > 0.
-    np.clip(logits, -700.0, None, out=logits)
-    w = np.exp(logits)
-    return ProbabilityVector(catalog.ids, w / w.sum(), catalog.generation)
+    np.maximum(logits, -700.0, out=logits)
+    np.exp(logits, out=logits)
+    logits /= logits.sum()
+    return ProbabilityVector(catalog.ids, logits, catalog.generation)
 
 
 def sample_one(p: ProbabilityVector, rng: RandomSource) -> ItemId:

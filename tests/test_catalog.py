@@ -99,7 +99,7 @@ def test_generation_increments_on_every_mutation():
     assert cat.generation == 0  # construction is not a mutation
     cat.add_item("b", [0.0, 1.0])
     assert cat.generation == 1
-    cat.update_rows(["a"], np.zeros((1, 2)), eta=0.1)
+    cat.update_rows(["a"], np.zeros((1, 1)), np.zeros((1, 2)), eta=0.1)
     assert cat.generation == 2
     cat.remove_item("b")
     assert cat.generation == 3
@@ -121,19 +121,20 @@ def test_unit_ball_norm_invariant_under_random_ops():
         cat.add_item(f"i{k}", rng.normal(scale=5.0, size=3))
     for _ in range(30):
         deltas = {i: rng.normal(scale=2.0, size=3) for i in cat.ids}
-        cat.update_rows(list(deltas), list(deltas.values()), eta=rng.uniform(0.01, 1.0))
+        cat.update_rows(list(deltas), np.eye(len(deltas)), list(deltas.values()),
+                        eta=rng.uniform(0.01, 1.0))
         assert cat.max_row_norm() <= 1.0 + 1e-12
 
 
 def test_update_rows_arithmetic():
     cat = Catalog(2, [("a", [0.0, 0.0])])
-    cat.update_rows(["a"], np.array([[1.0, 0.0]]), eta=0.1)
+    cat.update_rows(["a"], np.ones((1, 1)), np.array([[1.0, 0.0]]), eta=0.1)
     np.testing.assert_allclose(cat.row("a"), [-0.1, 0.0])
 
 
 def test_update_rows_projects_after_step():
     cat = Catalog(2, [("a", [1.0, 0.0])], projection=ProjectionMode.UNIT_BALL)
-    cat.update_rows(["a"], np.array([[-10.0, 0.0]]), eta=0.2)
+    cat.update_rows(["a"], np.ones((1, 1)), np.array([[-10.0, 0.0]]), eta=0.2)
     # raw step lands at [3, 0]; the unit ball pulls it back
     np.testing.assert_allclose(cat.row("a"), [1.0, 0.0])
 
@@ -141,13 +142,13 @@ def test_update_rows_projects_after_step():
 def test_update_rows_unknown_id():
     cat = Catalog(2, [("a", [0.0, 0.0])])
     with pytest.raises(UnknownId):
-        cat.update_rows(["zzz"], np.zeros((1, 2)), eta=0.1)
+        cat.update_rows(["zzz"], np.zeros((1, 1)), np.zeros((1, 2)), eta=0.1)
 
 
 def test_zero_gradient_leaves_rows_unchanged_but_bumps_generation():
     cat = Catalog(2, [("a", [0.3, 0.7])])
     gen = cat.generation
-    cat.update_rows(["a"], np.zeros((1, 2)), eta=1.0)
+    cat.update_rows(["a"], np.zeros((1, 1)), np.zeros((1, 2)), eta=1.0)
     np.testing.assert_array_equal(cat.row("a"), [0.3, 0.7])
     assert cat.generation == gen + 1
 
@@ -155,7 +156,7 @@ def test_zero_gradient_leaves_rows_unchanged_but_bumps_generation():
 def test_copy_is_independent():
     cat = Catalog(2, [("a", [1.0, 0.0])])
     dup = cat.copy()
-    dup.update_rows(["a"], np.array([[1.0, 1.0]]), eta=0.5)
+    dup.update_rows(["a"], np.ones((1, 1)), np.array([[1.0, 1.0]]), eta=0.5)
     np.testing.assert_array_equal(cat.row("a"), [1.0, 0.0])
     assert dup.generation == cat.generation + 1
 
@@ -170,7 +171,7 @@ def test_update_rows_unknown_id_writes_nothing():
     rows, gen = cat.matrix().copy(), cat.generation
     g = np.array([1.0, 0.0])
     with pytest.raises(UnknownId):
-        cat.update_rows(["a", "missing"], [g, g], eta=0.1)
+        cat.update_rows(["a", "missing"], np.eye(2), [g, g], eta=0.1)
     _assert_untouched(cat, rows, gen)
 
 
@@ -178,7 +179,7 @@ def test_update_rows_overflow_writes_nothing():
     cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [1e308, 0.0])])
     rows, gen = cat.matrix().copy(), cat.generation
     with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
-        cat.update_rows(["a", "b"], np.array([[1.0, 0.0], [-1e308, 0.0]]), eta=1.0)
+        cat.update_rows(["a", "b"], np.eye(2), np.array([[1.0, 0.0], [-1e308, 0.0]]), eta=1.0)
     _assert_untouched(cat, rows, gen)
 
 
@@ -186,7 +187,7 @@ def test_update_rows_wrong_width_writes_nothing():
     cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [0.5, 0.5])])
     rows, gen = cat.matrix().copy(), cat.generation
     with pytest.raises(DimensionMismatch):
-        cat.update_rows(["a", "b"], [np.ones(2), np.ones(3)], eta=0.1)
+        cat.update_rows(["a", "b"], np.eye(2), [np.ones(2), np.ones(3)], eta=0.1)
     _assert_untouched(cat, rows, gen)
 
 
@@ -195,7 +196,7 @@ def test_update_rows_row_count_mismatch_writes_nothing():
     cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [0.5, 0.5])])
     rows, gen = cat.matrix().copy(), cat.generation
     with pytest.raises(DimensionMismatch):
-        cat.update_rows(["a", "b"], np.ones((1, 2)), eta=0.1)
+        cat.update_rows(["a", "b"], np.ones((1, 1)), np.ones((1, 2)), eta=0.1)
     _assert_untouched(cat, rows, gen)
 
 
@@ -203,13 +204,13 @@ def test_update_rows_repeated_id_writes_nothing():
     cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [0.5, 0.5])])
     rows, gen = cat.matrix().copy(), cat.generation
     with pytest.raises(DuplicateId):
-        cat.update_rows(["a", "b", "a"], np.ones((3, 2)), eta=0.1)
+        cat.update_rows(["a", "b", "a"], np.eye(3), np.ones((3, 2)), eta=0.1)
     _assert_untouched(cat, rows, gen)
 
 
 def test_update_rows_empty_mapping_only_bumps_generation():
     cat = Catalog(2, [("a", [0.3, 0.7])])
-    cat.update_rows([], [], eta=0.1)
+    cat.update_rows([], np.zeros((0, 1)), np.zeros((1, 2)), eta=0.1)
     np.testing.assert_array_equal(cat.row("a"), [0.3, 0.7])
     assert cat.generation == 1
 
@@ -417,22 +418,14 @@ def test_scale_build_snapshot_and_churn(tmp_path):
     assert elapsed < 5.0, f"{elapsed:.1f} s"
 
 
-def _churned(n, dim, dtype=np.float64, seed=0):
+def _churned(n, dim, dtype=np.float64, seed=0, projection=ProjectionMode.NONE):
     rng = np.random.default_rng(seed)
     cat = Catalog.from_rows(dim, [f"i{k:05d}" for k in rng.permutation(n)],
-                            rng.normal(size=(n, dim)), dtype=dtype)
+                            rng.normal(size=(n, dim)), projection=projection, dtype=dtype)
     for k, old in enumerate(list(cat.ids)[:: max(1, n // 50)]):
         cat.remove_item(old)
         cat.add_item(f"new{k:03d}", rng.normal(size=dim))
     return cat
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_matrix_into_out_matches_fresh_matrix(dtype):
-    cat = _churned(300, 5, dtype)
-    out = np.full((len(cat), cat.dim), np.nan, dtype=dtype)
-    assert cat.matrix(out=out) is out
-    assert out.tobytes() == cat.matrix().tobytes()
 
 
 def test_from_rows_copies_unless_told_not_to():
@@ -453,7 +446,7 @@ def test_snapshot_read_back_is_writable(tmp_path):
     path = str(tmp_path / "c.orag")
     write_snapshot(cat, path)
     back = read_snapshot(path)
-    back.update_rows([back.ids[0]], np.ones((1, 3)), 0.5)
+    back.update_rows([back.ids[0]], np.ones((1, 1)), np.ones((1, 3)), 0.5)
     assert back.row(back.ids[0]).tolist() == (cat.row(cat.ids[0]) - 0.5).tolist()
 
 
@@ -481,3 +474,59 @@ def test_snapshot_write_makes_no_catalog_sized_temporary(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < cat.matrix().nbytes / 4
+
+
+def _reference_update(cat, ids, coeff, queries, eta):
+    """The id-ordered matrix after project(row - eta * g) row by row, with
+    g = coeff @ queries rounded to the catalog dtype."""
+    g = (coeff @ queries).astype(cat.dtype)
+    new = dict(cat.items())
+    for k, i in enumerate(ids):
+        new[i] = project_row(new[i] - eta * g[k], cat.projection).astype(cat.dtype)
+    return np.array([new[i] for i in cat.ids])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("projection", list(ProjectionMode))
+def test_update_rows_matches_row_by_row_reference(dtype, projection):
+    # A churned catalog: slot order is far from id order.
+    rng = np.random.default_rng(11)
+    cat = _churned(300, 7, dtype, projection=projection)
+    sub = [cat.ids[k] for k in rng.choice(len(cat), 40, replace=False)]
+    cases = [(cat.ids, 1), (list(cat.ids), 1), (sub, 1), (sub, 3), ([cat.ids[17]], 1),
+             ([cat.ids[17]], 3)]
+    for ids, b in cases:
+        coeff, queries = rng.normal(size=(len(ids), b)), rng.normal(size=(b, 7))
+        expected, gen = _reference_update(cat, ids, coeff, queries, 0.3), cat.generation
+        cat.update_rows(ids, coeff, queries, 0.3)
+        assert cat.matrix().tobytes() == expected.tobytes()
+        assert cat.generation == gen + 1
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_full_update_overflow_writes_nothing(dtype):
+    cat = _churned(300, 7, dtype)
+    rows, gen = cat.matrix().copy(), cat.generation
+    coeff = np.ones((len(cat), 1))
+    coeff[123] = 1e308
+    with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
+        cat.update_rows(cat.ids, coeff, np.full((1, 7), 10.0), eta=1.0)
+    assert cat.matrix().tobytes() == rows.tobytes()
+    assert cat.generation == gen
+
+
+@pytest.mark.parametrize("projection", list(ProjectionMode))
+def test_full_update_makes_one_catalog_sized_block(projection):
+    import tracemalloc
+
+    cat = _churned(10_000, 64, projection=projection)
+    coeff, queries = np.full((len(cat), 1), 1e-3), np.ones((1, 64))
+    cat.update_rows(cat.ids, coeff, queries, 0.1)  # warm-up
+    nbytes = cat.matrix().nbytes
+    tracemalloc.start()
+    try:
+        cat.update_rows(cat.ids, coeff, queries, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * nbytes

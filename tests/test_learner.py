@@ -138,20 +138,20 @@ def test_batched_rejects_empty_and_mixed_generations():
 
 def test_apply_update_arithmetic():
     cat = Catalog(2, [("a", [0.0, 0.0])])
-    apply_update(cat, GradientBatch(("a",), np.array([[1.0, 0.0]])), eta=0.1)
+    apply_update(cat, GradientBatch(("a",), np.ones((1, 1)), np.array([[1.0, 0.0]])), eta=0.1)
     np.testing.assert_allclose(cat.row("a"), [-0.1, 0.0])
 
 
 def test_apply_update_projection():
     cat = Catalog(2, [("a", [1.0, 0.0])], projection=ProjectionMode.UNIT_BALL)
-    apply_update(cat, GradientBatch(("a",), np.array([[-10.0, 0.0]])), eta=0.2)
+    apply_update(cat, GradientBatch(("a",), np.ones((1, 1)), np.array([[-10.0, 0.0]])), eta=0.2)
     np.testing.assert_allclose(cat.row("a"), [1.0, 0.0])
 
 
 def test_apply_update_rejects_nonpositive_eta():
     cat = Catalog(1, [("a", [0.0])])
     with pytest.raises(ValueError):
-        apply_update(cat, GradientBatch(("a",), np.zeros((1, 1))), eta=0.0)
+        apply_update(cat, GradientBatch(("a",), np.zeros((1, 1)), np.zeros((1, 1))), eta=0.0)
 
 
 def test_schedules():

@@ -71,7 +71,7 @@ def test_score_errors():
 
 def test_score_records_generation():
     cat = _cat([("a", [1.0])])
-    cat.update_rows(["a"], np.array([[0.1]]), eta=0.1)
+    cat.update_rows(["a"], np.ones((1, 1)), np.array([[0.1]]), eta=0.1)
     p = score(np.array([1.0]), cat)
     assert p.generation == cat.generation
 

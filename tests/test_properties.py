@@ -174,7 +174,8 @@ def test_catalog_matches_reference_dict(data):
             chosen = data.draw(st.lists(st.sampled_from(sorted(ref)), unique=True)) if ref else []
             deltas = {i: rng.normal(size=d) for i in chosen}
             eta = float(rng.uniform(0.01, 2.0))
-            cat.update_rows(list(deltas), list(deltas.values()), eta)
+            queries = np.reshape(list(deltas.values()), (-1, d))
+            cat.update_rows(list(deltas), np.eye(len(deltas)), queries, eta)
             for i, g in deltas.items():
                 ref[i] = proj(ref[i] - eta * g.astype(dtype))
         else:

@@ -59,7 +59,6 @@ from .variants import (
     CatalogDelta,
     MultiHopRound,
     make_stub_reranker,
-    step_dynamic,
     step_multihop,
     step_with_rerank,
 )

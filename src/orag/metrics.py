@@ -28,11 +28,15 @@ def cross_entropy_loss(p: ProbabilityVector, i_star: ItemId) -> float:
     return -math.log(prob)
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction, for (T, I) logit matrices."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    w = np.exp(z)
-    return w / w.sum(axis=1, keepdims=True)
+def softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with max subtraction, for (T, I) logit matrices.
+
+    The result goes to `out` when given (it may be `logits` itself), else to a
+    new array; `logits` is changed only through `out`."""
+    z = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _event_arrays(
@@ -47,8 +51,12 @@ def _event_arrays(
     return queries, labels
 
 
-def total_loss(theta: np.ndarray, queries: np.ndarray, labels: np.ndarray) -> float:
-    p = softmax_rows(queries @ theta.T)
+def total_loss(
+    theta: np.ndarray, queries: np.ndarray, labels: np.ndarray, out: np.ndarray | None = None
+) -> float:
+    """Summed cross-entropy of `labels` under the softmax of `queries @ theta.T`;
+    a (T, I) `out` is left holding those probabilities."""
+    p = softmax_rows(np.matmul(queries, theta.T, out=out), out=out)
     return float(-np.sum(np.log(p[np.arange(len(labels)), labels])))
 
 
@@ -72,23 +80,24 @@ def train_oracle(
     gradients (p_i - 1{i=i*}) q per event. Backtracks (halves the step) when a
     pass would increase the loss, so the final loss never exceeds the initial
     one; stops once the pass-over-pass improvement drops below `tol` or the
-    pass budget is exhausted.
+    pass budget is exhausted. Each candidate's softmax is computed once: the
+    accepted one's probabilities give the next pass's gradient.
     """
     if len(events) == 0:
         raise EmptyEvents("oracle needs at least one event")
     queries, labels = _event_arrays(events, init)
     theta = init.matrix().astype(np.float64, copy=False)
-    onehot = np.zeros((len(labels), len(init)))
-    onehot[np.arange(len(labels)), labels] = 1.0
-    loss = total_loss(theta, queries, labels)
+    rows = np.arange(len(labels))
+    p, cand_p = np.empty((2, len(labels), len(init)))  # current and candidate softmax
+    loss = total_loss(theta, queries, labels, out=p)
     step = lr
     used = 0
     for it in range(passes):
-        p = softmax_rows(queries @ theta.T)
-        grad = (p - onehot).T @ queries
+        p[rows, labels] -= 1.0  # p - onehot: subtracting 0.0 elsewhere is exact
+        grad = p.T @ queries
         while True:
             cand = theta - step * grad
-            cand_loss = total_loss(cand, queries, labels)
+            cand_loss = total_loss(cand, queries, labels, out=cand_p)
             if cand_loss <= loss or step < 1e-16:
                 break
             step *= 0.5
@@ -96,7 +105,7 @@ def train_oracle(
         if cand_loss > loss:
             break
         improved = loss - cand_loss
-        theta, loss = cand, cand_loss
+        theta, loss, p, cand_p = cand, cand_loss, cand_p, p
         step *= 1.05  # cautious growth; backtracking undoes overshoot
         if improved < tol:
             break
@@ -130,7 +139,8 @@ def regret_curve(episode_log, oracle: Catalog) -> RegretLedger:
     queries, labels = _event_arrays(
         list(zip(episode_log.queries, episode_log.true_items)), oracle
     )
-    p = softmax_rows(queries @ oracle.matrix().astype(np.float64, copy=False).T)
+    p = queries @ oracle.matrix().astype(np.float64, copy=False).T
+    softmax_rows(p, out=p)
     oracle_losses = -np.log(p[np.arange(len(labels)), labels])
     return RegretLedger(
         online_loss=online,

@@ -14,9 +14,10 @@ import numpy as np
 
 from .catalog import Catalog, ItemId
 from .errors import InvalidConfig, KTooLarge
-from .learner import LearningRateSchedule, RoundRecord, UpdateMode, learn_from_feedback, step
+from .learner import LearningRateSchedule, RoundRecord, UpdateMode, learn_from_feedback
 # Unused here, but the benchmark's tracer patches them at this module's names.
-from .learner import apply_update, estimate_gradient_chosen_only, estimate_gradient_full  # noqa: F401
+from .learner import (  # noqa: F401
+    apply_update, estimate_gradient_chosen_only, estimate_gradient_full, step)
 from .policy import (
     QueryEmbedding,
     RandomSource,
@@ -114,25 +115,6 @@ def apply_delta(catalog: Catalog, delta: CatalogDelta, t: int) -> None:
         catalog.remove_item(item_id)
     for item_id, init in delta.added:
         catalog.add_item(item_id, init)
-
-
-def step_dynamic(
-    delta: CatalogDelta | None,
-    q,
-    catalog: Catalog,
-    rng: RandomSource,
-    schedule: LearningRateSchedule,
-    update_mode: UpdateMode,
-    t: int,
-    feedback_oracle: Callable[[int, ItemId], bool],
-) -> RoundRecord:
-    """Apply the round's catalog delta, then run the standard step.
-
-    The softmax renormalizes automatically over the surviving items.
-    """
-    if delta is not None:
-        apply_delta(catalog, delta, t)
-    return step(q, catalog, rng, schedule, update_mode, t, feedback_oracle)
 
 
 @dataclass

@@ -55,3 +55,29 @@ def test_traced_steps_reach_every_update_layer():
     # row for the full step, one for the chosen-only rerank step.
     assert [rec[5] for rec in tr.spans if rec[0] == "catalog.update_rows"] == [len(catalog), 1]
 
+
+def test_traced_oracle_evaluates_the_loss_once_per_candidate(monkeypatch):
+    # The benchmark divides the oracle's passes by these spans.
+    rng = np.random.default_rng(0)
+    init = Catalog(3, [(f"i{k}", rng.normal(size=3)) for k in range(5)])
+    events = [(rng.normal(size=3), f"i{int(rng.integers(5))}") for _ in range(40)]
+    losses = []
+    original = tracer.metrics.total_loss
+
+    def recorded(*args, **kwargs):
+        losses.append(original(*args, **kwargs))
+        return losses[-1]
+
+    monkeypatch.setattr(tracer.metrics, "total_loss", recorded)
+    with tracer.Tracer() as tr:
+        fit = tracer.metrics.train_oracle(events, init, passes=30, lr=20.0)
+    spans = sum(1 for rec in tr.spans if rec[0] == "metrics.total_loss")
+    # Each candidate worse than the loss accepted so far is one backtrack.
+    accepted, backtracks = losses[0], 0
+    for loss in losses[1:]:
+        if loss <= accepted:
+            accepted = loss
+        else:
+            backtracks += 1
+    assert backtracks >= 1 and accepted == fit.loss
+    assert spans == len(losses) == fit.passes + 1 + backtracks

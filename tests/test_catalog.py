@@ -515,11 +515,12 @@ def test_full_update_overflow_writes_nothing(dtype):
     assert cat.generation == gen
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("projection", list(ProjectionMode))
-def test_full_update_makes_one_catalog_sized_block(projection):
+def test_full_update_makes_one_catalog_sized_block(projection, dtype):
     import tracemalloc
 
-    cat = _churned(10_000, 64, projection=projection)
+    cat = _churned(10_000, 64, dtype=dtype, projection=projection)
     coeff, queries = np.full((len(cat), 1), 1e-3), np.ones((1, 64))
     cat.update_rows(cat.ids, coeff, queries, 0.1)  # warm-up
     nbytes = cat.matrix().nbytes

@@ -224,3 +224,95 @@ def test_softmax_rows_normalizes():
     p = softmax_rows(z)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(p > 0.0)
+
+
+def _reference_softmax_rows(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    w = np.exp(z)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _reference_total_loss(theta, queries, labels):
+    p = _reference_softmax_rows(queries @ theta.T)
+    return float(-np.sum(np.log(p[np.arange(len(labels)), labels])))
+
+
+def _reference_train_oracle(events, init, passes, lr, tol):
+    """`train_oracle` with a one-hot matrix and a second softmax per pass, which
+    the one-softmax trainer must match bit for bit."""
+    queries = np.stack([q for q, _ in events])
+    labels = np.array([init.ids.index(i) for _, i in events])
+    theta = init.matrix().astype(np.float64, copy=False)
+    onehot = np.zeros((len(labels), len(init)))
+    onehot[np.arange(len(labels)), labels] = 1.0
+    loss = _reference_total_loss(theta, queries, labels)
+    step = lr
+    used = 0
+    for it in range(passes):
+        p = _reference_softmax_rows(queries @ theta.T)
+        grad = (p - onehot).T @ queries
+        while True:
+            cand = theta - step * grad
+            cand_loss = _reference_total_loss(cand, queries, labels)
+            if cand_loss <= loss or step < 1e-16:
+                break
+            step *= 0.5
+        used = it + 1
+        if cand_loss > loss:
+            break
+        improved = loss - cand_loss
+        theta, loss = cand, cand_loss
+        step *= 1.05
+        if improved < tol:
+            break
+    return theta, loss, used
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_train_oracle_matches_two_softmax_reference_bytewise():
+    rng = np.random.default_rng(8)
+    early_stops = infinite = 0
+    for case in range(36):
+        n_items, d = int(rng.integers(1, 31)), int(rng.integers(1, 11))
+        T = 1 if case % 6 == 0 else int(rng.integers(1, 201))
+        lr, tol = (0.05, 5.0, 500.0)[case % 3], (1e-9, 1e-3)[case % 2]
+        scale = (1.0, 10.0, 100.0)[case // 3 % 3]  # large logits make some losses infinite
+        init = Catalog.from_rows(d, [f"i{k}" for k in range(n_items)],
+                                 rng.normal(size=(n_items, d)))
+        events = [(rng.normal(scale=scale, size=d), f"i{int(rng.integers(n_items))}")
+                  for _ in range(T)]
+        theta, loss, used = _reference_train_oracle(events, init, 40, lr, tol)
+        fit = train_oracle(events, init, passes=40, lr=lr, tol=tol)
+        assert (fit.passes, fit.loss) == (used, loss)
+        assert fit.catalog.matrix().tobytes() == theta.tobytes()
+        early_stops += used < 40
+        infinite += not math.isfinite(loss)
+    assert early_stops and infinite
+
+
+def test_softmax_rows_writes_only_to_out():
+    z = np.random.default_rng(9).normal(scale=20.0, size=(5, 7))
+    before = z.copy()
+    p = softmax_rows(z)
+    assert z.tobytes() == before.tobytes()
+    assert p.tobytes() == _reference_softmax_rows(before).tobytes()
+    assert softmax_rows(z, out=z) is z
+    assert z.tobytes() == p.tobytes()
+
+
+def test_train_oracle_peak_memory_is_two_probability_blocks():
+    import tracemalloc
+
+    rng = np.random.default_rng(10)
+    n_items, d, T = 50, 16, 2000
+    init = Catalog.from_rows(d, [f"i{k:02d}" for k in range(n_items)],
+                             rng.normal(scale=0.1, size=(n_items, d)))
+    events = [(rng.normal(size=d), f"i{int(rng.integers(n_items)):02d}") for _ in range(T)]
+    train_oracle(events, init, passes=2)  # warm-up
+    tracemalloc.start()
+    try:
+        train_oracle(events, init, passes=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * T * n_items * 8

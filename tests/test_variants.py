@@ -24,7 +24,6 @@ from orag.variants import (
     MultiHopRound,
     apply_delta,
     make_stub_reranker,
-    step_dynamic,
     step_multihop,
     step_with_rerank,
 )
@@ -146,26 +145,11 @@ def test_delta_bumps_generation_once_per_item():
     assert cat.generation == 3 and cat.ids == ("i1", "i2", "i3", "i4", "x", "y")
 
 
-def test_step_dynamic_with_no_delta_equals_plain_step():
-    q = QueryEmbedding(np.array([0.5, 0.1, -0.2]), query_id="q")
-    oracle = lambda t, chosen: chosen == "i0"
-    cat_a, cat_b = _cat(5), _cat(5)
-    rec_a = step(q, cat_a, RandomSource(6), CONST(0.1), UpdateMode.FULL, 1, oracle)
-    rec_b = step_dynamic(
-        None, q, cat_b, RandomSource(6), CONST(0.1), UpdateMode.FULL, 1, oracle
-    )
-    assert rec_a.chosen == rec_b.chosen
-    assert cat_a.matrix().tobytes() == cat_b.matrix().tobytes()
-
-
 def test_removing_dominant_item_renormalizes():
     cat = Catalog(1, [("big", [10.0]), ("s1", [0.0]), ("s2", [0.0])])
     q = np.array([1.0])
-    delta = CatalogDelta(removed=["big"], effective_at=1)
-    rec = step_dynamic(
-        delta, q, cat, RandomSource(1), CONST(0.1), UpdateMode.FULL, 1,
-        lambda t, c: False,
-    )
+    apply_delta(cat, CatalogDelta(removed=["big"], effective_at=1), t=1)
+    rec = step(q, cat, RandomSource(1), CONST(0.1), UpdateMode.FULL, 1, lambda t, c: False)
     p = score(q, cat)
     assert set(p.ids) == {"s1", "s2"}
     assert abs(p.probs.sum() - 1.0) < 1e-12

@@ -249,10 +249,9 @@ class Catalog:
         (np.multiply if len(queries) == 1 else np.matmul)(coeff, queries, out=tmp)
         tmp *= eta
         np.subtract(rows, tmp, out=tmp)
-        # Below float64, check and widen 64 KB at a time: a whole-block mask or
+        # Check and widen 64 KB at a time: a whole-block mask or float32
         # `astype` would be a quarter to twice the catalog's size.
-        blocks = (tmp,) if tmp.dtype == np.float64 else [tmp[c] for c in row_chunks(*tmp.shape)]
-        for block in blocks:
+        for block in (tmp[c] for c in row_chunks(*tmp.shape)):
             if not np.isfinite(block).all():
                 raise NonFiniteInput("update makes a row non-finite")
             if self.projection is ProjectionMode.UNIT_BALL:  # the bits of `project_row`

@@ -56,7 +56,8 @@ def total_loss(
 ) -> float:
     """Summed cross-entropy of `labels` under the softmax of `queries @ theta.T`;
     a (T, I) `out` is left holding those probabilities."""
-    p = softmax_rows(np.matmul(queries, theta.T, out=out), out=out)
+    p = np.matmul(queries, theta.T, out=out)
+    softmax_rows(p, out=p)
     return float(-np.sum(np.log(p[np.arange(len(labels)), labels])))
 
 

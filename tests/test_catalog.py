@@ -489,30 +489,36 @@ def _reference_update(cat, ids, coeff, queries, eta):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("projection", list(ProjectionMode))
 def test_update_rows_matches_row_by_row_reference(dtype, projection):
-    # A churned catalog: slot order is far from id order.
+    # A churned catalog: slot order is far from id order. 300 rows of width 7
+    # are one 64 KB chunk; of width 64, three.
     rng = np.random.default_rng(11)
-    cat = _churned(300, 7, dtype, projection=projection)
-    sub = [cat.ids[k] for k in rng.choice(len(cat), 40, replace=False)]
-    cases = [(cat.ids, 1), (list(cat.ids), 1), (sub, 1), (sub, 3), ([cat.ids[17]], 1),
-             ([cat.ids[17]], 3)]
-    for ids, b in cases:
-        coeff, queries = rng.normal(size=(len(ids), b)), rng.normal(size=(b, 7))
-        expected, gen = _reference_update(cat, ids, coeff, queries, 0.3), cat.generation
-        cat.update_rows(ids, coeff, queries, 0.3)
-        assert cat.matrix().tobytes() == expected.tobytes()
-        assert cat.generation == gen + 1
+    for dim in (7, 64):
+        cat = _churned(300, dim, dtype, projection=projection)
+        sub = [cat.ids[k] for k in rng.choice(len(cat), 40, replace=False)]
+        cases = [(cat.ids, 1), (list(cat.ids), 1), (sub, 1), (sub, 3), ([cat.ids[17]], 1),
+                 ([cat.ids[17]], 3)]
+        for ids, b in cases:
+            coeff, queries = rng.normal(size=(len(ids), b)), rng.normal(size=(b, dim))
+            expected, gen = _reference_update(cat, ids, coeff, queries, 0.3), cat.generation
+            cat.update_rows(ids, coeff, queries, 0.3)
+            assert cat.matrix().tobytes() == expected.tobytes()
+            assert cat.generation == gen + 1
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_full_update_overflow_writes_nothing(dtype):
-    cat = _churned(300, 7, dtype)
-    rows, gen = cat.matrix().copy(), cat.generation
-    coeff = np.ones((len(cat), 1))
-    coeff[123] = 1e308
-    with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
-        cat.update_rows(cat.ids, coeff, np.full((1, 7), 10.0), eta=1.0)
-    assert cat.matrix().tobytes() == rows.tobytes()
-    assert cat.generation == gen
+    # Each row in turn overflows: at width 64 the 300 rows are three chunks,
+    # and the last chunk must be checked as well as the first.
+    for dim in (7, 64):
+        cat = _churned(300, dim, dtype)
+        rows, gen = cat.matrix().copy(), cat.generation
+        for k in range(len(cat)):
+            coeff = np.ones((len(cat), 1))
+            coeff[k] = 1e308
+            with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
+                cat.update_rows(cat.ids, coeff, np.full((1, dim), 10.0), eta=1.0)
+            assert cat.matrix().tobytes() == rows.tobytes()
+            assert cat.generation == gen
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -45,6 +45,12 @@ def project_row(v: np.ndarray, mode: ProjectionMode) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise NonFiniteInput("row contains non-finite entries")
+    return _project(v, mode)
+
+
+def _project(v: np.ndarray, mode: ProjectionMode) -> np.ndarray:
+    """`project_row` of rows already checked finite."""
+    v = np.asarray(v, dtype=np.float64)
     if mode is ProjectionMode.NONE:
         return v
     return v / np.maximum(row_norms(v), 1.0)
@@ -118,7 +124,7 @@ class Catalog:
         self._slot = dict(zip(ids, range(n)))    # id -> slot
         if len(self._slot) != n:
             raise DuplicateId(next(i for k, i in enumerate(ids) if self._slot[i] != k))
-        v = project_row(self._check_rows(rows), self.projection)
+        v = _project(self._check_rows(rows), self.projection)
         # Copy only a block that is still the caller's.
         shared = isinstance(rows, np.ndarray) and np.may_share_memory(v, rows)
         self._rows = v.astype(self.dtype, copy=copy and shared)
@@ -173,7 +179,7 @@ class Catalog:
             raise DuplicateId(item_id)
         if item_id in self._retired:
             raise IdRetired(item_id)
-        v = project_row(self._check_rows([init])[0], self.projection).astype(self.dtype)
+        v = _project(self._check_rows([init])[0], self.projection).astype(self.dtype)
         n = len(self._ids)
         if n == len(self._rows):  # full: double the capacity
             self._rows = np.concatenate([self._rows, np.empty((max(n, 8), self.dim), self.dtype)])

@@ -59,9 +59,9 @@ def _replay(cfg: RunConfig) -> EpisodeLog:
         raise ValidationError(
             "replay needs queries_path, items_path, labels_path in the config"
         )
-    stream = ingest_embedding_dump(cfg.queries_path, cfg.items_path, cfg.labels_path)
+    stream = ingest_embedding_dump(cfg.queries_path, cfg.items_path, cfg.labels_path,
+                                   cfg.projection)
     catalog = stream.catalog
-    catalog.projection = cfg.projection
     schedule = LearningRateSchedule(cfg.schedule, cfg.c)
     rng = RandomSource(cfg.seed)
     records: list[RoundRecord] = []

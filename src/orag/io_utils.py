@@ -127,26 +127,23 @@ def load_config(path: str, seed: int | None = None) -> RunConfig:
 # -- JSONL event logs -------------------------------------------------------
 
 _EVENT_CHECKS, _EVENT_REQUIRED = _field_checks(RoundRecord)
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(row, sort_keys=True)
 
 
 def write_event_log(records: list[RoundRecord], path: str) -> None:
     """One JSON object per line with a fixed key set; deterministic bytes."""
+    lines = []
+    for r in records:
+        row = {"t": r.t, "query_id": r.query_id, "chosen": r.chosen,
+               "success": bool(r.success), "propensity": r.propensity, "eta": r.eta}
+        if r.loss is not None:
+            row["loss"] = r.loss
+        if r.generation is not None:
+            row["generation"] = r.generation
+        lines.append(_EVENT_ENCODER.encode(row) + "\n")
     try:
         with open(path, "w", encoding="utf-8") as f:
-            for r in records:
-                row = {
-                    "t": r.t,
-                    "query_id": r.query_id,
-                    "chosen": r.chosen,
-                    "success": bool(r.success),
-                    "propensity": r.propensity,
-                    "eta": r.eta,
-                }
-                if r.loss is not None:
-                    row["loss"] = r.loss
-                if r.generation is not None:
-                    row["generation"] = r.generation
-                f.write(json.dumps(row, sort_keys=True) + "\n")
+            f.write("".join(lines))
     except OSError as e:
         raise IoError(str(e)) from None
 
@@ -203,10 +200,11 @@ class ReplayStream:
         return len(self.query_ids)
 
 
-def ingest_embedding_dump(queries_path: str, items_path: str, labels_path: str) -> ReplayStream:
-    """Load query/item vectors (snapshot layout) plus (query_id, item_id) labels."""
+def ingest_embedding_dump(queries_path: str, items_path: str, labels_path: str,
+                          projection: ProjectionMode = ProjectionMode.NONE) -> ReplayStream:
+    """Load query/item vectors (snapshot layout; items projected) and query -> item labels."""
     queries_cat = read_snapshot(queries_path)
-    catalog = read_snapshot(items_path)
+    catalog = read_snapshot(items_path, projection)
     if queries_cat.dim != catalog.dim:
         raise DimensionMismatch(
             f"query dim {queries_cat.dim} != item dim {catalog.dim}"

@@ -68,9 +68,11 @@ def _unit(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass
 class Environment:
-    """Latent item directions plus a deterministic (q_t, i*_t) stream."""
+    """Unit latent directions, `latents[k]` of the sorted `ids[k]`, plus a
+    deterministic (q_t, i*_t) stream."""
 
-    true_items: dict[ItemId, np.ndarray]
+    ids: tuple[ItemId, ...]
+    latents: np.ndarray
     noise_scale: float
     seed: int
     horizon: int
@@ -79,38 +81,32 @@ class Environment:
     repeat_passes: int = 1
     _queries: np.ndarray = field(init=False, repr=False)
     _targets: list[ItemId] = field(init=False, repr=False)
-    _clusters: list[ItemId] = field(init=False, repr=False)
 
     def __post_init__(self):
-        ids = sorted(self.true_items)
-        latents = np.stack([self.true_items[i] for i in ids])
+        ids = self.ids
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 1]))
         base_t = self.horizon
         picks = rng.integers(0, len(ids), size=base_t)
-        noise = rng.normal(0.0, self.noise_scale, size=(base_t, latents.shape[1]))
-        raw = latents[picks] + noise
+        noise = rng.normal(0.0, self.noise_scale, size=(base_t, self.dim))
+        raw = self.latents[picks] + noise
         base_queries = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        base_clusters = [ids[k] for k in picks]
 
         # Shift: remap a fraction of query clusters to new ground-truth items
         # from the given round on. Queries keep their geometry; labels move.
-        remap = {i: i for i in ids}
+        remap = {}
         if self.shift_round is not None:
             n_shift = int(round(self.shift_fraction * len(ids)))
             shifted = list(rng.choice(ids, size=n_shift, replace=False))
-            rotated = shifted[1:] + shifted[:1]
-            remap.update(dict(zip(shifted, rotated)))
+            remap = dict(zip(shifted, shifted[1:] + shifted[:1]))
 
         order = np.arange(base_t * self.repeat_passes) % base_t
         for p in range(1, self.repeat_passes):
             seg = order[p * base_t : (p + 1) * base_t]
             rng.shuffle(seg)
         self._queries = base_queries[order]
-        self._clusters = [base_clusters[k] for k in order]
-        self._targets = []
-        for t0, cluster in enumerate(self._clusters):
-            shifted_now = self.shift_round is not None and t0 + 1 >= self.shift_round
-            self._targets.append(remap[cluster] if shifted_now else cluster)
+        clusters = [ids[k] for k in picks[order]]
+        cut = len(clusters) if self.shift_round is None else max(self.shift_round - 1, 0)
+        self._targets = clusters[:cut] + [remap.get(c, c) for c in clusters[cut:]]
 
     @property
     def total_rounds(self) -> int:
@@ -118,7 +114,7 @@ class Environment:
 
     @property
     def dim(self) -> int:
-        return len(next(iter(self.true_items.values())))
+        return self.latents.shape[1]
 
     def query_at(self, t: int) -> QueryEmbedding:
         if not (1 <= t <= self.total_rounds):
@@ -145,12 +141,17 @@ def make_environment(
     if noise_scale < 0:
         raise InvalidConfig("noise_scale must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
-    latents = rng.normal(size=(config.I, config.d))
+    names = [f"item{k:04d}" for k in range(config.I)]
+    order = sorted(range(config.I), key=names.__getitem__)  # "item10000" < "item1001"
+    dest = np.argsort(order)  # the row of item k in the sorted ids
+    latents = np.empty((config.I, config.d))
+    # Drawn chunk by chunk, the normals are those of one whole-block draw.
     for chunk in row_chunks(config.I, config.d):
-        latents[chunk] /= np.linalg.norm(latents[chunk], axis=1, keepdims=True)
-    ids = [f"item{k:04d}" for k in range(config.I)]
+        raw = rng.normal(size=(chunk.stop - chunk.start, config.d))
+        latents[dest[chunk]] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     return Environment(
-        true_items=dict(zip(ids, latents)),
+        ids=tuple(map(names.__getitem__, order)),
+        latents=latents,
         noise_scale=noise_scale,
         seed=int(seed),
         horizon=config.T,
@@ -167,14 +168,17 @@ def initial_catalog(
     restrict_to: Sequence[ItemId] | None = None,
 ) -> Catalog:
     """Rows = normalize(latent + init_noise * gaussian); seeded by env.seed."""
-    rng = np.random.default_rng(np.random.SeedSequence([env.seed, 2]))
-    ids = sorted(env.true_items)
-    # One block, filled in place chunk by chunk: the bits of
-    # _unit(stacked latents + init_noise * normal).
-    rows = rng.normal(size=(len(ids), env.dim))
-    rows *= init_noise
+    ids = env.ids
+    # One block, filled in place: the bits of _unit(latents + init_noise * normal).
+    # With no noise the draw is skipped, as latent + 0.0 * normal == latent.
+    if init_noise == 0:
+        rows = env.latents.copy()
+    else:
+        rows = np.random.default_rng(np.random.SeedSequence([env.seed, 2])).normal(
+            size=env.latents.shape)
+        rows *= init_noise
+        rows += env.latents
     for chunk in row_chunks(len(ids), env.dim):
-        rows[chunk] += np.stack([env.true_items[i] for i in ids[chunk]])
         _unit(rows[chunk], out=rows[chunk])
     if restrict_to is not None:
         keep = set(restrict_to)
@@ -190,9 +194,10 @@ def feedback_oracle(env: Environment, t: int, chosen: ItemId) -> bool:
 def init_embedder(env: Environment, noise: float = 0.3):
     """Stub initializer for late-added items: latent direction plus noise."""
     rng = np.random.default_rng(np.random.SeedSequence([env.seed, 3]))
+    row = dict(zip(env.ids, range(len(env.ids))))
 
     def init(item_id: ItemId) -> np.ndarray:
-        return _unit(env.true_items[item_id] + noise * rng.normal(size=env.dim))
+        return _unit(env.latents[row[item_id]] + noise * rng.normal(size=env.dim))
 
     return init
 
@@ -209,9 +214,8 @@ def half_withheld_scenario(
     """
     from .variants import CatalogDelta
 
-    ids = sorted(env.true_items)
-    half = len(ids) // 2
-    initial_ids, withheld = ids[:half], ids[half:]
+    half = len(env.ids) // 2
+    initial_ids, withheld = list(env.ids[:half]), env.ids[half:]
     if insert_round is None:
         insert_round = max(1, env.total_rounds // 2)
     embed = init_embedder(env, noise=new_item_noise)
@@ -232,20 +236,15 @@ def make_multihop_rounds(env: Environment, hops: int = 2) -> dict:
     """
     from .variants import MultiHopRound
 
-    ids = sorted(env.true_items)
-    latents = np.stack([env.true_items[i] for i in ids])
     rng = np.random.default_rng(np.random.SeedSequence([env.seed, 5]))
     total = env.total_rounds
-    picks = rng.integers(0, len(ids), size=(total, hops))
+    picks = rng.integers(0, len(env.ids), size=(total, hops))
     noise = rng.normal(0.0, env.noise_scale, size=(total, hops, env.dim))
+    subs = _unit(env.latents[picks] + noise)
     rounds = {}
     for t in range(1, total + 1):
-        targets = [ids[k] for k in picks[t - 1]]
-        subqueries = []
-        for h in range(hops):
-            raw = latents[picks[t - 1, h]] + noise[t - 1, h]
-            subqueries.append(QueryEmbedding(_unit(raw), query_id=f"t{t}h{h + 1}"))
-        truth = {sq.query_id: tgt for sq, tgt in zip(subqueries, targets)}
+        subqueries = [QueryEmbedding(subs[t - 1, h], query_id=f"t{t}h{h + 1}") for h in range(hops)]
+        truth = {sq.query_id: env.ids[k] for sq, k in zip(subqueries, picks[t - 1])}
         judge = (lambda tr: lambda q, chosen: int(chosen == tr[q.query_id]))(truth)
         rounds[t] = MultiHopRound(subqueries=subqueries, judge=judge)
     return rounds
@@ -278,17 +277,23 @@ def run_episode(
 ) -> EpisodeLog:
     """Run the configured variant for T * repeat_passes rounds.
 
-    `catalog` defaults to `initial_catalog(env, init_noise)`. The rerank
-    variant needs `reranker`; dynamic takes `deltas` (round -> CatalogDelta);
-    multihop takes `multihop_rounds` (round -> MultiHopRound) and records the
-    per-hop records flattened into the log.
+    `catalog` defaults to `initial_catalog(env, init_noise)`; a given one must
+    have the episode's projection. The rerank variant needs `reranker`; dynamic
+    takes `deltas` (round -> CatalogDelta); multihop takes `multihop_rounds`
+    (round -> MultiHopRound) and records the per-hop records flattened into the log.
     """
     from . import variants as _variants
 
+    variant = episode.variant
     if catalog is None:
         catalog = initial_catalog(env, init_noise, projection=episode.projection)
-    else:
-        catalog.projection = episode.projection
+    elif catalog.projection is not episode.projection:
+        raise InvalidConfig(f"catalog projection {catalog.projection} is not {episode.projection}")
+    if variant is Variant.RERANK and reranker is None:
+        raise InvalidConfig("rerank variant needs a reranker")
+    if variant is Variant.MULTIHOP and not (
+            set(range(1, env.total_rounds + 1)) <= (multihop_rounds or {}).keys()):
+        raise InvalidConfig("multihop variant needs per-round sub-queries")
     if rng is None:
         rng = RandomSource(np.random.SeedSequence([env.seed, 4]).generate_state(1)[0])
 
@@ -299,49 +304,36 @@ def run_episode(
     losses: list[float] = []
     for t in range(1, env.total_rounds + 1):
         q = env.query_at(t)
-        if episode.variant is Variant.DYNAMIC and deltas and t in deltas:
-            _variants.apply_delta(catalog, deltas[t], t)
-        if record_losses and episode.variant is not Variant.MULTIHOP:
-            p_now = score(q, catalog)
-            loss = (
-                cross_entropy_loss(p_now, env.optimal_item(t))
-                if env.optimal_item(t) in catalog
-                else None
-            )
-        else:
-            loss = None
-
-        if episode.variant is Variant.PLAIN or episode.variant is Variant.DYNAMIC:
-            rec = step(
-                q, catalog, rng, episode.schedule, episode.update_mode, t, oracle,
+        if variant is Variant.MULTIHOP:
+            rounds.extend(_variants.step_multihop(
+                multihop_rounds[t], catalog, rng, episode.schedule, t,
+                update_mode=episode.update_mode,
                 clip_propensity=episode.clip_propensity,
-            )
-            rec.loss = loss
-            rounds.append(rec)
-        elif episode.variant is Variant.RERANK:
-            if reranker is None:
-                raise InvalidConfig("rerank variant needs a reranker")
+            ))
+            continue
+        if variant is Variant.DYNAMIC and deltas and t in deltas:
+            _variants.apply_delta(catalog, deltas[t], t)
+        target = env.optimal_item(t)
+        loss = None
+        if record_losses and target in catalog:
+            loss = cross_entropy_loss(score(q, catalog), target)
+
+        if variant is Variant.RERANK:
             rec = _variants.step_with_rerank(
                 q, catalog, episode.K, reranker, rng, episode.schedule, t, oracle,
                 update_mode=episode.update_mode,
                 clip_propensity=episode.clip_propensity,
             )
-            rec.loss = loss
-            rounds.append(rec)
         else:
-            if multihop_rounds is None or t not in multihop_rounds:
-                raise InvalidConfig("multihop variant needs per-round sub-queries")
-            hop_records = _variants.step_multihop(
-                multihop_rounds[t], catalog, rng, episode.schedule, t,
-                update_mode=episode.update_mode,
+            rec = step(
+                q, catalog, rng, episode.schedule, episode.update_mode, t, oracle,
                 clip_propensity=episode.clip_propensity,
             )
-            rounds.extend(hop_records)
-
-        if episode.variant is not Variant.MULTIHOP:
-            queries.append(q.q)
-            labels.append(env.optimal_item(t))
-            losses.append(loss if loss is not None else float("nan"))
+        rec.loss = loss
+        rounds.append(rec)
+        queries.append(q.q)
+        labels.append(target)
+        losses.append(loss if loss is not None else float("nan"))
 
     return EpisodeLog(
         rounds=rounds,

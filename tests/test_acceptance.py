@@ -239,7 +239,7 @@ def test_criterion_07_dynamic_catalog_adaptation():
         env = make_environment(ep, seed, noise_scale=0.2)
         initial_ids, deltas = half_withheld_scenario(env)
         insert_round = next(iter(deltas))
-        late = set(env.true_items) - set(initial_ids)
+        late = set(env.ids) - set(initial_ids)
         cat = initial_catalog(env, 1.0, projection=ep.projection, restrict_to=initial_ids)
         rng = RandomSource(np.random.SeedSequence([seed, 4]).generate_state(1)[0])
         hits = []

@@ -277,6 +277,20 @@ def test_snapshot_bad_version(tmp_path):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_snapshot_with_non_finite_row_is_rejected(tmp_path, dtype, bad):
+    path = str(tmp_path / "nf.orag")
+    write_snapshot(Catalog(2, [("a", [0.5, 0.5]), ("b", [1.0, 2.0])], dtype=dtype), path)
+    raw = bytearray(open(path, "rb").read())
+    wire = np.dtype(dtype).newbyteorder("<")
+    raw[-wire.itemsize:] = np.array([bad], dtype=wire).tobytes()
+    open(path, "wb").write(bytes(raw))
+    for projection in ProjectionMode:
+        with pytest.raises(NonFiniteInput):
+            read_snapshot(path, projection)
+
+
 def test_snapshot_never_leaves_partial_file(tmp_path):
     cat = Catalog(2, [("a", [1.0, 2.0])])
     path = str(tmp_path / "x.orag")
@@ -323,12 +337,16 @@ def test_constructor_matches_one_by_one_adds(dtype, projection):
     ([("a", [np.inf, 0.0])], NonFiniteInput),
 ])
 def test_constructor_errors(items, error):
-    with pytest.raises(error):
-        Catalog(2, items)
-    with pytest.raises(error):
-        cat = Catalog(2)
-        for k, v in items:
-            cat.add_item(k, v)
+    for projection in ProjectionMode:
+        with pytest.raises(error):
+            Catalog(2, items, projection=projection)
+        with pytest.raises(error):
+            Catalog.from_rows(2, [k for k, _ in items], [v for _, v in items],
+                              projection=projection)
+        with pytest.raises(error):
+            cat = Catalog(2, projection=projection)
+            for k, v in items:
+                cat.add_item(k, v)
 
 
 def test_from_rows_needs_one_row_per_id():

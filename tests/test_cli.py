@@ -159,5 +159,27 @@ def test_replay_over_embedding_dump(tmp_path):
     assert len(lines) == 6
 
 
+def test_replay_projects_the_items_as_it_reads_them(tmp_path):
+    # chosen_only steps 6 of 20 rows at most: the rest keep their read-in norm.
+    rng = np.random.default_rng(2)
+    queries = Catalog(4, [(f"q{k}", rng.normal(size=4)) for k in range(6)])
+    items = Catalog(4, [(f"doc{k:02d}", 3.0 + rng.normal(size=4)) for k in range(20)])
+    assert min(np.linalg.norm(v) for _, v in items.items()) > 1.0
+    write_snapshot(queries, str(tmp_path / "q.orag"))
+    write_snapshot(items, str(tmp_path / "i.orag"))
+    (tmp_path / "labels.txt").write_text("".join(f"q{k} doc{k:02d}\n" for k in range(6)))
+    payload = {
+        "I": 20, "d": 4, "T": 6, "seed": 0, "projection": "unit_ball",
+        "update_mode": "chosen_only",
+        "queries_path": str(tmp_path / "q.orag"),
+        "items_path": str(tmp_path / "i.orag"),
+        "labels_path": str(tmp_path / "labels.txt"),
+    }
+    out = str(tmp_path / "replay")
+    assert cli_main(["replay", "--config", _cfg(tmp_path, payload, "r.json"), "--out", out]) == 0
+    final = read_snapshot(os.path.join(out, "catalog.orag"))
+    assert final.max_row_norm() <= 1.0 + 1e-12
+
+
 def test_replay_without_paths_exits_one(tmp_path):
     assert cli_main(["replay", "--config", _cfg(tmp_path), "--out", str(tmp_path / "x")]) == 1

@@ -73,7 +73,7 @@ def float32_run(case: str) -> tuple[Catalog, list]:
     init = np.random.default_rng(BASE["seed"]).normal(size=(BASE["I"], BASE["d"]))
     catalog = Catalog(
         BASE["d"],
-        zip(sorted(env.true_items), init),
+        zip(env.ids, init),
         projection=ProjectionMode(projection),
         dtype=np.float32,
     )

@@ -135,7 +135,7 @@ def test_regret_is_additive():
     ep = EpisodeConfig(T=50, I=5, d=3)
     env = make_environment(ep, 4)
     log = run_episode(env, ep, init_noise=0.8)
-    oracle = Catalog(3, [(i, v) for i, v in env.true_items.items()])
+    oracle = Catalog(3, zip(env.ids, env.latents))
     ledger = regret_curve(log, oracle)
     per_round = ledger.online_loss - ledger.oracle_loss
     assert abs(ledger.final_regret - per_round.sum()) < 1e-12

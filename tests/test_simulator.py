@@ -32,12 +32,13 @@ def test_noiseless_queries_equal_latents():
     env = make_environment(ep, 0, noise_scale=0.0)
     for t in range(1, 21):
         target = env.optimal_item(t)
-        np.testing.assert_allclose(env.query_at(t).q, env.true_items[target], atol=1e-12)
+        latent = env.latents[env.ids.index(target)]
+        np.testing.assert_allclose(env.query_at(t).q, latent, atol=1e-12)
 
 
 def test_latents_are_unit_norm():
     env = make_environment(EpisodeConfig(T=5, I=10, d=6), 3)
-    for v in env.true_items.values():
+    for v in env.latents:
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
@@ -78,7 +79,7 @@ def test_perfect_init_beats_corrupted_init():
 def test_zero_init_noise_reproduces_latents():
     env = make_environment(EpisodeConfig(T=5, I=8, d=4), 2)
     cat = initial_catalog(env, 0.0)
-    for i, latent in env.true_items.items():
+    for i, latent in zip(env.ids, env.latents):
         np.testing.assert_allclose(cat.row(i), latent, atol=1e-12)
 
 
@@ -103,7 +104,7 @@ def test_feedback_oracle_matches_truth():
     for t in range(1, 11):
         truth = env.optimal_item(t)
         assert feedback_oracle(env, t, truth)
-        other = next(i for i in env.true_items if i != truth)
+        other = next(i for i in env.ids if i != truth)
         assert not feedback_oracle(env, t, other)
 
 
@@ -172,13 +173,26 @@ def test_good_init_drifts_less_than_bad_init():
         assert drift[0.0] < drift[1.0]
 
 
+@pytest.mark.parametrize("projection", list(ProjectionMode))
+def test_run_episode_rejects_a_catalog_of_another_projection(projection):
+    other = next(m for m in ProjectionMode if m is not projection)
+    ep = EpisodeConfig(T=5, I=4, d=3, projection=projection)
+    env = make_environment(ep, 0)
+    cat = initial_catalog(env, 2.0, projection=other)
+    before = cat.matrix()
+    with pytest.raises(InvalidConfig):
+        run_episode(env, ep, catalog=cat)
+    assert cat.projection is other and cat.generation == 0
+    assert cat.matrix().tobytes() == before.tobytes()
+
+
 def test_half_withheld_scenario_shape():
     env = make_environment(EpisodeConfig(T=100, I=10, d=4), 2)
     initial_ids, deltas = half_withheld_scenario(env)
     assert len(initial_ids) == 5
     assert list(deltas) == [50]
     added_ids = {i for i, _ in deltas[50].added}
-    assert added_ids == set(env.true_items) - set(initial_ids)
+    assert added_ids == set(env.ids) - set(initial_ids)
 
 
 def test_dynamic_episode_dips_then_recovers():
@@ -209,7 +223,7 @@ def test_init_embedder_is_deterministic_per_item():
     env = make_environment(EpisodeConfig(T=5, I=4, d=3), 8)
     embed_a = init_embedder(env, noise=0.3)
     embed_b = init_embedder(env, noise=0.3)
-    for i in env.true_items:
+    for i in env.ids:
         np.testing.assert_array_equal(embed_a(i), embed_b(i))
 
 
@@ -224,7 +238,7 @@ def test_make_multihop_rounds_structure():
         r.judge(sq, item)
         for r in rounds.values()
         for sq in r.subqueries
-        for item in env.true_items
+        for item in env.ids
     }
     assert outcomes == {0, 1}
 
@@ -239,7 +253,7 @@ def test_multihop_episode_logs_one_record_per_hop():
     assert [r.t for r in log.rounds] == [t for t in range(1, 16) for _ in range(2)]
 
 
-@pytest.mark.parametrize("n_items", [37, 50, 1000])
+@pytest.mark.parametrize("n_items", [37, 50, 1000, 10_050])
 @pytest.mark.parametrize("noise", [0.0, 0.7])
 @pytest.mark.parametrize("projection", list(ProjectionMode))
 @pytest.mark.parametrize("restrict", [False, True])
@@ -247,12 +261,12 @@ def test_initial_catalog_matches_per_row_reference(n_items, noise, projection, r
     # The block build against the per-row rows it replaced, added one at a
     # time: normalize(latent + noise * normal) with the norm of np.linalg.norm.
     env = make_environment(EpisodeConfig(T=5, I=n_items, d=16), 3)
-    ids = sorted(env.true_items)
+    ids = env.ids
     keep = set(ids[::3]) if restrict else set(ids)
     rng = np.random.default_rng(np.random.SeedSequence([env.seed, 2]))
     ref = Catalog(env.dim, projection=projection)
-    for i in ids:
-        row = env.true_items[i] + noise * rng.normal(size=env.dim)
+    for i, latent in zip(ids, env.latents):
+        row = latent + noise * rng.normal(size=env.dim)
         row = row / np.linalg.norm(row)
         if i in keep:
             ref.add_item(i, row)
@@ -262,19 +276,40 @@ def test_initial_catalog_matches_per_row_reference(n_items, noise, projection, r
     assert cat.matrix().tobytes() == ref.matrix().tobytes()
 
 
-@pytest.mark.parametrize("n_items, dim", [(3000, 8), (3000, 5), (7, 3)])
+@pytest.mark.parametrize("n_items, dim", [(3000, 8), (3000, 5), (7, 3), (10_050, 4)])
 def test_make_environment_latents_match_whole_block_normalisation(n_items, dim):
     # Latents are normalised chunk by chunk; each row must keep the bits of
-    # the whole-block np.linalg.norm.
+    # the whole-block np.linalg.norm and sit at its id's place in the sorted
+    # ids (past 10^4 items, "item10000" sorts before "item1001").
     env = make_environment(EpisodeConfig(T=5, I=n_items, d=dim), 11)
     rng = np.random.default_rng(np.random.SeedSequence([11, 0]))
     raw = rng.normal(size=(n_items, dim))
     ref = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    got = np.stack([env.true_items[f"item{k:04d}"] for k in range(n_items)])
+    names = [f"item{k:04d}" for k in range(n_items)]
+    assert env.ids == tuple(sorted(names))
+    row = {i: k for k, i in enumerate(env.ids)}
+    got = env.latents[[row[i] for i in names]]
     assert got.tobytes() == ref.tobytes()
 
 
-def test_setup_makes_one_catalog_sized_block():
+def test_make_environment_makes_one_catalog_sized_block():
+    import tracemalloc
+
+    ep = EpisodeConfig(T=5, I=10_000, d=64)
+    block = ep.I * ep.d * 8
+    tracemalloc.start()
+    try:
+        env = make_environment(ep, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert env.latents.nbytes == block
+    # The latents are the one block; ids and 64 KB chunk temporaries come on top.
+    assert peak <= 1.6 * block
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_setup_makes_one_catalog_sized_block(noise):
     import tracemalloc
 
     ep = EpisodeConfig(T=5, I=20000, d=32)
@@ -284,7 +319,7 @@ def test_setup_makes_one_catalog_sized_block():
         env = make_environment(ep, 2)
         after_env = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        cat = initial_catalog(env, 0.3)
+        cat = initial_catalog(env, noise)
         peak = tracemalloc.get_traced_memory()[1] - after_env
     finally:
         tracemalloc.stop()

@@ -39,21 +39,26 @@ class ProjectionMode(enum.Enum):
 def project_row(v: np.ndarray, mode: ProjectionMode) -> np.ndarray:
     """Project a row, or each row of an (n, d) block, into the feasible set.
 
-    Mode NONE returns the input unchanged; UNIT_BALL rescales a row onto the
-    unit sphere only when its norm exceeds 1 (see `row_norms`).
+    Mode NONE returns a float64 copy of the input; UNIT_BALL rescales a row
+    onto the unit sphere only when its norm exceeds 1 (see `row_norms`).
     """
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteInput("row contains non-finite entries")
-    return _project(v, mode)
+    v = np.array(v, dtype=np.float64)
+    _project_rows(np.atleast_2d(v), mode)
+    return v
 
 
-def _project(v: np.ndarray, mode: ProjectionMode) -> np.ndarray:
-    """`project_row` of rows already checked finite."""
-    v = np.asarray(v, dtype=np.float64)
-    if mode is ProjectionMode.NONE:
-        return v
-    return v / np.maximum(row_norms(v), 1.0)
+def _project_rows(block: np.ndarray, mode: ProjectionMode) -> None:
+    """Check an (n, d) block finite and project its rows, in place.
+
+    Works 64 KB at a time: a whole-block mask or float32 `astype` would be a
+    quarter to twice the block's size. float32 rows are divided by float64
+    norms, so they get the float64 rule's bits rounded once.
+    """
+    for chunk in (block[c] for c in row_chunks(*block.shape)):
+        if not np.isfinite(chunk).all():
+            raise NonFiniteInput("row contains non-finite entries")
+        if mode is ProjectionMode.UNIT_BALL:
+            chunk /= np.maximum(row_norms(chunk.astype(np.float64, copy=False)), 1.0)
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
@@ -69,7 +74,7 @@ def row_chunks(n: int, dim: int) -> list[slice]:
     it serves the next ones from the brk heap, where they fragment it: peak
     RSS then moved by whole blocks between identical runs.
     """
-    step = max(1, (1 << 13) // dim)
+    step = max(1, (1 << 13) // max(dim, 1))
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
@@ -77,11 +82,12 @@ class Catalog:
     """Mapping ItemId -> embedding row plus a generation counter.
 
     Rows sit in slots [0, n) of a buffer that doubles when full; a dict maps
-    id -> slot, `_order` lists the slots in id order, and `remove_item` moves
+    id -> slot, `_order` lists the slots in id order, and a removal moves
     the last slot into the hole. Add/remove cost O(d) plus O(I) memmoves and
     scans of the sorted ids and `_order`, no O(I) Python; `update_rows` and
     `row` one dict lookup per row (none for all rows); `matrix()` one gather
-    (`policy.score` reads the slots in place). Each successful mutation bumps `generation`.
+    (`logits` reads the slots in place). `apply_changes` is the one path that
+    adds and removes rows. Each successful mutation bumps `generation`.
     """
 
     def __init__(
@@ -124,10 +130,10 @@ class Catalog:
         self._slot = dict(zip(ids, range(n)))    # id -> slot
         if len(self._slot) != n:
             raise DuplicateId(next(i for k, i in enumerate(ids) if self._slot[i] != k))
-        v = _project(self._check_rows(rows), self.projection)
-        # Copy only a block that is still the caller's.
+        v = self._check_rows(rows)
         shared = isinstance(rows, np.ndarray) and np.may_share_memory(v, rows)
-        self._rows = v.astype(self.dtype, copy=copy and shared)
+        self._rows = v.copy() if copy and shared else v  # copy only a block still the caller's
+        _project_rows(self._rows, self.projection)
         order = sorted(range(n), key=ids.__getitem__)
         self._ids = [ids[k] for k in order]      # sorted
         self._order = np.array(order, dtype=np.intp)
@@ -148,6 +154,20 @@ class Catalog:
             self._ids_tuple = tuple(self._ids)
         return self._ids_tuple
 
+    def logits(self, q: np.ndarray) -> np.ndarray:
+        """q . row for every row, in id order, as a fresh float64 array."""
+        # One dot product per row where the rows sit (slot order), then the I
+        # logits into id order. `np.vecdot` sums each row on its own, so a logit's
+        # bits depend only on its row and q, not on its slot; a matrix-vector
+        # product's can depend on where the row falls in the block. float32 rows
+        # widen 64 KB at a time: a whole-block `astype` would be catalog-sized.
+        rows = self._rows[: len(self)]
+        chunks = [slice(None)] if rows.dtype == np.float64 else row_chunks(len(rows), self.dim)
+        out = np.empty(len(rows))
+        for c in chunks:
+            np.vecdot(rows[c].astype(np.float64, copy=False), q, out=out[c])
+        return out[self._order]
+
     def matrix(self) -> np.ndarray:
         """The rows in id order, as a fresh (I, dim) array the caller owns."""
         return self._rows[self._order]
@@ -164,67 +184,60 @@ class Catalog:
     # -- write side ---------------------------------------------------------
 
     def _check_rows(self, rows) -> np.ndarray:
-        """Rows (a list of vectors or a block) as one finite (n, dim) block in the catalog dtype."""
+        """Rows (a list of vectors or a block) as one (n, dim) block in the catalog dtype."""
         try:
-            v = np.asarray(rows, dtype=self.dtype).reshape(len(rows), self.dim)
+            return np.asarray(rows, dtype=self.dtype).reshape(len(rows), self.dim)
         except ValueError:
             raise DimensionMismatch(f"rows must be numeric vectors of length {self.dim}") from None
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteInput("vector contains non-finite entries")
-        return v
 
     def add_item(self, item_id: ItemId, init: Sequence[float]) -> None:
-        item_id = str(item_id)
-        if item_id in self._slot:
-            raise DuplicateId(item_id)
-        if item_id in self._retired:
-            raise IdRetired(item_id)
-        v = _project(self._check_rows([init])[0], self.projection).astype(self.dtype)
-        n = len(self._ids)
-        if n == len(self._rows):  # full: double the capacity
-            self._rows = np.concatenate([self._rows, np.empty((max(n, 8), self.dim), self.dtype)])
-        self._rows[n] = v
-        self._slot[item_id] = n
-        pos = bisect.bisect_left(self._ids, item_id)
-        self._ids.insert(pos, item_id)
-        self._order = np.insert(self._order, pos, n)
-        self._ids_tuple = None
-        self.generation += 1
+        self.apply_changes((), [(item_id, init)])
 
     def remove_item(self, item_id: ItemId) -> None:
-        try:
-            hole = self._slot.pop(item_id)
-        except KeyError:
-            raise UnknownId(item_id) from None
-        pos = bisect.bisect_left(self._ids, item_id)
-        del self._ids[pos]
-        self._order = np.delete(self._order, pos)
-        last = len(self._ids)
-        if hole != last:  # the last slot moves into the hole
-            k = int(np.argmax(self._order == last))
-            self._rows[hole] = self._rows[last]
-            self._slot[self._ids[k]] = self._order[k] = hole
-        self._retired.add(item_id)
-        self._ids_tuple = None
-        self.generation += 1
+        self.apply_changes([item_id], ())
 
-    def check_changes(self, removed: Sequence[ItemId],
+    def apply_changes(self, removed: Sequence[ItemId],
                       added: Sequence[tuple[ItemId, Sequence[float]]]) -> None:
-        """Raise what `remove_item` for each of `removed`, then `add_item` for
-        each of `added`, would raise, before anything is changed."""
+        """Remove each of `removed`, then add each (id, row) of `added`, with one
+        `generation` bump per item. All or nothing: every id is checked, and the
+        added rows are checked and projected as one block, before the first change."""
         gone: set[ItemId] = set()
         for item_id in removed:
             if item_id not in self._slot or item_id in gone:
                 raise UnknownId(item_id)
             gone.add(item_id)
-        new: set[ItemId] = set()
-        for item_id in (str(i) for i, _ in added):
+        new_ids, new = [str(i) for i, _ in added], set()
+        for item_id in new_ids:
             if item_id in self._retired or item_id in gone:
                 raise IdRetired(item_id)
             if item_id in self._slot or item_id in new:
                 raise DuplicateId(item_id)
             new.add(item_id)
-        self._check_rows([v for _, v in added])
+        rows = self._check_rows([v for _, v in added])
+        _project_rows(rows, self.projection)
+        for item_id in removed:
+            hole, last = self._slot.pop(item_id), len(self._ids) - 1
+            pos = bisect.bisect_left(self._ids, item_id)
+            del self._ids[pos]
+            self._order = np.delete(self._order, pos)
+            if hole != last:  # the last slot moves into the hole
+                k = int(np.argmax(self._order == last))
+                self._rows[hole] = self._rows[last]
+                self._slot[self._ids[k]] = self._order[k] = hole
+            self._retired.add(item_id)
+            self._ids_tuple = None
+            self.generation += 1
+        for item_id, v in zip(new_ids, rows):
+            n = len(self._ids)
+            if n == len(self._rows):  # full: double the capacity
+                self._rows = np.concatenate([self._rows, np.empty((max(n, 8), self.dim), self.dtype)])
+            self._rows[n] = v
+            self._slot[item_id] = n
+            pos = bisect.bisect_left(self._ids, item_id)
+            self._ids.insert(pos, item_id)
+            self._order = np.insert(self._order, pos, n)
+            self._ids_tuple = None
+            self.generation += 1
 
     def update_rows(self, ids: Sequence[ItemId], coeff, queries, eta: float) -> None:
         """Apply theta_i <- project(theta_i - eta * g_i), where g for `ids[k]` is
@@ -255,13 +268,7 @@ class Catalog:
         (np.multiply if len(queries) == 1 else np.matmul)(coeff, queries, out=tmp)
         tmp *= eta
         np.subtract(rows, tmp, out=tmp)
-        # Check and widen 64 KB at a time: a whole-block mask or float32
-        # `astype` would be a quarter to twice the catalog's size.
-        for block in (tmp[c] for c in row_chunks(*tmp.shape)):
-            if not np.isfinite(block).all():
-                raise NonFiniteInput("update makes a row non-finite")
-            if self.projection is ProjectionMode.UNIT_BALL:  # the bits of `project_row`
-                block /= np.maximum(row_norms(block.astype(np.float64, copy=False)), 1.0)
+        _project_rows(tmp, self.projection)
         self._rows[slots] = tmp
         self.generation += 1
 
@@ -282,7 +289,7 @@ class Catalog:
 
 
 def write_snapshot(catalog: Catalog, path: str) -> None:
-    """Write a bit-exact snapshot via a temp file and a rename; a failure leaves no temp file."""
+    """Write a bit-exact snapshot via a synced temp file and a rename; failure leaves no temp file."""
     dtag = 0 if catalog.dtype == np.float64 else 1
     tmp = path + ".tmp"
     try:
@@ -294,6 +301,8 @@ def write_snapshot(catalog: Catalog, path: str) -> None:
             for chunk in row_chunks(len(catalog), catalog.dim):
                 rows = catalog._rows[catalog._order[chunk]]
                 f.write(np.ascontiguousarray(rows, dtype="<f8" if dtag == 0 else "<f4"))
+            f.flush()
+            os.fsync(f.fileno())  # the rename must not land before the data
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # writing or renaming failed

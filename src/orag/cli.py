@@ -83,10 +83,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _outdir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+def _cutoff(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
+    return k
 
 
 def cli_main(argv: list[str] | None = None) -> int:
@@ -105,8 +106,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--k", type=int, default=10, help="cutoff for ranking metrics")
+        p.add_argument("--out", default=None, help="output directory (default: the config's out, else .)")
+        p.add_argument("--k", type=_cutoff, default=10, help="cutoff for ranking metrics (>= 1)")
         p.add_argument("--passes", type=int, default=10_000, help="oracle pass budget")
 
     try:
@@ -116,7 +117,8 @@ def cli_main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config, seed=args.seed)
-        out = _outdir(args)
+        out = args.out or cfg.out or "."
+        os.makedirs(out, exist_ok=True)
 
         if args.command == "simulate":
             _, log = run_from_config(cfg)

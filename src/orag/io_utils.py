@@ -229,6 +229,7 @@ def ingest_embedding_dump(queries_path: str, items_path: str, labels_path: str,
         if qid in labels:
             raise SchemaError(f"line {lineno}: query id {qid!r} is labelled twice")
         labels[qid] = iid
-    query_ids = [q for q in queries_cat.ids if q in labels]
-    queries = np.stack([queries_cat.row(q) for q in query_ids]) if query_ids else np.empty((0, catalog.dim))
+    keep = [k for k, q in enumerate(queries_cat.ids) if q in labels]
+    query_ids = [queries_cat.ids[k] for k in keep]
+    queries = queries_cat.matrix()[keep]
     return ReplayStream(query_ids=query_ids, queries=queries, catalog=catalog, labels=labels)

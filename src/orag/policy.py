@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, ItemId, row_chunks
+from .catalog import Catalog, ItemId
 from .errors import DimensionMismatch, EmptyCatalog, KTooLarge, NonFiniteInput
 
 
@@ -81,17 +81,7 @@ def score(q, catalog: Catalog) -> ProbabilityVector:
         raise DimensionMismatch(f"query length {qv.shape[0]} != catalog dim {catalog.dim}")
     if not np.isfinite(qv).all():
         raise NonFiniteInput("query contains non-finite entries")
-    # One dot product per row where the rows sit (slot order), then the I
-    # logits into id order. `np.vecdot` sums each row on its own, so a logit's
-    # bits depend only on its row and q, not on its slot; a matrix-vector
-    # product's can depend on where the row falls in the block. float32 rows
-    # widen 64 KB at a time: a whole-block `astype` would be catalog-sized.
-    rows = catalog._rows[: len(catalog)]
-    chunks = [slice(None)] if rows.dtype == np.float64 else row_chunks(len(rows), catalog.dim)
-    logits = np.empty(len(rows))
-    for c in chunks:
-        np.vecdot(rows[c].astype(np.float64, copy=False), qv, out=logits[c])
-    logits = logits[catalog._order]
+    logits = catalog.logits(qv)
     logits -= logits.max()
     # exp underflows to exact zero below ~-745; the softmax of finite logits
     # is mathematically positive, so floor the gap to keep every entry > 0.

@@ -110,11 +110,7 @@ def apply_delta(catalog: Catalog, delta: CatalogDelta, t: int) -> None:
         raise InvalidConfig(
             f"delta effective_at={delta.effective_at} applied at round {t}"
         )
-    catalog.check_changes(delta.removed, delta.added)
-    for item_id in delta.removed:
-        catalog.remove_item(item_id)
-    for item_id, init in delta.added:
-        catalog.add_item(item_id, init)
+    catalog.apply_changes(delta.removed, delta.added)
 
 
 @dataclass

@@ -231,6 +231,49 @@ def test_project_row_block_matches_per_row_reference():
             np.testing.assert_array_equal(project_row(v, ProjectionMode.UNIT_BALL), e)
 
 
+def test_float32_build_matches_per_row_reference():
+    # float32 rows are projected in float64 and rounded once.
+    def reference(row):
+        norm = float(np.linalg.norm(row))
+        return row if norm <= 1.0 else row / norm
+
+    rng = np.random.default_rng(3)
+    for d in (1, 5, 16, 64):
+        block = rng.normal(scale=2.0 / np.sqrt(d), size=(200, d)).astype(np.float32)
+        ids = [f"i{k:03d}" for k in range(len(block))]
+        cat = Catalog.from_rows(d, ids, block, dtype=np.float32, projection=ProjectionMode.UNIT_BALL)
+        expected = np.stack([reference(v.astype(np.float64)).astype(np.float32) for v in block])
+        assert cat.matrix().tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("projection", list(ProjectionMode))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_build_and_read_make_one_catalog_sized_block(tmp_path, dtype, projection):
+    import tracemalloc
+
+    n, d = 10_000, 64
+    ids = [f"i{k:05d}" for k in range(n)]
+    rows = np.random.default_rng(0).normal(size=(n, d)).astype(dtype)
+    path = str(tmp_path / "c.orag")
+    write_snapshot(Catalog.from_rows(d, ids, rows, dtype=dtype), path)
+    tracemalloc.start()
+    try:
+        cat = Catalog.from_rows(d, ids, rows, projection=projection, dtype=dtype)
+        build = tracemalloc.get_traced_memory()[1]
+        del cat
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        back = read_snapshot(path, projection)
+        read = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(back) == n
+    # The build keeps one block; ids, dicts and 64 KB chunk temporaries come
+    # on top. The read also holds the file's bytes while it builds.
+    assert build <= 1.6 * rows.nbytes
+    assert read <= 3.0 * rows.nbytes
+
+
 def test_ids_stay_sorted():
     cat = Catalog(1, [("b", [0.0]), ("a", [1.0]), ("c", [2.0])])
     assert cat.ids == ("a", "b", "c")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from orag.catalog import Catalog, write_snapshot
+from orag.catalog import Catalog, read_snapshot, write_snapshot
 from orag.errors import (
     DimensionMismatch,
     IoError,
@@ -182,9 +182,10 @@ def test_event_log_accepts_int_numbers_and_null_optionals(tmp_path):
     assert type(rec.propensity) is float and type(rec.eta) is float
 
 
-def _dump(tmp_path, d_queries=4, d_items=4):
+def _dump(tmp_path, d_queries=4, d_items=4, dtype=np.float64):
     rng = np.random.default_rng(0)
-    queries = Catalog(d_queries, [(f"q{k}", rng.normal(size=d_queries)) for k in range(2)])
+    queries = Catalog(d_queries, [(f"q{k}", rng.normal(size=d_queries)) for k in range(3)],
+                      dtype=dtype)
     items = Catalog(d_items, [(f"doc{k}", rng.normal(size=d_items)) for k in range(3)])
     qp, ip, lp = (str(tmp_path / n) for n in ("q.orag", "i.orag", "labels.txt"))
     write_snapshot(queries, qp)
@@ -193,13 +194,19 @@ def _dump(tmp_path, d_queries=4, d_items=4):
     return qp, ip, lp
 
 
-def test_ingest_dump_happy_path(tmp_path):
-    qp, ip, lp = _dump(tmp_path)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_ingest_dump_happy_path(tmp_path, dtype):
+    qp, ip, lp = _dump(tmp_path, dtype=dtype)
     stream = ingest_embedding_dump(qp, ip, lp)
     assert len(stream) == 2
     assert stream.labels == {"q0": "doc1", "q1": "doc2"}
     assert stream.queries.shape == (2, 4)
     assert set(stream.catalog.ids) == {"doc0", "doc1", "doc2"}
+    # The labelled rows only (q2 has no label), in id order, with their bits.
+    queries = read_snapshot(qp)
+    assert stream.query_ids == ["q0", "q1"]
+    assert stream.queries.dtype == dtype
+    assert stream.queries.tobytes() == np.stack([queries.row("q0"), queries.row("q1")]).tobytes()
 
 
 def test_ingest_dump_unknown_item(tmp_path):

@@ -125,16 +125,27 @@ def test_apply_delta_wrong_round():
     (["i0"], [("new", np.zeros(3)), ("i1", np.ones(3))], DuplicateId),
     (["i0"], [("new", np.zeros(3)), ("wide", np.zeros(4))], DimensionMismatch),
     (["i0"], [("new", np.zeros(3)), ("nan", np.full(3, np.nan))], NonFiniteInput),
+    # One operation: the delta raises what add_item/remove_item alone raises.
+    (["ghost"], [], UnknownId),
+    (["gone"], [], UnknownId),
+    ([], [("gone", np.zeros(3))], IdRetired),
+    ([], [("i1", np.ones(3))], DuplicateId),
+    ([], [("nan", np.full(3, np.nan))], NonFiniteInput),
+    ([], [("wide", np.zeros(4))], DimensionMismatch),
 ])
 def test_failing_delta_changes_nothing(removed, added, error):
     cat = _cat(3, n=5)
     cat.add_item("gone", np.ones(3))
     cat.remove_item("gone")
     ids, rows, gen = cat.ids, cat.matrix(), cat.generation
-    with pytest.raises(error):
-        apply_delta(cat, CatalogDelta(added=added, removed=removed, effective_at=2), t=2)
-    assert cat.ids == ids and cat.generation == gen
-    assert cat.matrix().tobytes() == rows.tobytes()
+    attempts = [lambda: apply_delta(cat, CatalogDelta(added=added, removed=removed, effective_at=2), t=2)]
+    if len(removed) + len(added) == 1:
+        attempts += [lambda: cat.remove_item(*removed)] if removed else [lambda: cat.add_item(*added[0])]
+    for attempt in attempts:
+        with pytest.raises(error):
+            attempt()
+        assert cat.ids == ids and cat.generation == gen
+        assert cat.matrix().tobytes() == rows.tobytes()
 
 
 def test_delta_bumps_generation_once_per_item():

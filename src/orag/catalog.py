@@ -47,8 +47,9 @@ def project_row(v: np.ndarray, mode: ProjectionMode) -> np.ndarray:
     return v
 
 
-def _project_rows(block: np.ndarray, mode: ProjectionMode) -> None:
-    """Check an (n, d) block finite and project its rows, in place.
+def _project_rows(block: np.ndarray, mode: ProjectionMode,
+                  error: str = "row contains non-finite entries") -> None:
+    """Check an (n, d) block finite (else `NonFiniteInput(error)`) and project its rows, in place.
 
     Works 64 KB at a time: a whole-block mask or float32 `astype` would be a
     quarter to twice the block's size. float32 rows are divided by float64
@@ -56,7 +57,7 @@ def _project_rows(block: np.ndarray, mode: ProjectionMode) -> None:
     """
     for chunk in (block[c] for c in row_chunks(*block.shape)):
         if not np.isfinite(chunk).all():
-            raise NonFiniteInput("row contains non-finite entries")
+            raise NonFiniteInput(error)
         if mode is ProjectionMode.UNIT_BALL:
             chunk /= np.maximum(row_norms(chunk.astype(np.float64, copy=False)), 1.0)
 
@@ -268,7 +269,7 @@ class Catalog:
         (np.multiply if len(queries) == 1 else np.matmul)(coeff, queries, out=tmp)
         tmp *= eta
         np.subtract(rows, tmp, out=tmp)
-        _project_rows(tmp, self.projection)
+        _project_rows(tmp, self.projection, "update makes a row non-finite")
         self._rows[slots] = tmp
         self.generation += 1
 

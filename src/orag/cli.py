@@ -106,7 +106,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="output directory (default: the config's out, else .)")
+        p.add_argument("--out", default=None, help="output directory (default: .)")
         p.add_argument("--k", type=_cutoff, default=10, help="cutoff for ranking metrics (>= 1)")
         p.add_argument("--passes", type=int, default=10_000, help="oracle pass budget")
 
@@ -117,7 +117,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config, seed=args.seed)
-        out = args.out or cfg.out or "."
+        out = args.out or "."
         os.makedirs(out, exist_ok=True)
 
         if args.command == "simulate":

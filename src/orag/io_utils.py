@@ -42,7 +42,6 @@ class RunConfig:
     alpha: float = 1.0
     shift_round: Optional[int] = None
     shift_fraction: float = 0.5
-    out: Optional[str] = None
     queries_path: Optional[str] = None
     items_path: Optional[str] = None
     labels_path: Optional[str] = None

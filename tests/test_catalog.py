@@ -576,7 +576,7 @@ def test_full_update_overflow_writes_nothing(dtype):
         for k in range(len(cat)):
             coeff = np.ones((len(cat), 1))
             coeff[k] = 1e308
-            with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteInput, match="update makes"), np.errstate(over="ignore"):
                 cat.update_rows(cat.ids, coeff, np.full((1, dim), 10.0), eta=1.0)
             assert cat.matrix().tobytes() == rows.tobytes()
             assert cat.generation == gen

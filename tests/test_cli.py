@@ -120,20 +120,6 @@ def test_metrics_k_below_one_exits_one_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_config_out_is_the_default_output_directory(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # a run that ignores `out` writes here
-    from_config = tmp_path / "from_config"
-    cfg = _cfg(tmp_path, {**MINIMAL, "out": str(from_config)})
-    assert cli_main(["simulate", "--config", cfg]) == 0
-    assert sorted(p.name for p in from_config.iterdir()) == ["catalog.orag", "events.jsonl"]
-    assert not (tmp_path / "events.jsonl").exists()
-    flag = tmp_path / "flag"
-    assert cli_main(["simulate", "--config", cfg, "--out", str(flag)]) == 0
-    assert sorted(p.name for p in flag.iterdir()) == ["catalog.orag", "events.jsonl"]
-    assert (flag / "events.jsonl").read_bytes() == (from_config / "events.jsonl").read_bytes()
-    assert sorted(p.name for p in from_config.iterdir()) == ["catalog.orag", "events.jsonl"]
-
-
 def test_export_snapshot_round_trips(tmp_path):
     out = str(tmp_path / "exp")
     cfg_path = _cfg(tmp_path)

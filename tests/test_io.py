@@ -58,6 +58,8 @@ def test_k_larger_than_catalog_names_the_field(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ValidationError, match="foo"):
         load_config(_write_config(tmp_path, {"I": 3, "d": 2, "T": 10, "seed": 0, "foo": 1}))
+    with pytest.raises(ValidationError, match="out"):  # outputs go only to --out
+        load_config(_write_config(tmp_path, {"I": 3, "d": 2, "T": 10, "seed": 0, "out": "x"}))
 
 
 def test_missing_required_key(tmp_path):

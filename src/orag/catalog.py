@@ -29,6 +29,7 @@ ItemId = str
 
 SNAPSHOT_MAGIC = b"ORAG"
 SNAPSHOT_VERSION = 1
+CHUNK_VALUES = 1 << 13  # float64 values in one 64 KB `row_chunks` chunk
 
 
 class ProjectionMode(enum.Enum):
@@ -55,8 +56,10 @@ def _project_rows(block: np.ndarray, mode: ProjectionMode,
     quarter to twice the block's size. float32 rows are divided by float64
     norms, so they get the float64 rule's bits rounded once.
     """
-    for chunk in (block[c] for c in row_chunks(*block.shape)):
-        if not np.isfinite(chunk).all():
+    n, d = block.shape  # a block within one chunk is taken whole, with no slicing
+    chunks = (block,) if n * d <= CHUNK_VALUES else (block[c] for c in row_chunks(n, d))
+    for chunk in chunks:
+        if not np.logical_and.reduce(np.isfinite(chunk), axis=None):
             raise NonFiniteInput(error)
         if mode is ProjectionMode.UNIT_BALL:
             chunk /= np.maximum(row_norms(chunk.astype(np.float64, copy=False)), 1.0)
@@ -75,7 +78,7 @@ def row_chunks(n: int, dim: int) -> list[slice]:
     it serves the next ones from the brk heap, where they fragment it: peak
     RSS then moved by whole blocks between identical runs.
     """
-    step = max(1, (1 << 13) // max(dim, 1))
+    step = max(1, CHUNK_VALUES // max(dim, 1))
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
@@ -83,12 +86,14 @@ class Catalog:
     """Mapping ItemId -> embedding row plus a generation counter.
 
     Rows sit in slots [0, n) of a buffer that doubles when full; a dict maps
-    id -> slot, `_order` lists the slots in id order, and a removal moves
-    the last slot into the hole. Add/remove cost O(d) plus O(I) memmoves and
-    scans of the sorted ids and `_order`, no O(I) Python; `update_rows` and
-    `row` one dict lookup per row (none for all rows); `matrix()` one gather
-    (`logits` reads the slots in place). `apply_changes` is the one path that
-    adds and removes rows. Each successful mutation bumps `generation`.
+    id -> slot, `_slot_ids` slot -> id, `_order[:n]` (a buffer as long as the
+    rows') lists the slots in id order, and a removal moves the last slot
+    into the hole. Add/remove cost O(d) plus two bisects and O(I) in-place
+    memmoves of the sorted ids and `_order`, with no allocation of O(I);
+    `update_rows` and `row` one dict lookup per row (none for all rows);
+    `matrix()` one gather (`logits` reads the slots in place).
+    `apply_changes` is the one path that adds and removes rows. Each
+    successful mutation bumps `generation`.
     """
 
     def __init__(
@@ -137,6 +142,7 @@ class Catalog:
         _project_rows(self._rows, self.projection)
         order = sorted(range(n), key=ids.__getitem__)
         self._ids = [ids[k] for k in order]      # sorted
+        self._slot_ids = ids                     # slot -> id
         self._order = np.array(order, dtype=np.intp)
         self._ids_tuple: tuple[ItemId, ...] | None = None
 
@@ -162,16 +168,18 @@ class Catalog:
         # bits depend only on its row and q, not on its slot; a matrix-vector
         # product's can depend on where the row falls in the block. float32 rows
         # widen 64 KB at a time: a whole-block `astype` would be catalog-sized.
-        rows = self._rows[: len(self)]
-        chunks = [slice(None)] if rows.dtype == np.float64 else row_chunks(len(rows), self.dim)
-        out = np.empty(len(rows))
-        for c in chunks:
-            np.vecdot(rows[c].astype(np.float64, copy=False), q, out=out[c])
-        return out[self._order]
+        n = len(self._ids)
+        rows, out = self._rows[:n], np.empty(n)
+        if rows.dtype == np.float64:
+            np.vecdot(rows, q, out=out)
+        else:
+            for c in row_chunks(n, self.dim):
+                np.vecdot(rows[c].astype(np.float64), q, out=out[c])
+        return out[self._order[:n]]
 
     def matrix(self) -> np.ndarray:
         """The rows in id order, as a fresh (I, dim) array the caller owns."""
-        return self._rows[self._order]
+        return self._rows[self._order[: len(self)]]
 
     def row(self, item_id: ItemId) -> np.ndarray:
         try:
@@ -216,27 +224,33 @@ class Catalog:
             new.add(item_id)
         rows = self._check_rows([v for _, v in added])
         _project_rows(rows, self.projection)
+        order = self._order  # shifted in place: overlapping slice copies are memmoves
         for item_id in removed:
             hole, last = self._slot.pop(item_id), len(self._ids) - 1
             pos = bisect.bisect_left(self._ids, item_id)
             del self._ids[pos]
-            self._order = np.delete(self._order, pos)
+            order[pos:last] = order[pos + 1:last + 1]
+            moved = self._slot_ids.pop()
             if hole != last:  # the last slot moves into the hole
-                k = int(np.argmax(self._order == last))
                 self._rows[hole] = self._rows[last]
-                self._slot[self._ids[k]] = self._order[k] = hole
+                self._slot[moved] = order[bisect.bisect_left(self._ids, moved)] = hole
+                self._slot_ids[hole] = moved
             self._retired.add(item_id)
             self._ids_tuple = None
             self.generation += 1
         for item_id, v in zip(new_ids, rows):
             n = len(self._ids)
             if n == len(self._rows):  # full: double the capacity
-                self._rows = np.concatenate([self._rows, np.empty((max(n, 8), self.dim), self.dtype)])
+                grow = max(n, 8)
+                self._rows = np.concatenate([self._rows, np.empty((grow, self.dim), self.dtype)])
+                self._order = order = np.concatenate([order, np.empty(grow, np.intp)])
             self._rows[n] = v
             self._slot[item_id] = n
+            self._slot_ids.append(item_id)
             pos = bisect.bisect_left(self._ids, item_id)
             self._ids.insert(pos, item_id)
-            self._order = np.insert(self._order, pos, n)
+            order[pos + 1:n + 1] = order[pos:n]
+            order[pos] = n
             self._ids_tuple = None
             self.generation += 1
 
@@ -253,30 +267,34 @@ class Catalog:
                 raise ValueError
         except (TypeError, ValueError):
             raise DimensionMismatch(f"need ({len(ids)}, B) and (B, {self.dim}) blocks") from None
+        n = len(ids)
         if ids is self._ids_tuple:  # every row: the coefficients go into slot order
-            slots, by_slot = slice(0, len(ids)), np.empty_like(coeff)
-            by_slot[self._order] = coeff
+            slots, by_slot = slice(0, n), np.empty_like(coeff)
+            by_slot[self._order[:n]] = coeff
             coeff = by_slot
         else:
             try:
                 slots = list(map(self._slot.__getitem__, ids))
             except KeyError as e:
                 raise UnknownId(e.args[0]) from None
-            if len(set(slots)) != len(slots):
+            if n == 1:  # one row: a view of it, not a gather and a scatter
+                slots = slice(slots[0], slots[0] + 1)
+            elif len(set(slots)) != n:
                 raise DuplicateId(next(i for k, i in enumerate(ids) if i in ids[:k]))
-        rows = self._rows[slots]
-        tmp = np.empty(rows.shape, self.dtype)  # g in float64, rounded once to the catalog dtype
+        tmp = np.empty((n, self.dim), self.dtype)  # g in float64, rounded once to the catalog dtype
         (np.multiply if len(queries) == 1 else np.matmul)(coeff, queries, out=tmp)
         tmp *= eta
-        np.subtract(rows, tmp, out=tmp)
+        np.subtract(self._rows[slots], tmp, out=tmp)
         _project_rows(tmp, self.projection, "update makes a row non-finite")
         self._rows[slots] = tmp
         self.generation += 1
 
     def copy(self) -> "Catalog":
         out = copy.copy(self)
-        out._rows, out._order = self._rows[: len(self)].copy(), self._order.copy()
+        n = len(self)
+        out._rows, out._order = self._rows[:n].copy(), self._order[:n].copy()
         out._slot, out._ids, out._retired = dict(self._slot), list(self._ids), set(self._retired)
+        out._slot_ids = list(self._slot_ids)
         return out
 
     def max_row_norm(self) -> float:

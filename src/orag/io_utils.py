@@ -100,7 +100,7 @@ def load_config(path: str, seed: int | None = None) -> RunConfig:
             raw = json.load(f)
     except OSError as e:
         raise IoError(str(e)) from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ParseError(f"{path}: {e}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: config must be a single JSON object")
@@ -154,6 +154,8 @@ def read_event_log(path: str) -> list[RoundRecord]:
             lines = f.readlines()
     except OSError as e:
         raise IoError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not UTF-8: {e}") from None
     last_t = 0
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -214,6 +216,8 @@ def ingest_embedding_dump(queries_path: str, items_path: str, labels_path: str,
             lines = f.readlines()
     except OSError as e:
         raise IoError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{labels_path}: not UTF-8: {e}") from None
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

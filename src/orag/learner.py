@@ -97,9 +97,11 @@ def horizon_tuned_eta(theta_bar: float, p_low: float, q_bar: float, horizon: int
     return math.sqrt(p_low * theta_bar / (q_bar * (1 - p_low) * (1 + 2 * p_low) * horizon))
 
 
-def _propensity(p: ProbabilityVector, fb: Feedback, clip_propensity: float | None) -> float:
-    """p[chosen] checked against the logged propensity, floored at `clip_propensity`."""
-    prop = p[fb.chosen]
+def _propensity(p: ProbabilityVector, k: int, fb: Feedback,
+                clip_propensity: float | None) -> float:
+    """p.probs[k], k the index of the chosen item, checked against the logged
+    propensity and floored at `clip_propensity`."""
+    prop = float(p.probs[k])
     if fb.propensity <= 0:
         raise ZeroPropensity(f"propensity {fb.propensity}")
     if abs(prop - fb.propensity) > _PROPENSITY_TOL:
@@ -117,10 +119,11 @@ def estimate_gradient_full(
     `clip_propensity` floors the denominator; it trades the exact
     unbiasedness for bounded weights and is off by default.
     """
-    prop = _propensity(p, fb, clip_propensity)
+    k = p.index_of(fb.chosen)
+    prop = _propensity(p, k, fb, clip_propensity)
     coeff = p.probs.copy()  # p - s * e_c / p_c
     if fb.success:
-        coeff[p.index_of(fb.chosen)] -= 1.0 / prop
+        coeff[k] -= 1.0 / prop
     return GradientBatch(p.ids, coeff[:, None], _as_query(q)[None, :], t=t)
 
 
@@ -128,7 +131,7 @@ def estimate_gradient_chosen_only(
     p: ProbabilityVector, q, fb: Feedback, t: int = 0, clip_propensity: float | None = None
 ) -> GradientBatch:
     """Cheaper estimate touching only the chosen item's row."""
-    prop = _propensity(p, fb, clip_propensity)
+    prop = _propensity(p, p.index_of(fb.chosen), fb, clip_propensity)
     coeff = 1.0 - (1.0 / prop if fb.success else 0.0)
     return GradientBatch((fb.chosen,), np.array([[coeff]]), _as_query(q)[None, :], t=t)
 

@@ -132,21 +132,28 @@ def regret_curve(episode_log, oracle: Catalog) -> RegretLedger:
     """Per-round online/oracle losses and the running regret sum.
 
     `episode_log` must expose per-round queries, ground-truth items, and the
-    online losses recorded during the run.
+    online losses recorded during the run. The sum runs over the rounds that
+    have an online loss: a round whose target was not in the catalog (an item
+    the dynamic variant still withholds) records NaN and adds nothing.
     """
     if episode_log.queries is None or episode_log.true_items is None:
         raise MissingGroundTruth("episode log lacks (q_t, i*_t) records")
     online = np.asarray(episode_log.online_losses, dtype=np.float64)
+    missing = np.isnan(online)
+    if missing.all():  # run with record_losses=False: no regret to sum
+        raise MissingGroundTruth("episode log has no online losses")
     queries, labels = _event_arrays(
         list(zip(episode_log.queries, episode_log.true_items)), oracle
     )
     p = queries @ oracle.matrix().astype(np.float64, copy=False).T
     softmax_rows(p, out=p)
     oracle_losses = -np.log(p[np.arange(len(labels)), labels])
+    gap = online - oracle_losses
+    gap[missing] = 0.0
     return RegretLedger(
         online_loss=online,
         oracle_loss=oracle_losses,
-        cumulative_regret=np.cumsum(online - oracle_losses),
+        cumulative_regret=np.cumsum(gap),
     )
 
 

@@ -79,25 +79,25 @@ def score(q, catalog: Catalog) -> ProbabilityVector:
     qv = _as_query(q)
     if qv.shape != (catalog.dim,):
         raise DimensionMismatch(f"query length {qv.shape[0]} != catalog dim {catalog.dim}")
-    if not np.isfinite(qv).all():
+    # The ufuncs' own reduce: `.all()`/`.max()`/`.sum()`'s bits without their wrappers.
+    if not np.logical_and.reduce(np.isfinite(qv)):
         raise NonFiniteInput("query contains non-finite entries")
     logits = catalog.logits(qv)
-    logits -= logits.max()
+    logits -= np.maximum.reduce(logits)
     # exp underflows to exact zero below ~-745; the softmax of finite logits
     # is mathematically positive, so floor the gap to keep every entry > 0.
     np.maximum(logits, -700.0, out=logits)
     np.exp(logits, out=logits)
-    logits /= logits.sum()
+    logits /= np.add.reduce(logits)
     return ProbabilityVector(catalog.ids, logits, catalog.generation)
 
 
 def sample_one(p: ProbabilityVector, rng: RandomSource) -> ItemId:
     """Draw one item by inverse CDF; consumes exactly one uniform."""
     u = rng.uniform()
-    cdf = np.cumsum(p.probs)
-    idx = int(np.searchsorted(cdf, u * cdf[-1], side="right"))
-    idx = min(idx, len(p.ids) - 1)
-    return p.ids[idx]
+    cdf = np.add.accumulate(p.probs)  # np.cumsum's ufunc, without its wrapper
+    idx = int(cdf.searchsorted(u * cdf[-1], side="right"))
+    return p.ids[min(idx, len(p.ids) - 1)]
 
 
 def sample_k_without_replacement(
@@ -107,10 +107,10 @@ def sample_k_without_replacement(
     if k < 1 or k > len(p.ids):
         raise KTooLarge(f"K={k} with I={len(p.ids)} items")
     w = np.array(p.probs)  # a drawn item's weight becomes zero
-    cdf = np.cumsum(w)
+    cdf = np.add.accumulate(w)
     last, picks = len(w) - 1, []  # last live item: the pick when u * cdf[-1] rounds to cdf[-1]
     while True:
-        j = min(int(np.searchsorted(cdf, rng.uniform() * cdf[-1], side="right")), last)
+        j = min(int(cdf.searchsorted(rng.uniform() * cdf[-1], side="right")), last)
         picks.append(j)
         if len(picks) == k:
             return [p.ids[i] for i in picks]
@@ -119,5 +119,5 @@ def sample_k_without_replacement(
         # Redo the CDF from j on, seeded with the unchanged cdf[j-1]: cumsum
         # adds left to right, so these are the bits of a whole recompute.
         w[j] = cdf[j - 1] if j else 0.0
-        np.cumsum(w[j:], out=cdf[j:])
+        np.add.accumulate(w[j:], out=cdf[j:])
         w[j] = 0.0

@@ -167,23 +167,30 @@ def initial_catalog(
     projection: ProjectionMode = ProjectionMode.NONE,
     restrict_to: Sequence[ItemId] | None = None,
 ) -> Catalog:
-    """Rows = normalize(latent + init_noise * gaussian); seeded by env.seed."""
-    ids = env.ids
-    # One block, filled in place: the bits of _unit(latents + init_noise * normal).
-    # With no noise the draw is skipped, as latent + 0.0 * normal == latent.
-    if init_noise == 0:
-        rows = env.latents.copy()
-    else:
-        rows = np.random.default_rng(np.random.SeedSequence([env.seed, 2])).normal(
-            size=env.latents.shape)
-        rows *= init_noise
-        rows += env.latents
-    for chunk in row_chunks(len(ids), env.dim):
-        _unit(rows[chunk], out=rows[chunk])
+    """Rows = normalize(latent + init_noise * gaussian); seeded by env.seed.
+
+    `restrict_to` keeps those ids' rows only, with the bits they have in the
+    whole catalog."""
+    ids, keep = env.ids, np.arange(len(env.ids))
     if restrict_to is not None:
-        keep = set(restrict_to)
-        idx = [k for k, i in enumerate(ids) if i in keep]
-        ids, rows = [ids[k] for k in idx], rows[idx]
+        wanted = set(restrict_to)
+        keep = keep[[i in wanted for i in ids]]
+        ids = [ids[k] for k in keep.tolist()]
+    # One block of the kept rows, filled in place: the bits of
+    # _unit(latents + init_noise * normal). The normals are drawn 64 KB at a
+    # time, the stream of one whole-block draw, and only the kept rows used.
+    # With no noise the draw is skipped, as latent + 0.0 * normal == latent.
+    rows = env.latents[keep]
+    if init_noise != 0:
+        rng = np.random.default_rng(np.random.SeedSequence([env.seed, 2]))
+        lo = 0
+        for chunk in row_chunks(len(env.ids), env.dim):
+            noise = rng.normal(size=(chunk.stop - chunk.start, env.dim))
+            hi = int(np.searchsorted(keep, chunk.stop))
+            rows[lo:hi] += init_noise * noise[keep[lo:hi] - chunk.start]
+            lo = hi
+    for chunk in row_chunks(len(rows), env.dim):
+        _unit(rows[chunk], out=rows[chunk])
     return Catalog.from_rows(env.dim, ids, rows, projection=projection, copy=False)
 
 

@@ -2,6 +2,7 @@
 them up by. These tests fail when a refactor drops or bypasses one of those
 names, so the break shows in the unit suite and not only in a benchmark run."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -81,3 +82,12 @@ def test_traced_oracle_evaluates_the_loss_once_per_candidate(monkeypatch):
             backtracks += 1
     assert backtracks >= 1 and accepted == fit.loss
     assert spans == len(losses) == fit.passes + 1 + backtracks
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark's self-tests at tiny sizes (about 2 s): its counts, units,
+    # checks and fingerprints, run against this checkout's library.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "bench" / "selftest.py")], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]

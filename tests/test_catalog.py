@@ -537,6 +537,23 @@ def test_snapshot_write_makes_no_catalog_sized_temporary(tmp_path):
     assert peak < cat.matrix().nbytes / 4
 
 
+def test_one_retire_and_one_insert_copy_no_index():
+    import tracemalloc
+
+    # The churn workload's delta: the index moves are memmoves in place.
+    cat = _churned(10_000, 64)
+    row = np.random.default_rng(5).normal(size=64)
+    cat.apply_changes([cat.ids[123]], [("fresh-0", row)])  # warm-up
+    for gone in (cat.ids[4567], cat.ids[-1]):
+        tracemalloc.start()
+        try:
+            cat.apply_changes([gone], [(f"fresh-{gone}", row)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024  # the id index alone is 80 KB
+
+
 def _reference_update(cat, ids, coeff, queries, eta):
     """The id-ordered matrix after project(row - eta * g) row by row, with
     g = coeff @ queries rounded to the catalog dtype."""

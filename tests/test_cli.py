@@ -80,6 +80,13 @@ def test_malformed_config_is_a_validation_error(tmp_path, bad):
     assert cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_non_utf8_config_exits_one(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(MINIMAL).encode("utf-16-le"))
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_regret_csv_matches_library_value(tmp_path):
     payload = {"I": 8, "d": 4, "T": 200, "seed": 3, "schedule": "constant", "c": 0.05,
                "sigma_init": 0.8}
@@ -96,6 +103,19 @@ def test_regret_csv_matches_library_value(tmp_path):
     fit = train_oracle(list(zip(log.queries, log.true_items)), init, passes=500)
     ledger = regret_curve(log, fit.catalog)
     assert float(rows[-1]["cum_regret"]) == ledger.final_regret
+
+
+def test_regret_csv_of_the_dynamic_variant_is_finite(tmp_path):
+    # Half the items are withheld until mid-stream; their rounds have no online loss.
+    payload = {"I": 20, "d": 4, "T": 200, "seed": 3, "variant": "dynamic"}
+    out = str(tmp_path / "regret")
+    assert cli_main(["regret", "--config", _cfg(tmp_path, payload), "--out", out,
+                     "--passes", "50"]) == 0
+    with open(os.path.join(out, "regret.csv")) as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 200
+    assert any(np.isnan(float(r["online_loss"])) for r in rows)
+    assert all(np.isfinite(float(r[k])) for r in rows for k in ("oracle_loss", "cum_regret"))
 
 
 def test_metrics_csv(tmp_path):

@@ -74,6 +74,13 @@ def test_bad_json_is_a_parse_error(tmp_path):
         load_config(str(path))
 
 
+def test_non_utf8_config_is_a_parse_error(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"I": 3}'.encode("utf-16-le"))
+    with pytest.raises(ParseError, match="utf16.json"):
+        load_config(str(path))
+
+
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(IoError):
         load_config(str(tmp_path / "nope.json"))
@@ -131,6 +138,13 @@ def test_event_log_corrupt_line_cites_its_number(tmp_path):
     open(path, "w").writelines(lines)
     with pytest.raises(SchemaError, match="line 2"):
         read_event_log(path)
+
+
+def test_non_utf8_event_log_is_a_schema_error(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes('{"chosen": "caf\u00e9"}\n'.encode("latin-1"))
+    with pytest.raises(SchemaError, match="UTF-8"):
+        read_event_log(str(path))
 
 
 def test_event_log_rejects_extra_keys(tmp_path):
@@ -242,6 +256,13 @@ def test_ingest_dump_query_labelled_twice(tmp_path):
     qp, ip, lp = _dump(tmp_path)
     (tmp_path / "labels.txt").write_text("q0 doc1\nq1 doc2\nq0 doc2\n")
     with pytest.raises(SchemaError, match="line 3"):
+        ingest_embedding_dump(qp, ip, lp)
+
+
+def test_ingest_dump_non_utf8_labels_are_a_schema_error(tmp_path):
+    qp, ip, lp = _dump(tmp_path)
+    (tmp_path / "labels.txt").write_bytes(b"q0 doc1\nq1 \xffdoc2\n")
+    with pytest.raises(SchemaError, match="UTF-8"):
         ingest_embedding_dump(qp, ip, lp)
 
 

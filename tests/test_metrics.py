@@ -142,6 +142,23 @@ def test_regret_is_additive():
     np.testing.assert_allclose(ledger.cumulative_regret, np.cumsum(per_round), atol=1e-12)
 
 
+def test_regret_skips_rounds_without_an_online_loss():
+    # A dynamic-variant round whose target is still withheld records NaN.
+    oracle = Catalog(2, [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+
+    class PartlyWithheld:
+        queries = [np.array([1.0, 0.5]), np.array([0.2, 1.0]), np.array([1.0, 1.0])]
+        true_items = ["a", "b", "a"]
+        online_losses = [0.9, float("nan"), 0.4]
+
+    ledger = regret_curve(PartlyWithheld, oracle)
+    o = ledger.oracle_loss
+    assert np.isnan(ledger.online_loss[1]) and np.isfinite(o).all()
+    expected = np.cumsum([0.9 - o[0], 0.0, 0.4 - o[2]])
+    assert ledger.cumulative_regret.tobytes() == expected.tobytes()
+    assert math.isfinite(ledger.final_regret)
+
+
 def test_regret_requires_ground_truth():
     class Bare:
         queries = None
@@ -150,6 +167,14 @@ def test_regret_requires_ground_truth():
 
     with pytest.raises(MissingGroundTruth):
         regret_curve(Bare, Catalog(1, [("a", [0.0])]))
+
+
+def test_regret_requires_online_losses():
+    ep = EpisodeConfig(T=20, I=5, d=3)
+    env = make_environment(ep, 4)
+    log = run_episode(env, ep, init_noise=0.8, record_losses=False)
+    with pytest.raises(MissingGroundTruth, match="online losses"):
+        regret_curve(log, Catalog(3, zip(env.ids, env.latents)))
 
 
 def _ranked(order, relevant):

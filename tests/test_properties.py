@@ -121,8 +121,8 @@ ids = st.text(alphabet="abc", min_size=1, max_size=3)
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_catalog_matches_reference_dict(data):
-    # Random add/remove/update/copy sequences against a dict of rows
-    # computed one row at a time.
+    # Random add/remove/update/copy/multi-item change sequences against a
+    # dict of rows computed one row at a time.
     d = data.draw(st.integers(1, 4))
     dtype = data.draw(st.sampled_from([np.float64, np.float32]))
     projection = data.draw(st.sampled_from(list(ProjectionMode)))
@@ -131,6 +131,12 @@ def test_catalog_matches_reference_dict(data):
     ref: dict[str, np.ndarray] = {}
     retired: set[str] = set()
     copies = []
+    slots: list[str] = []  # the documented layout: a removal moves the last slot into the hole
+    q = rng.normal(size=d)
+
+    def unlink(item):
+        slots[slots.index(item)] = slots[-1]
+        slots.pop()
 
     def proj(v):
         return project_row(np.asarray(v, dtype=dtype), projection).astype(dtype)
@@ -139,7 +145,8 @@ def test_catalog_matches_reference_dict(data):
         return c.ids, c.matrix().tobytes(), c.generation
 
     for _ in range(data.draw(st.integers(1, 30))):
-        op = data.draw(st.sampled_from(["add", "add", "remove", "update", "copy", "bad_add"]))
+        op = data.draw(st.sampled_from(
+            ["add", "add", "remove", "update", "copy", "bad_add", "changes", "bad_changes"]))
         gen, before = cat.generation, state(cat)
         mutated = op == "update"  # an update bumps even when it writes no row
         if op == "add":
@@ -154,6 +161,7 @@ def test_catalog_matches_reference_dict(data):
             else:
                 cat.add_item(item, v)
                 ref[item] = proj(v)
+                slots.append(item)
                 mutated = True
         elif op == "bad_add":
             bad = data.draw(st.sampled_from(["width", "nan"]))
@@ -169,7 +177,35 @@ def test_catalog_matches_reference_dict(data):
                 cat.remove_item(item)
                 del ref[item]
                 retired.add(item)
+                unlink(item)
                 mutated = True
+        elif op in ("changes", "bad_changes"):
+            # Several removals (the item in the last slot among them, when
+            # drawn) and several additions, past the capacity when there are many.
+            gone = data.draw(st.lists(st.sampled_from(sorted(ref)), unique=True)) if ref else []
+            if slots and data.draw(st.booleans()) and slots[-1] not in gone:
+                gone.insert(data.draw(st.integers(0, len(gone))), slots[-1])
+            fresh = ids.filter(lambda i: i not in ref and i not in retired and i not in gone)
+            new = data.draw(st.lists(fresh, unique=True, max_size=10))
+            added = [(i, rng.normal(scale=2.0, size=d)) for i in new]
+            if op == "bad_changes":  # one bad id, checked after every good one
+                taken = [i for i in ref if i not in gone] + new + sorted(retired) + gone
+                if taken and data.draw(st.booleans()):
+                    bad = (gone, added + [(data.draw(st.sampled_from(taken)), np.ones(d))])
+                else:
+                    bad = (gone + ["zzzz"], added)
+                with pytest.raises((DuplicateId, IdRetired, UnknownId)):
+                    cat.apply_changes(*bad)
+            else:
+                cat.apply_changes(gone, added)
+                for item in gone:
+                    del ref[item]
+                    retired.add(item)
+                    unlink(item)
+                for item, v in added:
+                    ref[item] = proj(v)
+                    slots.append(item)
+                mutated = len(gone) + len(added)
         elif op == "update":
             chosen = data.draw(st.lists(st.sampled_from(sorted(ref)), unique=True)) if ref else []
             deltas = {i: rng.normal(size=d) for i in chosen}
@@ -196,5 +232,8 @@ def test_catalog_matches_reference_dict(data):
         for i in ref:
             assert i in cat and cat.row(i).tobytes() == ref[i].tobytes()
         assert all(i not in cat for i in retired)
+        if ref:  # each logit has the bits of its own row's dot product, wherever the row sits
+            logits = [np.vecdot(ref[i].astype(np.float64), q) for i in sorted(ref)]
+            assert cat.logits(q).tobytes() == np.array(logits).tobytes()
     for dup, snap in copies:
         assert state(dup) == snap

@@ -327,3 +327,25 @@ def test_setup_makes_one_catalog_sized_block(noise):
     # The catalog keeps the one block initial_catalog fills; ids, dicts and
     # 64 KB chunk temporaries come on top.
     assert peak < 2 * block
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_restricted_catalog_builds_only_the_kept_rows(noise):
+    import tracemalloc
+
+    env = make_environment(EpisodeConfig(T=5, I=10_000, d=64), 2)
+    block = env.latents.nbytes
+    kept = env.ids[::2]  # what the dynamic variant's half_withheld_scenario keeps, in size
+    tracemalloc.start()
+    try:
+        cat = initial_catalog(env, noise, restrict_to=kept)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The kept rows are half the block; ids, dicts and 64 KB chunks come on top.
+    assert peak < 0.9 * block
+    # Each kept row has the bits it has in the whole catalog.
+    full = initial_catalog(env, noise)
+    pos = {i: k for k, i in enumerate(full.ids)}
+    assert cat.ids == tuple(kept)
+    assert cat.matrix().tobytes() == full.matrix()[[pos[i] for i in kept]].tobytes()

@@ -187,9 +187,6 @@ class Catalog:
         except KeyError:
             raise UnknownId(item_id) from None
 
-    def items(self) -> list[tuple[ItemId, np.ndarray]]:
-        return [(i, self._rows[self._slot[i]].copy()) for i in self._ids]
-
     # -- write side ---------------------------------------------------------
 
     def _check_rows(self, rows) -> np.ndarray:
@@ -352,6 +349,8 @@ def read_snapshot(path: str, projection: ProjectionMode = ProjectionMode.NONE) -
     if any(a >= b for a, b in zip(ids, ids[1:])):
         raise SnapshotFormatError("ids are not strictly increasing")
     wire = np.dtype("<f8" if dtag == 0 else "<f4")
+    if dim * wire.itemsize > np.iinfo(np.intp).max:  # a width no row can have, even with no rows
+        raise SnapshotFormatError(f"row width {dim} is too large")
     if len(data) - off != count * dim * wire.itemsize:
         raise SnapshotFormatError("row block is truncated or followed by extra bytes")
     rows = np.frombuffer(data, dtype=wire, offset=off).reshape(count, dim)

@@ -100,7 +100,7 @@ def load_config(path: str, seed: int | None = None) -> RunConfig:
             raw = json.load(f)
     except OSError as e:
         raise IoError(str(e)) from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, a >4300-digit int, deep nesting
         raise ParseError(f"{path}: {e}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: config must be a single JSON object")
@@ -162,7 +162,7 @@ def read_event_log(path: str) -> list[RoundRecord]:
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # also a >4300-digit int or deep nesting
             raise SchemaError(f"line {lineno}: not valid JSON") from None
         if not isinstance(row, dict):
             raise SchemaError(f"line {lineno}: expected a JSON object")

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import Catalog, ItemId
+from .catalog import Catalog, ItemId, ProjectionMode, _project_rows
 from .errors import (
     EmptyEvents,
     MissingGroundTruth,
@@ -82,7 +82,8 @@ def train_oracle(
     pass would increase the loss, so the final loss never exceeds the initial
     one; stops once the pass-over-pass improvement drops below `tol` or the
     pass budget is exhausted. Each candidate's softmax is computed once: the
-    accepted one's probabilities give the next pass's gradient.
+    accepted one's probabilities give the next pass's gradient. A UNIT_BALL
+    `init.projection` projects each candidate before it is scored.
     """
     if len(events) == 0:
         raise EmptyEvents("oracle needs at least one event")
@@ -98,6 +99,8 @@ def train_oracle(
         grad = p.T @ queries
         while True:
             cand = theta - step * grad
+            if init.projection is ProjectionMode.UNIT_BALL:
+                _project_rows(cand, init.projection)
             cand_loss = total_loss(cand, queries, labels, out=cand_p)
             if cand_loss <= loss or step < 1e-16:
                 break
@@ -110,7 +113,7 @@ def train_oracle(
         step *= 1.05  # cautious growth; backtracking undoes overshoot
         if improved < tol:
             break
-    fitted = Catalog.from_rows(init.dim, init.ids, theta)
+    fitted = Catalog.from_rows(init.dim, init.ids, theta, projection=init.projection)
     return OracleFit(catalog=fitted, loss=loss, passes=used)
 
 

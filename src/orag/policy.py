@@ -3,7 +3,9 @@
 Probabilities follow the softmax of query/row inner products, computed with
 max-logit subtraction so large norms cannot overflow. Sampling is inverse-CDF
 over the catalog's sorted id order, consuming exactly one uniform draw per
-item drawn, so (seed, event log) fully reproduces a run.
+item drawn, so (seed, event log) fully reproduces a run. K-sampling builds one
+CDF per call and keeps a pick only when an error bound proves it is the pick of
+the exact per-draw CDF; a pick too close to call rebuilds that CDF.
 """
 
 from __future__ import annotations
@@ -100,24 +102,53 @@ def sample_one(p: ProbabilityVector, rng: RandomSource) -> ItemId:
     return p.ids[min(idx, len(p.ids) - 1)]
 
 
+def _exact_pick(w: np.ndarray, drawn: list[int], u: float) -> int:
+    """Inverse CDF over `w` with the `drawn` weights set to zero, summed left to right."""
+    live = np.array(w)
+    live[drawn] = 0.0
+    cdf = np.add.accumulate(live)
+    return int(cdf.searchsorted(u * cdf[-1], side="right"))
+
+
 def sample_k_without_replacement(
     p: ProbabilityVector, k: int, rng: RandomSource
 ) -> list[ItemId]:
-    """Sequential renormalized draws; output order equals draw order."""
-    if k < 1 or k > len(p.ids):
-        raise KTooLarge(f"K={k} with I={len(p.ids)} items")
-    w = np.array(p.probs)  # a drawn item's weight becomes zero
+    """Sequential renormalized draws; output order equals draw order.
+
+    A draw picks what `_exact_pick` picks. It searches the first draw's CDF
+    less the weight drawn at or before each position, and keeps that pick when
+    it clears the target by an error bound on both sides.
+    """
+    n = len(p.ids)
+    if k < 1 or k > n:
+        raise KTooLarge(f"K={k} with I={n} items")
+    w = p.probs
     cdf = np.add.accumulate(w)
-    last, picks = len(w) - 1, []  # last live item: the pick when u * cdf[-1] rounds to cdf[-1]
+    # tol bounds the summation error of this CDF and of the exact one
+    # (gamma_n·total each), of `below`, and the rounding of u·total, in
+    # u·total's dtype. The bound needs a monotone CDF: no negative weight.
+    tol = 4 * (n + k + 2) * np.finfo((1.0 * cdf[-1]).dtype).eps * cdf[-1]
+    certify = tol < np.inf and np.minimum.reduce(w) >= 0
+    # Over the sorted drawn positions: below[c] is the weight of the c lowest,
+    # and cut[c] the undrawn weight before the (c+1)-th lowest.
+    drawn, below, cut = [], np.zeros(k, cdf.dtype), np.zeros(k, cdf.dtype)
+    last, picks = n - 1, []  # last live item: the pick when u * total rounds to total
     while True:
-        j = min(int(cdf.searchsorted(rng.uniform() * cdf[-1], side="right")), last)
+        u, r = rng.uniform(), len(drawn)
+        t = u * (cdf[-1] - below[r])
+        # The drawn positions whose cut is at most t lie before the pick: pass t plus their weight.
+        j = int(cdf.searchsorted(t + below[bisect.bisect_right(cut, t, 0, r)], side="right"))
+        if r and not (certify and j < n and cdf[j] - below[bisect.bisect_right(drawn, j)] - t > tol
+                      and (j == 0 or t - cdf[j - 1] + below[bisect.bisect_left(drawn, j)] > tol)):
+            j = _exact_pick(w, drawn, u)
+        j = min(j, last)
         picks.append(j)
         if len(picks) == k:
             return [p.ids[i] for i in picks]
-        while last in picks:
-            last -= 1
-        # Redo the CDF from j on, seeded with the unchanged cdf[j-1]: cumsum
-        # adds left to right, so these are the bits of a whole recompute.
-        w[j] = cdf[j - 1] if j else 0.0
-        np.add.accumulate(w[j:], out=cdf[j:])
-        w[j] = 0.0
+        i = bisect.bisect_left(drawn, j)
+        drawn.insert(i, j)
+        below[i + 1 : r + 2] = below[i : r + 1] + w[j]
+        cut[i + 1 : r + 1] = cut[i:r] - w[j]
+        cut[i] = cdf[j] - below[i + 1]
+        while i >= 0 and drawn[i] == last:  # the drawn tail is contiguous; step below it
+            i, last = i - 1, last - 1

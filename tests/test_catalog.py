@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -107,10 +109,10 @@ def test_generation_increments_on_every_mutation():
 
 def test_add_then_remove_restores_row_set():
     cat = Catalog(2, [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
-    before = {(i, tuple(v)) for i, v in cat.items()}
+    before = {(i, tuple(v)) for i, v in zip(cat.ids, cat.matrix())}
     cat.add_item("c", [0.5, 0.5])
     cat.remove_item("c")
-    after = {(i, tuple(v)) for i, v in cat.items()}
+    after = {(i, tuple(v)) for i, v in zip(cat.ids, cat.matrix())}
     assert before == after
 
 
@@ -306,6 +308,14 @@ def test_snapshot_bad_magic(tmp_path):
     path = tmp_path / "bad.orag"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(SnapshotFormatError):
+        read_snapshot(str(path))
+
+
+@pytest.mark.parametrize("dim", [2**62, 2**63 + 5])
+def test_snapshot_empty_with_impossible_width_is_rejected(tmp_path, dim):
+    path = tmp_path / "wide.orag"
+    path.write_bytes(b"ORAG" + struct.pack("<IQQB", 1, 0, dim, 0))
+    with pytest.raises(SnapshotFormatError, match="row width"):
         read_snapshot(str(path))
 
 
@@ -558,7 +568,7 @@ def _reference_update(cat, ids, coeff, queries, eta):
     """The id-ordered matrix after project(row - eta * g) row by row, with
     g = coeff @ queries rounded to the catalog dtype."""
     g = (coeff @ queries).astype(cat.dtype)
-    new = dict(cat.items())
+    new = dict(zip(cat.ids, cat.matrix()))
     for k, i in enumerate(ids):
         new[i] = project_row(new[i] - eta * g[k], cat.projection).astype(cat.dtype)
     return np.array([new[i] for i in cat.ids])

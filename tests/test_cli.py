@@ -191,7 +191,7 @@ def test_replay_projects_the_items_as_it_reads_them(tmp_path):
     rng = np.random.default_rng(2)
     queries = Catalog(4, [(f"q{k}", rng.normal(size=4)) for k in range(6)])
     items = Catalog(4, [(f"doc{k:02d}", 3.0 + rng.normal(size=4)) for k in range(20)])
-    assert min(np.linalg.norm(v) for _, v in items.items()) > 1.0
+    assert min(np.linalg.norm(v) for v in items.matrix()) > 1.0
     write_snapshot(queries, str(tmp_path / "q.orag"))
     write_snapshot(items, str(tmp_path / "i.orag"))
     (tmp_path / "labels.txt").write_text("".join(f"q{k} doc{k:02d}\n" for k in range(6)))

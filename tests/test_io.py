@@ -147,6 +147,17 @@ def test_non_utf8_event_log_is_a_schema_error(tmp_path):
         read_event_log(str(path))
 
 
+@pytest.mark.parametrize("text", ['{"t": 1' + "0" * 5000 + "}", "[" * 100_000],
+                         ids=["huge-int", "deep-nesting"])
+def test_huge_int_or_deep_nesting_is_bad_json(tmp_path, text):
+    path = tmp_path / "odd.json"
+    path.write_text(text + "\n")
+    with pytest.raises(SchemaError, match="line 1: not valid JSON"):
+        read_event_log(str(path))
+    with pytest.raises(ParseError):
+        load_config(str(path))
+
+
 def test_event_log_rejects_extra_keys(tmp_path):
     path = tmp_path / "extra.jsonl"
     row = {"t": 1, "query_id": "q", "chosen": "a", "success": True,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orag.catalog import Catalog
+from orag.catalog import Catalog, ProjectionMode
 from orag.errors import (
     EmptyEvents,
     MissingGroundTruth,
@@ -69,6 +69,24 @@ def test_train_oracle_is_deterministic_and_descends():
     assert fit1.loss == fit2.loss
     assert fit1.catalog.matrix().tobytes() == fit2.catalog.matrix().tobytes()
     assert fit1.loss <= init_loss
+
+
+def test_unit_ball_oracle_stays_in_the_ball_and_descends():
+    rng = np.random.default_rng(3)
+    n_items, d = 50, 16
+    init = Catalog.from_rows(d, [f"i{k:02d}" for k in range(n_items)],
+                             rng.normal(size=(n_items, d)), projection=ProjectionMode.UNIT_BALL)
+    targets = rng.integers(n_items, size=400)
+    events = [(3.0 * init.row(f"i{t:02d}") + rng.normal(size=d), f"i{t:02d}") for t in targets]
+    queries = np.stack([q for q, _ in events])
+    init_loss = total_loss(init.matrix(), queries, targets)
+    fit = train_oracle(events, init, passes=200)
+    assert fit.catalog.projection is ProjectionMode.UNIT_BALL
+    assert fit.catalog.max_row_norm() <= 1.0 + 1e-12
+    assert fit.loss <= init_loss
+    # Without the projection the same descent leaves the ball.
+    free = Catalog.from_rows(d, init.ids, init.matrix())
+    assert train_oracle(events, free, passes=200).catalog.max_row_norm() > 1.5
 
 
 def test_objective_is_convex_along_random_chords():

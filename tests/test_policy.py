@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from orag import policy
 from orag.catalog import Catalog, read_snapshot, write_snapshot
 from orag.errors import DimensionMismatch, EmptyCatalog, KTooLarge, NonFiniteInput
 from orag.policy import (
@@ -368,3 +369,104 @@ def test_sample_k_boundary_uniforms_match_reference():
         us = _boundary_uniforms(probs, 12, gen)
         assert (sample_k_without_replacement(p, 12, _Counting(us=us))
                 == _sample_k_list_reference(p, 12, _Counting(us=us)))
+
+
+def _sample_k_suffix_reference(
+    p: ProbabilityVector, k: int, rng: RandomSource
+) -> list:
+    """Sequential renormalized draws; output order equals draw order."""
+    if k < 1 or k > len(p.ids):
+        raise KTooLarge(f"K={k} with I={len(p.ids)} items")
+    w = np.array(p.probs)  # a drawn item's weight becomes zero
+    cdf = np.add.accumulate(w)
+    last, picks = len(w) - 1, []  # last live item: the pick when u * cdf[-1] rounds to cdf[-1]
+    while True:
+        j = min(int(cdf.searchsorted(rng.uniform() * cdf[-1], side="right")), last)
+        picks.append(j)
+        if len(picks) == k:
+            return [p.ids[i] for i in picks]
+        while last in picks:
+            last -= 1
+        # Redo the CDF from j on, seeded with the unchanged cdf[j-1]: cumsum
+        # adds left to right, so these are the bits of a whole recompute.
+        w[j] = cdf[j - 1] if j else 0.0
+        np.add.accumulate(w[j:], out=cdf[j:])
+        w[j] = 0.0
+
+
+def _count_rebuilds(monkeypatch):
+    calls = []
+    exact = policy._exact_pick
+    monkeypatch.setattr(policy, "_exact_pick", lambda *a: calls.append(a) or exact(*a))
+    return calls
+
+
+def _churn_probs(gen, latents, dtype=np.float64):
+    """softmax(12 (latents @ q + noise)) for a query near one latent: the
+    churn workload's temperature, where one item holds most of the mass."""
+    q = latents[gen.integers(len(latents))] + 0.3 * gen.normal(size=latents.shape[1])
+    logits = 12.0 * (latents @ q + 0.1 * gen.normal(size=len(latents)))
+    w = np.exp(logits - logits.max())
+    return (w / w.sum()).astype(dtype)
+
+
+def _assert_same_as_suffix_reference(ids, probs, k, **source):
+    p = ProbabilityVector(ids, probs, 0)
+    a, b = _Counting(**source), _Counting(**source)
+    assert sample_k_without_replacement(p, k, a) == _sample_k_suffix_reference(p, k, b)
+    assert a.calls == b.calls == k
+
+
+def _latents(gen, n, d=64):
+    latents = gen.normal(size=(n, d))
+    return latents / np.linalg.norm(latents, axis=1, keepdims=True)
+
+
+def test_sample_k_matches_suffix_reference_at_churn_scale(monkeypatch):
+    rebuilds = _count_rebuilds(monkeypatch)
+    gen = np.random.default_rng(15)
+    latents = _latents(gen, 10_000)
+    ids = tuple(f"i{j:05d}" for j in range(len(latents)))
+    for case in range(300):
+        _assert_same_as_suffix_reference(ids, _churn_probs(gen, latents), 10, seed=case)
+    assert rebuilds == []  # a random target is never within the bound of a CDF value
+    # In float32 the bound is ~10^4 float32 ulps of the total, so most picks rebuild.
+    for case in range(50):
+        _assert_same_as_suffix_reference(ids, _churn_probs(gen, latents, np.float32), 10, seed=case)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sample_k_whole_catalog_matches_suffix_reference_at_2000(dtype):
+    gen = np.random.default_rng(16)
+    latents = _latents(gen, 2000)
+    ids = tuple(f"i{j:04d}" for j in range(len(latents)))
+    for case in range(2):
+        _assert_same_as_suffix_reference(ids, _churn_probs(gen, latents, dtype), 2000, seed=case)
+    flat = gen.dirichlet(np.ones(2000)).astype(dtype)
+    _assert_same_as_suffix_reference(ids, flat, 2000, seed=2)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_sample_k_non_probability_weights_match_suffix_reference():
+    # A hand-built vector may hold negative or non-finite weights: its CDF is
+    # not monotone or its bound not finite, so no pick can be certified.
+    gen = np.random.default_rng(18)
+    for trial in range(300):
+        n = int(gen.integers(3, 60))
+        probs = gen.dirichlet(np.ones(n))
+        probs[gen.random(n) < 0.2] *= -1.0
+        if trial % 3:
+            probs[int(gen.integers(n))] = (np.nan, np.inf)[trial % 3 - 1]
+        ids = tuple(f"i{j:03d}" for j in range(n))
+        _assert_same_as_suffix_reference(ids, probs, int(gen.integers(2, n + 1)), seed=trial)
+
+
+def test_sample_k_boundary_uniforms_take_the_exact_rebuild(monkeypatch):
+    rebuilds = _count_rebuilds(monkeypatch)
+    gen = np.random.default_rng(17)
+    ids = tuple(f"i{j:05d}" for j in range(10_000))
+    for trial in range(10):
+        probs = gen.dirichlet(np.full(len(ids), float(gen.choice([0.05, 1.0]))))
+        _assert_same_as_suffix_reference(ids, probs, 10, us=_boundary_uniforms(probs, 10, gen))
+    # Each draw after the first lands on a CDF value, so none can be certified.
+    assert len(rebuilds) == 90

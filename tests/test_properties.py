@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orag.catalog import Catalog, ProjectionMode, project_row, read_snapshot, write_snapshot
-from orag.errors import DimensionMismatch, DuplicateId, IdRetired, NonFiniteInput, UnknownId
+from orag.errors import (
+    DimensionMismatch,
+    DuplicateId,
+    IdRetired,
+    NonFiniteInput,
+    OragError,
+    UnknownId,
+)
+from orag.io_utils import read_event_log, write_event_log
 from orag.learner import (
     Feedback,
+    RoundRecord,
     estimate_gradient_chosen_only,
     estimate_gradient_full,
 )
@@ -92,7 +101,7 @@ def test_score_is_simplex_and_shift_invariant(data):
     assert abs(p.probs.sum() - 1.0) < 1e-12
     assert np.all(p.probs > 0.0)
     v = np.full(cat.dim, data.draw(finite))
-    shifted = Catalog(cat.dim, [(i, row + v) for i, row in cat.items()])
+    shifted = Catalog(cat.dim, [(i, row + v) for i, row in zip(cat.ids, cat.matrix())])
     np.testing.assert_allclose(score(q, shifted).probs, p.probs, atol=1e-12)
 
 
@@ -237,3 +246,59 @@ def test_catalog_matches_reference_dict(data):
             assert cat.logits(q).tobytes() == np.array(logits).tobytes()
     for dup, snap in copies:
         assert state(dup) == snap
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A directory, and the bytes of valid float64/float32 snapshots and of a valid event log."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(3)
+    for dtype in (np.float64, np.float32):
+        cat = Catalog.from_rows(3, ["a", "b", "cc"], rng.normal(size=(3, 3)), dtype=dtype)
+        write_snapshot(cat, str(folder / f"{np.dtype(dtype).name}.orag"))
+    write_event_log([
+        RoundRecord(t=1, query_id="q1", chosen="a", success=True, propensity=0.5, eta=0.1),
+        RoundRecord(t=2, query_id="q2", chosen="b", success=False, propensity=0.25, eta=0.1,
+                    loss=1.5, generation=3),
+    ], str(folder / "events.jsonl"))
+    return folder, {f.name: f.read_bytes() for f in folder.iterdir()}
+
+
+def _fuzzed(draw, valid):
+    """Random bytes, or a valid file with a few bytes overwritten, then cut short or extended."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    raw = bytearray(valid)
+    for pos, byte in draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
+                                   max_size=4)):
+        raw[pos] = byte
+    end = draw(st.sampled_from([len(raw), draw(st.integers(0, len(raw)))]))
+    return bytes(raw[:end]) + draw(st.binary(max_size=16))
+
+
+def _read_or_orag_error(read, path, blob):
+    with open(path, "wb") as f:
+        f.write(blob)
+    try:
+        read(path)
+    except OragError:
+        pass  # any other exception fails the test
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_read_snapshot_fuzz_accepts_or_raises_orag_error(valid_files, data):
+    folder, valid = valid_files
+    name = data.draw(st.sampled_from(["float64.orag", "float32.orag"]))
+    blob = _fuzzed(data.draw, valid[name])
+    projection = data.draw(st.sampled_from(list(ProjectionMode)))
+    _read_or_orag_error(lambda path: read_snapshot(path, projection),
+                        str(folder / "fuzz.orag"), blob)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_read_event_log_fuzz_accepts_or_raises_orag_error(valid_files, data):
+    folder, valid = valid_files
+    blob = _fuzzed(data.draw, valid["events.jsonl"])
+    _read_or_orag_error(read_event_log, str(folder / "fuzz.jsonl"), blob)

@@ -21,7 +21,6 @@ from .learner import (
     ScheduleKind,
     UpdateMode,
     apply_update,
-    estimate_gradient_batched,
     estimate_gradient_chosen_only,
     estimate_gradient_full,
     horizon_tuned_eta,

@@ -117,16 +117,16 @@ def cli_main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config, seed=args.seed)
+        if cfg.variant is Variant.MULTIHOP and args.command in ("regret", "metrics"):
+            raise ValidationError(f"{args.command}: variant {cfg.variant.value!r} logs no "
+                                  "per-round query or target item")
         out = args.out or "."
         os.makedirs(out, exist_ok=True)
 
-        if args.command == "simulate":
-            _, log = run_from_config(cfg)
-            write_event_log(log.rounds, os.path.join(out, "events.jsonl"))
-            write_snapshot(log.final_catalog, os.path.join(out, "catalog.orag"))
-        elif args.command == "replay":
-            log = _replay(cfg)
-            write_event_log(log.rounds, os.path.join(out, "events.jsonl"))
+        if args.command in ("simulate", "replay", "export"):
+            log = _replay(cfg) if args.command == "replay" else run_from_config(cfg)[1]
+            if args.command != "export":
+                write_event_log(log.rounds, os.path.join(out, "events.jsonl"))
             write_snapshot(log.final_catalog, os.path.join(out, "catalog.orag"))
         elif args.command == "regret":
             env, log = run_from_config(cfg)
@@ -146,17 +146,13 @@ def cli_main(argv: list[str] | None = None) -> int:
             env, log = run_from_config(cfg)
             rows = []
             for rec, q, truth in zip(log.rounds, log.queries, log.true_items):
-                p = score(q, log.final_catalog) if truth in log.final_catalog else None
-                if p is None:
+                if truth not in log.final_catalog:
                     continue
-                ranked = RankedList.from_probabilities(p, {truth})
+                ranked = RankedList.from_probabilities(score(q, log.final_catalog), {truth})
                 rows.append(
                     (rec.t, recall_at_k(ranked, args.k), ndcg_at_k(ranked, args.k), int(rec.success))
                 )
             _write_csv(os.path.join(out, "metrics.csv"), ["t", f"recall_at_{args.k}", f"ndcg_at_{args.k}", "success"], rows)
-        elif args.command == "export":
-            _, log = run_from_config(cfg)
-            write_snapshot(log.final_catalog, os.path.join(out, "catalog.orag"))
     except (ValidationError, InvalidConfig, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

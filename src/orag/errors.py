@@ -41,14 +41,6 @@ class ZeroPropensity(OragError):
     pass
 
 
-class EmptyBatch(OragError):
-    pass
-
-
-class GenerationMismatch(OragError):
-    pass
-
-
 class EmptyEvents(OragError):
     pass
 

@@ -9,9 +9,9 @@ p_c = p[c] at decision time, query q):
 Both are unbiased for the full-information gradient (p_i - 1{i=i*}) * q
 when the chosen item is drawn from p. The full estimate is the rank-1 block
 outer(p - s * e_c / p_c, q); the chosen-only one is its row c. An estimate is
-a `GradientBatch` of those coefficients and q (B = 1 query; a batch has one
-per event), never an (I, d) block: what `Catalog.update_rows` takes for the
-(projected) step theta_i <- project(theta_i - eta_t * g_i).
+a `GradientBatch` of those coefficients and q (B = 1 query), never an (I, d)
+block: what `Catalog.update_rows` takes for the (projected) step
+theta_i <- project(theta_i - eta_t * g_i).
 """
 
 from __future__ import annotations
@@ -19,17 +19,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .catalog import Catalog, ItemId
-from .errors import (
-    EmptyBatch,
-    GenerationMismatch,
-    PropensityMismatch,
-    ZeroPropensity,
-)
+from .errors import PropensityMismatch, ZeroPropensity
 from .policy import ProbabilityVector, RandomSource, _as_query, sample_one, score
 
 _PROPENSITY_TOL = 1e-12
@@ -50,12 +45,6 @@ class GradientBatch:
     coeff: np.ndarray
     queries: np.ndarray
     t: int = 0
-
-    def __getitem__(self, item_id: ItemId) -> np.ndarray:
-        return self.coeff[self.ids.index(item_id)] @ self.queries
-
-    def __contains__(self, item_id: ItemId) -> bool:
-        return item_id in self.ids
 
 
 class ScheduleKind(enum.Enum):
@@ -134,23 +123,6 @@ def estimate_gradient_chosen_only(
     prop = _propensity(p, p.index_of(fb.chosen), fb, clip_propensity)
     coeff = 1.0 - (1.0 / prop if fb.success else 0.0)
     return GradientBatch((fb.chosen,), np.array([[coeff]]), _as_query(q)[None, :], t=t)
-
-
-def estimate_gradient_batched(
-    events: Sequence[tuple[ProbabilityVector, object, Feedback]], t: int = 0
-) -> GradientBatch:
-    """Arithmetic mean of per-event full gradients at one fixed catalog state:
-    one coefficient column and one query per event."""
-    if len(events) == 0:
-        raise EmptyBatch("batch must contain at least one event")
-    gen = events[0][0].generation
-    parts = []
-    for p, q, fb in events:
-        if p.generation != gen:
-            raise GenerationMismatch(f"batch mixes catalog generations {gen} and {p.generation}")
-        parts.append(estimate_gradient_full(p, q, fb))
-    coeff = np.hstack([g.coeff for g in parts]) * (1.0 / len(events))
-    return GradientBatch(events[0][0].ids, coeff, np.vstack([g.queries for g in parts]), t=t)
 
 
 def apply_update(catalog: Catalog, g: GradientBatch, eta: float) -> None:

@@ -44,10 +44,6 @@ class RandomSource:
     def uniform(self) -> float:
         return float(self._gen.random())
 
-    def spawn(self, key: int) -> "RandomSource":
-        """Independent child stream, deterministic in (seed, key)."""
-        return RandomSource(np.random.SeedSequence([self.seed, int(key)]).generate_state(1)[0])
-
 
 @dataclass
 class ProbabilityVector:

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import variants
 from .catalog import Catalog, ItemId, ProjectionMode, row_chunks, row_norms
 from .errors import InvalidConfig, UndefinedRound
 from .learner import (
@@ -58,6 +59,9 @@ class EpisodeConfig:
             raise InvalidConfig(f"K must lie in [1, I]; got K={self.K}, I={self.I}")
         if self.repeat_passes < 1:
             raise InvalidConfig("repeat_passes must be >= 1")
+        if self.variant is Variant.DYNAMIC and self.I < 2:
+            raise InvalidConfig(
+                f"dynamic variant withholds half the items: I must be >= 2, got {self.I}")
 
 
 def _unit(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -125,9 +129,6 @@ class Environment:
         if not (1 <= t <= self.total_rounds):
             raise UndefinedRound(f"round {t} outside 1..{self.total_rounds}")
         return self._targets[t - 1]
-
-    def max_query_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self._queries, axis=1)))
 
 
 def make_environment(
@@ -219,14 +220,12 @@ def half_withheld_scenario(
     CatalogDelta at `insert_round` (default: total_rounds // 2), initialized
     by the stub embedder.
     """
-    from .variants import CatalogDelta
-
     half = len(env.ids) // 2
     initial_ids, withheld = list(env.ids[:half]), env.ids[half:]
     if insert_round is None:
         insert_round = max(1, env.total_rounds // 2)
     embed = init_embedder(env, noise=new_item_noise)
-    delta = CatalogDelta(
+    delta = variants.CatalogDelta(
         added=[(i, embed(i)) for i in withheld],
         removed=[],
         effective_at=insert_round,
@@ -241,8 +240,6 @@ def make_multihop_rounds(env: Environment, hops: int = 2) -> dict:
     is a noisy copy of a seeded per-(t, h) target item's latent direction, and
     the judge returns 1 exactly when the chosen item is that target.
     """
-    from .variants import MultiHopRound
-
     rng = np.random.default_rng(np.random.SeedSequence([env.seed, 5]))
     total = env.total_rounds
     picks = rng.integers(0, len(env.ids), size=(total, hops))
@@ -253,7 +250,7 @@ def make_multihop_rounds(env: Environment, hops: int = 2) -> dict:
         subqueries = [QueryEmbedding(subs[t - 1, h], query_id=f"t{t}h{h + 1}") for h in range(hops)]
         truth = {sq.query_id: env.ids[k] for sq, k in zip(subqueries, picks[t - 1])}
         judge = (lambda tr: lambda q, chosen: int(chosen == tr[q.query_id]))(truth)
-        rounds[t] = MultiHopRound(subqueries=subqueries, judge=judge)
+        rounds[t] = variants.MultiHopRound(subqueries=subqueries, judge=judge)
     return rounds
 
 
@@ -264,7 +261,6 @@ class EpisodeLog:
     queries: list[np.ndarray] | None = None
     true_items: list[ItemId] | None = None
     online_losses: list[float] | None = None
-    max_query_norm: float | None = None
 
     @property
     def successes(self) -> list[bool]:
@@ -289,8 +285,6 @@ def run_episode(
     takes `deltas` (round -> CatalogDelta); multihop takes `multihop_rounds`
     (round -> MultiHopRound) and records the per-hop records flattened into the log.
     """
-    from . import variants as _variants
-
     variant = episode.variant
     if catalog is None:
         catalog = initial_catalog(env, init_noise, projection=episode.projection)
@@ -312,21 +306,21 @@ def run_episode(
     for t in range(1, env.total_rounds + 1):
         q = env.query_at(t)
         if variant is Variant.MULTIHOP:
-            rounds.extend(_variants.step_multihop(
+            rounds.extend(variants.step_multihop(
                 multihop_rounds[t], catalog, rng, episode.schedule, t,
                 update_mode=episode.update_mode,
                 clip_propensity=episode.clip_propensity,
             ))
             continue
         if variant is Variant.DYNAMIC and deltas and t in deltas:
-            _variants.apply_delta(catalog, deltas[t], t)
+            variants.apply_delta(catalog, deltas[t], t)
         target = env.optimal_item(t)
         loss = None
         if record_losses and target in catalog:
             loss = cross_entropy_loss(score(q, catalog), target)
 
         if variant is Variant.RERANK:
-            rec = _variants.step_with_rerank(
+            rec = variants.step_with_rerank(
                 q, catalog, episode.K, reranker, rng, episode.schedule, t, oracle,
                 update_mode=episode.update_mode,
                 clip_propensity=episode.clip_propensity,
@@ -348,5 +342,4 @@ def run_episode(
         queries=queries or None,
         true_items=labels or None,
         online_losses=losses or None,
-        max_query_norm=env.max_query_norm(),
     )

@@ -14,17 +14,12 @@ import numpy as np
 
 from .catalog import Catalog, ItemId
 from .errors import InvalidConfig, KTooLarge
-from .learner import LearningRateSchedule, RoundRecord, UpdateMode, learn_from_feedback
+from .learner import LearningRateSchedule, RoundRecord, UpdateMode, learn_from_feedback, step
+from .policy import QueryEmbedding, RandomSource, sample_k_without_replacement, score
 # Unused here, but the benchmark's tracer patches them at this module's names.
 from .learner import (  # noqa: F401
-    apply_update, estimate_gradient_chosen_only, estimate_gradient_full, step)
-from .policy import (
-    QueryEmbedding,
-    RandomSource,
-    sample_k_without_replacement,
-    sample_one,
-    score,
-)
+    apply_update, estimate_gradient_chosen_only, estimate_gradient_full)
+from .policy import sample_one  # noqa: F401
 
 Reranker = Callable[[QueryEmbedding, Sequence[ItemId]], ItemId]
 Judge = Callable[[QueryEmbedding, ItemId], int]
@@ -139,14 +134,9 @@ def step_multihop(
     Hop h+1 scores against the catalog already updated by hop h; the returned
     records carry one entry per hop in hop order.
     """
-    records: list[RoundRecord] = []
-    eta = schedule.eta(t)
-    for h, q in enumerate(round_.subqueries, start=1):
-        p = score(q, catalog)
-        chosen = sample_one(p, rng)
-        success = bool(int(round_.judge(q, chosen)))
-        records.append(learn_from_feedback(
-            p, q, chosen, success, catalog, eta, update_mode, t,
-            q.query_id or f"t{t}h{h}", clip_propensity,
-        ))
-    return records
+    return [
+        step(q, catalog, rng, schedule, update_mode, t,
+             lambda _t, chosen, q=q: int(round_.judge(q, chosen)),
+             q.query_id or f"t{t}h{h}", clip_propensity)
+        for h, q in enumerate(round_.subqueries, start=1)
+    ]

@@ -140,6 +140,27 @@ def test_metrics_k_below_one_exits_one_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["regret", "metrics"])
+def test_multihop_regret_and_metrics_exit_one_before_running(tmp_path, capsys, command):
+    # A multihop log holds per-hop records but no per-round query or target item.
+    payload = {"I": 6, "d": 4, "T": 20, "seed": 1, "variant": "multihop"}
+    out = tmp_path / command
+    assert cli_main([command, "--config", _cfg(tmp_path, payload), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "multihop" in err
+    assert not (out / f"{command}.csv").exists()
+
+
+def test_dynamic_with_one_item_exits_one_before_running(tmp_path, capsys):
+    # The dynamic scenario withholds half the items, which would leave an empty catalog.
+    payload = {"I": 1, "d": 4, "T": 20, "seed": 1, "variant": "dynamic"}
+    out = tmp_path / "run"
+    assert cli_main(["simulate", "--config", _cfg(tmp_path, payload), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "I must be >= 2" in err
+    assert not out.exists()
+
+
 def test_export_snapshot_round_trips(tmp_path):
     out = str(tmp_path / "exp")
     cfg_path = _cfg(tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orag.catalog import Catalog, ProjectionMode
-from orag.errors import EmptyBatch, GenerationMismatch, PropensityMismatch, ZeroPropensity
+from orag.errors import PropensityMismatch, ZeroPropensity
 from orag.learner import (
     Feedback,
     GradientBatch,
@@ -13,7 +13,6 @@ from orag.learner import (
     ScheduleKind,
     UpdateMode,
     apply_update,
-    estimate_gradient_batched,
     estimate_gradient_chosen_only,
     estimate_gradient_full,
     horizon_tuned_eta,
@@ -32,46 +31,46 @@ def test_full_gradient_success_half_half():
     p = _pv(("item1", "item2"), [0.5, 0.5])
     fb = Feedback(chosen="item1", success=True, propensity=0.5)
     g = estimate_gradient_full(p, np.array([1.0, 0.0]), fb)
-    np.testing.assert_allclose(g["item1"], [-1.5, 0.0])
-    np.testing.assert_allclose(g["item2"], [0.5, 0.0])
+    np.testing.assert_allclose(g.coeff[g.ids.index("item1")] @ g.queries, [-1.5, 0.0])
+    np.testing.assert_allclose(g.coeff[g.ids.index("item2")] @ g.queries, [0.5, 0.0])
 
 
 def test_full_gradient_failure_drops_indicator_term():
     p = _pv(("item1", "item2"), [0.5, 0.5])
     fb = Feedback(chosen="item1", success=False, propensity=0.5)
     g = estimate_gradient_full(p, np.array([1.0, 0.0]), fb)
-    np.testing.assert_allclose(g["item1"], [0.5, 0.0])
-    np.testing.assert_allclose(g["item2"], [0.5, 0.0])
+    np.testing.assert_allclose(g.coeff[g.ids.index("item1")] @ g.queries, [0.5, 0.0])
+    np.testing.assert_allclose(g.coeff[g.ids.index("item2")] @ g.queries, [0.5, 0.0])
 
 
 def test_full_gradient_vanishes_at_certainty():
     p = _pv(("a", "b"), [1.0, 0.0])
     fb = Feedback(chosen="a", success=True, propensity=1.0)
     g = estimate_gradient_full(p, np.array([3.0, -2.0]), fb)
-    np.testing.assert_allclose(g["a"], [0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(g["b"], [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(g.coeff[g.ids.index("a")] @ g.queries, [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(g.coeff[g.ids.index("b")] @ g.queries, [0.0, 0.0], atol=1e-15)
 
 
 def test_chosen_only_gradient_substitution():
     p = _pv(("a", "b", "c", "d"), [0.25, 0.25, 0.25, 0.25])
     fb = Feedback(chosen="a", success=True, propensity=0.25)
     g = estimate_gradient_chosen_only(p, np.array([2.0]), fb)
-    np.testing.assert_allclose(g["a"], [-6.0])
-    assert "b" not in g
+    np.testing.assert_allclose(g.coeff[g.ids.index("a")] @ g.queries, [-6.0])
+    assert "b" not in g.ids
 
 
 def test_chosen_only_failure_is_plain_query():
     p = _pv(("a", "b"), [0.7, 0.3])
     fb = Feedback(chosen="b", success=False, propensity=0.3)
     g = estimate_gradient_chosen_only(p, np.array([1.0, 2.0]), fb)
-    np.testing.assert_allclose(g["b"], [1.0, 2.0])
+    np.testing.assert_allclose(g.coeff[g.ids.index("b")] @ g.queries, [1.0, 2.0])
 
 
 def test_chosen_only_vanishes_at_certainty():
     p = _pv(("a",), [1.0])
     fb = Feedback(chosen="a", success=True, propensity=1.0)
     g = estimate_gradient_chosen_only(p, np.array([5.0]), fb)
-    np.testing.assert_allclose(g["a"], [0.0])
+    np.testing.assert_allclose(g.coeff[g.ids.index("a")] @ g.queries, [0.0])
 
 
 def test_propensity_must_match_probability_vector():
@@ -86,54 +85,8 @@ def test_propensity_clipping_bounds_the_weight():
     p = _pv(("a", "b"), [1e-8, 1.0 - 1e-8])
     fb = Feedback(chosen="a", success=True, propensity=1e-8)
     clipped = estimate_gradient_chosen_only(p, np.array([1.0]), fb, clip_propensity=0.01)
-    np.testing.assert_allclose(clipped["a"], [1.0 - 100.0])
-
-
-def test_batched_single_event_equals_full():
-    p = _pv(("a", "b"), [0.6, 0.4])
-    q = np.array([1.0, -1.0])
-    fb = Feedback("b", True, 0.4)
-    single = estimate_gradient_full(p, q, fb)
-    batch = estimate_gradient_batched([(p, q, fb)])
-    for i in p.ids:
-        np.testing.assert_allclose(batch[i], single[i])
-
-
-def test_batched_identical_events_average_to_one():
-    p = _pv(("a", "b"), [0.6, 0.4])
-    q = np.array([2.0, 0.0])
-    fb = Feedback("a", False, 0.6)
-    single = estimate_gradient_full(p, q, fb)
-    batch = estimate_gradient_batched([(p, q, fb), (p, q, fb)])
-    for i in p.ids:
-        np.testing.assert_allclose(batch[i], single[i])
-
-
-def test_batched_three_mixed_events_is_the_mean():
-    rng = np.random.default_rng(0)
-    ids = ("a", "b", "c")
-    events = []
-    for _ in range(3):
-        raw = rng.dirichlet(np.ones(3))
-        p = _pv(ids, raw)
-        chosen = ids[int(rng.integers(3))]
-        fb = Feedback(chosen, bool(rng.integers(2)), p[chosen])
-        events.append((p, rng.normal(size=2), fb))
-    batch = estimate_gradient_batched(events)
-    singles = [estimate_gradient_full(p, q, fb) for p, q, fb in events]
-    for i in ids:
-        expected = sum(s[i] for s in singles) / 3.0
-        np.testing.assert_allclose(batch[i], expected, atol=1e-14)
-
-
-def test_batched_rejects_empty_and_mixed_generations():
-    with pytest.raises(EmptyBatch):
-        estimate_gradient_batched([])
-    p0 = _pv(("a",), [1.0], generation=0)
-    p1 = _pv(("a",), [1.0], generation=1)
-    fb = Feedback("a", True, 1.0)
-    with pytest.raises(GenerationMismatch):
-        estimate_gradient_batched([(p0, np.ones(1), fb), (p1, np.ones(1), fb)])
+    np.testing.assert_allclose(clipped.coeff[clipped.ids.index("a")] @ clipped.queries,
+                               [1.0 - 100.0])
 
 
 def test_apply_update_arithmetic():

@@ -168,17 +168,6 @@ def test_every_k_subset_has_positive_probability():
             assert abs(sum(dist.values()) - 1.0) < 1e-12
 
 
-def test_random_source_spawn_streams_differ():
-    root = RandomSource(5)
-    a = root.spawn(1)
-    b = root.spawn(2)
-    a_again = RandomSource(5).spawn(1)
-    seq = lambda r: [r.uniform() for _ in range(10)]
-    sa, sb, sa2 = seq(a), seq(b), seq(a_again)
-    assert sa == sa2
-    assert sa != sb
-
-
 def test_query_embedding_flattens_and_casts():
     q = QueryEmbedding([[1, 2]], query_id="x")
     assert q.q.shape == (2,)

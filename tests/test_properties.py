@@ -1,5 +1,8 @@
 """Property-based checks for the algebraic invariants."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +16,8 @@ from orag.errors import (
     OragError,
     UnknownId,
 )
-from orag.io_utils import read_event_log, write_event_log
+from orag.io_utils import (
+    RunConfig, ingest_embedding_dump, load_config, read_event_log, write_event_log)
 from orag.learner import (
     Feedback,
     RoundRecord,
@@ -49,7 +53,7 @@ def test_full_estimator_is_unbiased(data):
         fb = Feedback(chosen, chosen == i_star, p[chosen])
         g = estimate_gradient_full(p, q, fb)
         for i in p.ids:
-            accum[i] += p[chosen] * g[i]
+            accum[i] += p[chosen] * (g.coeff[g.ids.index(i)] @ g.queries)
     for i in p.ids:
         np.testing.assert_allclose(accum[i], expected[i], atol=1e-10)
 
@@ -63,7 +67,7 @@ def test_chosen_only_estimator_is_unbiased(data):
     for chosen in p.ids:
         fb = Feedback(chosen, chosen == i_star, p[chosen])
         g = estimate_gradient_chosen_only(p, q, fb)
-        accum[chosen] += p[chosen] * g[chosen]
+        accum[chosen] += p[chosen] * (g.coeff[g.ids.index(chosen)] @ g.queries)
     for i in p.ids:
         expected = (p[i] - (1.0 if i == i_star else 0.0)) * q
         np.testing.assert_allclose(accum[i], expected, atol=1e-10)
@@ -79,7 +83,7 @@ def test_expected_gradient_sums_to_zero_vector(data):
         fb = Feedback(chosen, chosen == i_star, p[chosen])
         g = estimate_gradient_full(p, q, fb)
         for i in p.ids:
-            total += p[chosen] * g[i]
+            total += p[chosen] * (g.coeff[g.ids.index(i)] @ g.queries)
     np.testing.assert_allclose(total, 0.0, atol=1e-10)
 
 
@@ -302,3 +306,63 @@ def test_read_event_log_fuzz_accepts_or_raises_orag_error(valid_files, data):
     folder, valid = valid_files
     blob = _fuzzed(data.draw, valid["events.jsonl"])
     _read_or_orag_error(read_event_log, str(folder / "fuzz.jsonl"), blob)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
+# Values each key can take when valid, so that fuzzed configs also reach the later checks.
+_CONFIG_VALUES = st.sampled_from([0, 1, 2, 3, 50, 0.5, 1e-3, -1, "plain", "rerank", "dynamic",
+                                  "multihop", "full", "chosen_only", "constant", "inverse_sqrt",
+                                  "none", "unit_ball"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_load_config_fuzz_accepts_or_raises_orag_error(valid_files, data):
+    if data.draw(st.booleans()):
+        blob = data.draw(st.binary(max_size=200))
+    else:
+        raw = {"T": 5, "I": 4, "d": 3, "seed": 0}
+        for key in data.draw(st.lists(st.sampled_from(["T", "I", "d", "seed"]), max_size=2)):
+            raw.pop(key, None)
+        raw.update(data.draw(st.dictionaries(st.sampled_from(_CONFIG_KEYS + ["extra"]),
+                                             _CONFIG_VALUES | _JSON, max_size=6)))
+        blob = json.dumps(raw).encode()
+    seed = data.draw(st.none() | st.integers(-3, 2**64))
+    _read_or_orag_error(lambda path: load_config(path, seed=seed),
+                        str(valid_files[0] / "fuzz.json"), blob)
+
+
+@pytest.fixture(scope="module")
+def valid_dump(tmp_path_factory):
+    """A directory, and the bytes of a valid query snapshot, item snapshot and label file."""
+    folder = tmp_path_factory.mktemp("dump")
+    rng = np.random.default_rng(4)
+    write_snapshot(Catalog.from_rows(3, ["q0", "q1", "q2"], rng.normal(size=(3, 3))),
+                   str(folder / "q.orag"))
+    write_snapshot(Catalog.from_rows(3, ["doc0", "doc1"], rng.normal(size=(2, 3)),
+                                     dtype=np.float32), str(folder / "i.orag"))
+    (folder / "labels.txt").write_text("q0 doc1\nq2 doc0\n")
+    return folder, {f.name: f.read_bytes() for f in folder.iterdir()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ingest_embedding_dump_fuzz_accepts_or_raises_orag_error(valid_dump, data):
+    folder, valid = valid_dump
+    names = ["q.orag", "i.orag", "labels.txt"]
+    mutated = set(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3)))
+    paths = []
+    for name in names:
+        path = folder / f"fuzz-{name}"
+        path.write_bytes(_fuzzed(data.draw, valid[name]) if name in mutated else valid[name])
+        paths.append(str(path))
+    projection = data.draw(st.sampled_from(list(ProjectionMode)))
+    try:
+        ingest_embedding_dump(*paths, projection)
+    except OragError:
+        pass  # any other exception fails the test

@@ -141,7 +141,7 @@ def test_run_episode_reproducible():
         (r.chosen, r.success, r.propensity) for r in b.rounds
     ]
     assert a.final_catalog.matrix().tobytes() == b.final_catalog.matrix().tobytes()
-    assert a.max_query_norm is not None and a.max_query_norm <= 1.0 + 1e-12
+    assert all(np.linalg.norm(q) <= 1.0 + 1e-12 for q in a.queries)
 
 
 def test_plain_episode_improves_rolling_accuracy():

@@ -236,6 +236,12 @@ def test_multihop_later_hops_see_earlier_updates():
     assert all(r.t == 7 for r in records)
 
 
+def test_multihop_hop_before_round_one_is_rejected():
+    round_ = MultiHopRound([QueryEmbedding(np.ones(3), query_id="h")], lambda q, chosen: 0)
+    with pytest.raises(ValueError):
+        step_multihop(round_, _cat(12), RandomSource(1), CONST(0.1), 0)
+
+
 def test_multihop_round_requires_subqueries():
     with pytest.raises(InvalidConfig):
         MultiHopRound([], lambda q, c: 0)

@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateId,
     IdRetired,
+    IoError,
     NonFiniteInput,
     SnapshotFormatError,
     UnknownId,
@@ -305,7 +306,8 @@ class Catalog:
 
 
 def write_snapshot(catalog: Catalog, path: str) -> None:
-    """Write a bit-exact snapshot via a synced temp file and a rename; failure leaves no temp file."""
+    """Write a bit-exact snapshot via a synced temp file and a rename; failure leaves no
+    temp file, and an OS error raises `IoError`."""
     dtag = 0 if catalog.dtype == np.float64 else 1
     tmp = path + ".tmp"
     try:
@@ -320,15 +322,21 @@ def write_snapshot(catalog: Catalog, path: str) -> None:
             f.flush()
             os.fsync(f.fileno())  # the rename must not land before the data
         os.replace(tmp, path)
+    except OSError as e:
+        raise IoError(str(e)) from None
     finally:
-        if os.path.exists(tmp):  # writing or renaming failed
+        if os.path.isfile(tmp):  # writing or renaming failed
             os.remove(tmp)
 
 
 def read_snapshot(path: str, projection: ProjectionMode = ProjectionMode.NONE) -> Catalog:
-    """Read a snapshot; any deviation from the layout raises `SnapshotFormatError`."""
-    with open(path, "rb") as f:
-        data = f.read()
+    """Read a snapshot; any deviation from the layout raises `SnapshotFormatError`, a
+    file that cannot be read `IoError`."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise IoError(str(e)) from None
     if data[:4] != SNAPSHOT_MAGIC:
         raise SnapshotFormatError("bad magic bytes")
     try:

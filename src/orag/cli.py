@@ -9,12 +9,12 @@ import sys
 
 import numpy as np
 
-from .catalog import write_snapshot
+from .catalog import read_snapshot, write_snapshot
 from .errors import OragError, ValidationError, InvalidConfig, ParseError
-from .io_utils import RunConfig, ingest_embedding_dump, load_config, write_event_log
-from .learner import LearningRateSchedule, RoundRecord, UpdateMode, step
+from .io_utils import (
+    ReplayStream, RunConfig, ingest_embedding_dump, load_config, write_event_log)
 from .metrics import RankedList, ndcg_at_k, recall_at_k, regret_curve, train_oracle
-from .policy import QueryEmbedding, RandomSource, score
+from .policy import RandomSource, score
 from .simulator import (
     EpisodeLog,
     Variant,
@@ -28,19 +28,36 @@ from .variants import make_stub_reranker
 
 
 def run_from_config(cfg: RunConfig) -> tuple[object, EpisodeLog]:
-    """Build the configured environment and execute one episode."""
+    """Execute one episode: over the embedding dump the config names, else over
+    the configured synthetic environment.
+
+    A dump run is the plain or rerank episode over one pass of the labelled
+    queries; a config it cannot honour raises `ValidationError` before any round.
+    """
     episode = cfg.episode()
-    env = make_environment(
-        episode,
-        cfg.seed,
-        noise_scale=cfg.sigma,
-        shift_round=cfg.shift_round,
-        shift_fraction=cfg.shift_fraction,
-    )
+    paths = (cfg.queries_path, cfg.items_path, cfg.labels_path)
     kwargs = {}
+    if paths == (None, None, None):
+        env = make_environment(episode, cfg.seed, noise_scale=cfg.sigma,
+                               shift_round=cfg.shift_round, shift_fraction=cfg.shift_fraction)
+    else:
+        for key, honoured in [("queries_path, items_path, labels_path", None not in paths),
+                              ("variant", cfg.variant in (Variant.PLAIN, Variant.RERANK)),
+                              ("repeat_passes", cfg.repeat_passes == 1),
+                              ("shift_round", cfg.shift_round is None)]:
+            if not honoured:
+                raise ValidationError(f"{key}: a dump run takes all three paths and is one "
+                                      "pass of a plain or rerank episode")
+        env = ingest_embedding_dump(*paths, cfg.projection)
+        shape = (env.total_rounds, len(env.catalog), env.catalog.dim)
+        if (cfg.T, cfg.I, cfg.d) != shape:
+            raise ValidationError(f"T, I, d: the dump has (labelled queries, items, dim) "
+                                  f"{shape}, the config {(cfg.T, cfg.I, cfg.d)}")
+        kwargs.update(catalog=env.catalog, rng=RandomSource(cfg.seed))
     if cfg.variant is Variant.RERANK:
         rr_rng = RandomSource(np.random.SeedSequence([cfg.seed, 6]).generate_state(1)[0])
-        truth = {f"q{t}": env.optimal_item(t) for t in range(1, env.total_rounds + 1)}
+        truth = env.labels if isinstance(env, ReplayStream) else {
+            f"q{t}": env.optimal_item(t) for t in range(1, env.total_rounds + 1)}
         kwargs["reranker"] = make_stub_reranker(cfg.alpha, truth.__getitem__, rr_rng)
     elif cfg.variant is Variant.DYNAMIC:
         initial_ids, deltas = half_withheld_scenario(env)
@@ -52,28 +69,6 @@ def run_from_config(cfg: RunConfig) -> tuple[object, EpisodeLog]:
         kwargs["multihop_rounds"] = make_multihop_rounds(env)
     log = run_episode(env, episode, init_noise=cfg.sigma_init, **kwargs)
     return env, log
-
-
-def _replay(cfg: RunConfig) -> EpisodeLog:
-    if not (cfg.queries_path and cfg.items_path and cfg.labels_path):
-        raise ValidationError(
-            "replay needs queries_path, items_path, labels_path in the config"
-        )
-    stream = ingest_embedding_dump(cfg.queries_path, cfg.items_path, cfg.labels_path,
-                                   cfg.projection)
-    catalog = stream.catalog
-    schedule = LearningRateSchedule(cfg.schedule, cfg.c)
-    rng = RandomSource(cfg.seed)
-    records: list[RoundRecord] = []
-    for t, qid in enumerate(stream.query_ids, start=1):
-        q = QueryEmbedding(stream.queries[t - 1], query_id=qid)
-        truth = stream.labels[qid]
-        rec = step(
-            q, catalog, rng, schedule, cfg.update_mode, t,
-            lambda _t, chosen: chosen == truth,
-        )
-        records.append(rec)
-    return EpisodeLog(rounds=records, final_catalog=catalog)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -108,7 +103,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory (default: .)")
         p.add_argument("--k", type=_cutoff, default=10, help="cutoff for ranking metrics (>= 1)")
-        p.add_argument("--passes", type=int, default=10_000, help="oracle pass budget")
+        p.add_argument("--passes", type=_cutoff, default=10_000, help="oracle pass budget (>= 1)")
 
     try:
         args = parser.parse_args(argv)
@@ -120,18 +115,20 @@ def cli_main(argv: list[str] | None = None) -> int:
         if cfg.variant is Variant.MULTIHOP and args.command in ("regret", "metrics"):
             raise ValidationError(f"{args.command}: variant {cfg.variant.value!r} logs no "
                                   "per-round query or target item")
+        if args.command == "replay" and cfg.items_path is None:
+            raise ValidationError("replay needs queries_path, items_path, labels_path in the config")
         out = args.out or "."
         os.makedirs(out, exist_ok=True)
+        env, log = run_from_config(cfg)
 
         if args.command in ("simulate", "replay", "export"):
-            log = _replay(cfg) if args.command == "replay" else run_from_config(cfg)[1]
             if args.command != "export":
                 write_event_log(log.rounds, os.path.join(out, "events.jsonl"))
             write_snapshot(log.final_catalog, os.path.join(out, "catalog.orag"))
         elif args.command == "regret":
-            env, log = run_from_config(cfg)
             events = list(zip(log.queries, log.true_items))
-            init = initial_catalog(env, cfg.sigma_init, projection=cfg.projection)
+            init = (read_snapshot(cfg.items_path, cfg.projection) if isinstance(env, ReplayStream)
+                    else initial_catalog(env, cfg.sigma_init, projection=cfg.projection))
             fit = train_oracle(events, init, passes=args.passes)
             ledger = regret_curve(log, fit.catalog)
             _write_csv(
@@ -143,7 +140,6 @@ def cli_main(argv: list[str] | None = None) -> int:
                 ),
             )
         elif args.command == "metrics":
-            env, log = run_from_config(cfg)
             rows = []
             for rec, q, truth in zip(log.rounds, log.queries, log.true_items):
                 if truth not in log.final_catalog:
@@ -156,7 +152,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (ValidationError, InvalidConfig, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OragError as e:
+    except (OragError, OSError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 2
     return 0

@@ -17,10 +17,12 @@ from .errors import (
     IoError,
     ParseError,
     SchemaError,
+    UndefinedRound,
     UnknownId,
     ValidationError,
 )
 from .learner import LearningRateSchedule, RoundRecord, ScheduleKind, UpdateMode
+from .policy import QueryEmbedding
 from .simulator import EpisodeConfig, Variant
 
 
@@ -90,7 +92,7 @@ def _check_as(name: str, tp: type, optional: bool):
 _CONFIG_CHECKS, _CONFIG_REQUIRED = _field_checks(RunConfig)
 # Ranges `config.episode()` does not check.
 _RANGES = [("seed", 0, np.inf), ("sigma", 0, np.inf), ("sigma_init", 0, np.inf),
-           ("alpha", 0, 1), ("shift_fraction", 0, 1)]
+           ("alpha", 0, 1), ("shift_fraction", 0, 1), ("shift_round", 1, np.inf)]
 
 
 def load_config(path: str, seed: int | None = None) -> RunConfig:
@@ -118,7 +120,8 @@ def load_config(path: str, seed: int | None = None) -> RunConfig:
     except (InvalidConfig, ValueError) as e:
         raise ValidationError(str(e)) from None
     for name, low, high in _RANGES:
-        if not low <= getattr(config, name) <= high:
+        value = getattr(config, name)
+        if value is not None and not low <= value <= high:
             raise ValidationError(f"{name}: must lie in [{low}, {high}]")
     return config
 
@@ -190,15 +193,25 @@ def read_event_log(path: str) -> list[RoundRecord]:
 
 @dataclass
 class ReplayStream:
-    """Offline query stream equivalent to the simulator's interface."""
+    """An ingested dump as the stream `run_episode` drives: round t is the t-th
+    labelled query, in the dump's id order, and its label is the round's target."""
 
     query_ids: list[str]
     queries: np.ndarray
     catalog: Catalog
     labels: dict[str, ItemId]
 
-    def __len__(self) -> int:
+    @property
+    def total_rounds(self) -> int:
         return len(self.query_ids)
+
+    def query_at(self, t: int) -> QueryEmbedding:
+        if not (1 <= t <= self.total_rounds):
+            raise UndefinedRound(f"round {t} outside 1..{self.total_rounds}")
+        return QueryEmbedding(self.queries[t - 1], query_id=self.query_ids[t - 1])
+
+    def optimal_item(self, t: int) -> ItemId:
+        return self.labels[self.query_at(t).query_id]
 
 
 def ingest_embedding_dump(queries_path: str, items_path: str, labels_path: str,

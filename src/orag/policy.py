@@ -51,7 +51,6 @@ class ProbabilityVector:
 
     ids: tuple[ItemId, ...]
     probs: np.ndarray
-    generation: int
 
     def __getitem__(self, item_id: ItemId) -> float:
         return float(self.probs[self.index_of(item_id)])
@@ -87,7 +86,7 @@ def score(q, catalog: Catalog) -> ProbabilityVector:
     np.maximum(logits, -700.0, out=logits)
     np.exp(logits, out=logits)
     logits /= np.add.reduce(logits)
-    return ProbabilityVector(catalog.ids, logits, catalog.generation)
+    return ProbabilityVector(catalog.ids, logits)
 
 
 def sample_one(p: ProbabilityVector, rng: RandomSource) -> ItemId:

@@ -278,12 +278,14 @@ def run_episode(
     deltas=None,
     multihop_rounds=None,
 ) -> EpisodeLog:
-    """Run the configured variant for T * repeat_passes rounds.
+    """Run the configured variant for `env.total_rounds` rounds.
 
-    `catalog` defaults to `initial_catalog(env, init_noise)`; a given one must
-    have the episode's projection. The rerank variant needs `reranker`; dynamic
-    takes `deltas` (round -> CatalogDelta); multihop takes `multihop_rounds`
-    (round -> MultiHopRound) and records the per-hop records flattened into the log.
+    `env` is an `Environment` or another stream with `total_rounds`, `query_at`
+    and `optimal_item`, such as a dump's `ReplayStream`. `catalog` defaults to
+    `initial_catalog(env, init_noise)`; a given one must have the episode's
+    projection. The rerank variant needs `reranker`; dynamic takes `deltas`
+    (round -> CatalogDelta); multihop takes `multihop_rounds` (round ->
+    MultiHopRound) and records the per-hop records flattened into the log.
     """
     variant = episode.variant
     if catalog is None:
@@ -304,14 +306,14 @@ def run_episode(
     labels: list[ItemId] = []
     losses: list[float] = []
     for t in range(1, env.total_rounds + 1):
-        q = env.query_at(t)
-        if variant is Variant.MULTIHOP:
+        if variant is Variant.MULTIHOP:  # its hops bring their own sub-queries
             rounds.extend(variants.step_multihop(
                 multihop_rounds[t], catalog, rng, episode.schedule, t,
                 update_mode=episode.update_mode,
                 clip_propensity=episode.clip_propensity,
             ))
             continue
+        q = env.query_at(t)
         if variant is Variant.DYNAMIC and deltas and t in deltas:
             variants.apply_delta(catalog, deltas[t], t)
         target = env.optimal_item(t)

@@ -5,6 +5,7 @@ lines; the whole suite is also part of the default pytest run.
 """
 
 import time
+from pathlib import Path
 from functools import lru_cache
 
 import numpy as np
@@ -309,7 +310,7 @@ def test_criterion_08_multihop_improvement():
 def test_criterion_09_metric_unit_checks():
     from orag.policy import ProbabilityVector
 
-    uniform4 = ProbabilityVector(("a", "b", "c", "d"), np.full(4, 0.25), 0)
+    uniform4 = ProbabilityVector(("a", "b", "c", "d"), np.full(4, 0.25))
     ce_ok = abs(cross_entropy_loss(uniform4, "b") - np.log(4.0)) < 1e-12
 
     ranked = RankedList(("x", "y", "z"), frozenset({"y"}))
@@ -342,7 +343,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     paths = [str(tmp_path / f"events{k}.jsonl") for k in (0, 1)]
     write_event_log(a.rounds, paths[0])
     write_event_log(b.rounds, paths[1])
-    log_ok = open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    log_ok = Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
     snap_path = str(tmp_path / "final.orag")
     write_snapshot(a.final_catalog, snap_path)

@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from orag.errors import (
     DimensionMismatch,
     DuplicateId,
     IdRetired,
+    IoError,
     NonFiniteInput,
     SnapshotFormatError,
     UnknownId,
@@ -323,9 +325,9 @@ def test_snapshot_bad_version(tmp_path):
     cat = Catalog(2, [("a", [1.0, 2.0])])
     path = str(tmp_path / "v.orag")
     write_snapshot(cat, path)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[4:8] = (999).to_bytes(4, "little")
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(raw)
     with pytest.raises(SnapshotFormatError):
         read_snapshot(path)
 
@@ -335,10 +337,10 @@ def test_snapshot_bad_version(tmp_path):
 def test_snapshot_with_non_finite_row_is_rejected(tmp_path, dtype, bad):
     path = str(tmp_path / "nf.orag")
     write_snapshot(Catalog(2, [("a", [0.5, 0.5]), ("b", [1.0, 2.0])], dtype=dtype), path)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     wire = np.dtype(dtype).newbyteorder("<")
     raw[-wire.itemsize:] = np.array([bad], dtype=wire).tobytes()
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(raw)
     for projection in ProjectionMode:
         with pytest.raises(NonFiniteInput):
             read_snapshot(path, projection)
@@ -453,9 +455,28 @@ def test_snapshot_failed_write_leaves_no_temp_file(tmp_path):
     target = tmp_path / "taken"
     target.mkdir()
     (target / "keep").write_text("x")
-    with pytest.raises(OSError):
+    with pytest.raises(IoError):
         write_snapshot(cat, str(target))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_snapshot_into_a_missing_directory_is_an_io_error(tmp_path):
+    with pytest.raises(IoError):
+        write_snapshot(Catalog(2, [("a", [1.0, 2.0])]), str(tmp_path / "absent" / "cat.orag"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_snapshot_whose_temp_path_is_a_directory_is_an_io_error(tmp_path):
+    (tmp_path / "cat.orag.tmp").mkdir()
+    with pytest.raises(IoError):
+        write_snapshot(Catalog(2, [("a", [1.0, 2.0])]), str(tmp_path / "cat.orag"))
+    assert [p.name for p in tmp_path.iterdir()] == ["cat.orag.tmp"]
+
+
+@pytest.mark.parametrize("name", ["absent.orag", "."])
+def test_snapshot_read_of_a_missing_file_or_a_directory_is_an_io_error(tmp_path, name):
+    with pytest.raises(IoError):
+        read_snapshot(str(tmp_path / name))
 
 
 def test_snapshot_round_trip_after_churn(tmp_path):

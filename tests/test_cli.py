@@ -8,8 +8,10 @@ import pytest
 from orag.catalog import Catalog, read_snapshot, write_snapshot
 from orag.errors import ValidationError
 from orag.cli import cli_main, run_from_config
-from orag.io_utils import load_config
+from orag.io_utils import RunConfig, ingest_embedding_dump, load_config, write_event_log
+from orag.learner import LearningRateSchedule, step
 from orag.metrics import regret_curve, train_oracle
+from orag.policy import QueryEmbedding, RandomSource
 from orag.simulator import initial_catalog, make_environment
 
 MINIMAL = {"I": 10, "d": 4, "T": 100, "seed": 1}
@@ -19,6 +21,11 @@ def _cfg(tmp_path, payload=MINIMAL, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _read(path):
+    with open(path, "rb") as f:
+        return f.read()
 
 
 def test_simulate_minimal_config(tmp_path):
@@ -34,9 +41,8 @@ def test_simulate_is_byte_deterministic(tmp_path):
     cfg = _cfg(tmp_path)
     for out in outs:
         assert cli_main(["simulate", "--config", cfg, "--out", out]) == 0
-    read = lambda out, name: open(os.path.join(out, name), "rb").read()
-    assert read(outs[0], "events.jsonl") == read(outs[1], "events.jsonl")
-    assert read(outs[0], "catalog.orag") == read(outs[1], "catalog.orag")
+    for name in ("events.jsonl", "catalog.orag"):
+        assert _read(os.path.join(outs[0], name)) == _read(os.path.join(outs[1], name))
 
 
 def test_seed_override_changes_the_log(tmp_path):
@@ -44,9 +50,7 @@ def test_seed_override_changes_the_log(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli_main(["simulate", "--config", cfg, "--out", out1]) == 0
     assert cli_main(["simulate", "--config", cfg, "--out", out2, "--seed", "99"]) == 0
-    a = open(os.path.join(out1, "events.jsonl"), "rb").read()
-    b = open(os.path.join(out2, "events.jsonl"), "rb").read()
-    assert a != b
+    assert _read(os.path.join(out1, "events.jsonl")) != _read(os.path.join(out2, "events.jsonl"))
 
 
 def test_seed_override_is_checked_like_the_config_seed(tmp_path, capsys):
@@ -203,8 +207,8 @@ def test_replay_over_embedding_dump(tmp_path):
     }
     out = str(tmp_path / "replay")
     assert cli_main(["replay", "--config", _cfg(tmp_path, payload, "r.json"), "--out", out]) == 0
-    lines = open(os.path.join(out, "events.jsonl")).readlines()
-    assert len(lines) == 6
+    with open(os.path.join(out, "events.jsonl")) as f:
+        assert len(f.readlines()) == 6
 
 
 def test_replay_projects_the_items_as_it_reads_them(tmp_path):
@@ -231,3 +235,165 @@ def test_replay_projects_the_items_as_it_reads_them(tmp_path):
 
 def test_replay_without_paths_exits_one(tmp_path):
     assert cli_main(["replay", "--config", _cfg(tmp_path), "--out", str(tmp_path / "x")]) == 1
+
+
+def _dump_config(tmp_path, n_items=6, d=4, dtype=np.float64, **extra):
+    """A dump of 10 queries (8 labelled, listed out of id order) over items of norm
+    about 4, and a config that names it."""
+    rng = np.random.default_rng(7)
+    queries = Catalog(d, [(f"q{k:02d}", rng.normal(size=d)) for k in range(10)], dtype=dtype)
+    items = Catalog(d, [(f"doc{k:02d}", 2.0 + rng.normal(size=d)) for k in range(n_items)])
+    paths = {key: str(tmp_path / name) for key, name in
+             [("queries_path", "q.orag"), ("items_path", "i.orag"), ("labels_path", "l.txt")]}
+    write_snapshot(queries, paths["queries_path"])
+    write_snapshot(items, paths["items_path"])
+    labelled = [7, 0, 3, 1, 9, 4, 2, 5]
+    (tmp_path / "l.txt").write_text(
+        "".join(f"q{k:02d} doc{(3 * k) % n_items:02d}\n" for k in labelled))
+    return {"T": len(labelled), "I": n_items, "d": d, "seed": 5, "schedule": "constant",
+            "c": 0.5, **paths, **extra}
+
+
+def _replay_reference(cfg):
+    """The loop `orag replay` ran on its own: one `step` per labelled query."""
+    stream = ingest_embedding_dump(cfg.queries_path, cfg.items_path, cfg.labels_path,
+                                   cfg.projection)
+    schedule = LearningRateSchedule(cfg.schedule, cfg.c)
+    rng = RandomSource(cfg.seed)
+    records = []
+    for t, qid in enumerate(stream.query_ids, start=1):
+        q = QueryEmbedding(stream.queries[t - 1], query_id=qid)
+        truth = stream.labels[qid]
+        records.append(step(q, stream.catalog, rng, schedule, cfg.update_mode, t,
+                            lambda _t, chosen: chosen == truth))
+    return records, stream.catalog
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("projection", ["none", "unit_ball"])
+@pytest.mark.parametrize("update_mode", ["full", "chosen_only"])
+def test_replay_matches_its_reference_loop(tmp_path, update_mode, projection, dtype):
+    payload = _dump_config(tmp_path, dtype=dtype, update_mode=update_mode,
+                           projection=projection)
+    cfg_path = _cfg(tmp_path, payload)
+    out = tmp_path / "replay"
+    assert cli_main(["replay", "--config", cfg_path, "--out", str(out)]) == 0
+    records, catalog = _replay_reference(load_config(cfg_path))
+    write_event_log(records, str(tmp_path / "ref.jsonl"))
+    rows = [json.loads(line) for line in _read(out / "events.jsonl").splitlines()]
+    assert all(np.isfinite(row.pop("loss")) for row in rows)
+    assert rows == [json.loads(line) for line in _read(tmp_path / "ref.jsonl").splitlines()]
+    assert [r["query_id"] for r in rows] == ["q00", "q01", "q02", "q03", "q04", "q05", "q07", "q09"]
+    write_snapshot(catalog, str(tmp_path / "ref.orag"))
+    assert _read(out / "catalog.orag") == _read(tmp_path / "ref.orag")
+
+
+def test_replay_runs_the_rerank_variant(tmp_path):
+    # K = I puts the target among the candidates and alpha = 1 picks it: every round succeeds.
+    payload = _dump_config(tmp_path, variant="rerank", K=6, alpha=1.0)
+    out = tmp_path / "replay"
+    assert cli_main(["replay", "--config", _cfg(tmp_path, payload), "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in _read(out / "events.jsonl").splitlines()]
+    assert len(rows) == 8 and all(row["success"] for row in rows)
+
+
+@pytest.mark.parametrize("command, column, key", [("metrics", "success", "success"),
+                                                  ("regret", "online_loss", "loss")])
+def test_metrics_and_regret_over_a_dump(tmp_path, command, column, key):
+    # One row per labelled query, from the episode `replay` logs.
+    cfg_path = _cfg(tmp_path, _dump_config(tmp_path))
+    assert cli_main(["replay", "--config", cfg_path, "--out", str(tmp_path / "replay")]) == 0
+    events = [json.loads(line) for line in _read(tmp_path / "replay" / "events.jsonl").splitlines()]
+    out = tmp_path / command
+    assert cli_main([command, "--config", cfg_path, "--out", str(out), "--passes", "20"]) == 0
+    with open(out / f"{command}.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [int(r["t"]) for r in rows] == [e["t"] for e in events] == list(range(1, 9))
+    assert [float(r[column]) for r in rows] == [float(e[key]) for e in events]
+    assert all(np.isfinite(float(v)) for r in rows for v in r.values())
+
+
+def test_regret_over_a_dump_starts_its_oracle_from_the_dump_items(tmp_path):
+    cfg_path = _cfg(tmp_path, _dump_config(tmp_path, projection="unit_ball"))
+    out = tmp_path / "regret"
+    assert cli_main(["regret", "--config", cfg_path, "--out", str(out), "--passes", "1"]) == 0
+    cfg = load_config(cfg_path)
+    _, log = run_from_config(cfg)
+    init = read_snapshot(cfg.items_path, cfg.projection)
+    fit = train_oracle(list(zip(log.queries, log.true_items)), init, passes=1)
+    with open(out / "regret.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert float(rows[-1]["cum_regret"]) == regret_curve(log, fit.catalog).final_regret
+
+
+def test_replay_of_a_config_it_cannot_honour_exits_one(tmp_path, capsys):
+    # T, I, d and K describe a synthetic run, not this 6-item, d = 4 dump of 8 labels.
+    payload = {**_dump_config(tmp_path), "variant": "rerank", "K": 5, "T": 999, "I": 50, "d": 16}
+    out = tmp_path / "replay"
+    assert cli_main(["replay", "--config", _cfg(tmp_path, payload), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: T, I, d")
+    assert not (out / "events.jsonl").exists()
+
+
+@pytest.mark.parametrize("bad", [
+    {"T": 7}, {"I": 5}, {"d": 8}, {"variant": "dynamic"}, {"variant": "multihop"},
+    {"repeat_passes": 2}, {"shift_round": 3}, {"labels_path": None}, {"queries_path": None},
+])
+@pytest.mark.parametrize("command", ["simulate", "replay", "export", "metrics", "regret"])
+def test_dump_config_keys_a_dump_run_rejects_exit_one(tmp_path, capsys, command, bad):
+    payload = {k: v for k, v in {**_dump_config(tmp_path), **bad}.items() if v is not None}
+    out = tmp_path / "run"
+    assert cli_main([command, "--config", _cfg(tmp_path, payload), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_a_directly_built_dump_config_is_checked(tmp_path):
+    payload = _dump_config(tmp_path, repeat_passes=3)
+    with pytest.raises(ValidationError, match="repeat_passes"):
+        run_from_config(RunConfig(**payload))
+    env, log = run_from_config(RunConfig(**{**payload, "repeat_passes": 1}))
+    assert env.total_rounds == len(log.rounds) == 8
+
+
+def test_dump_with_a_missing_file_exits_two(tmp_path, capsys):
+    payload = {**_dump_config(tmp_path), "items_path": str(tmp_path / "absent.orag")}
+    assert cli_main(["replay", "--config", _cfg(tmp_path, payload),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: ")
+
+
+def test_out_naming_a_file_exits_two(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    assert cli_main(["simulate", "--config", _cfg(tmp_path), "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: ")
+    assert taken.read_text() == "x"
+
+
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "catalog.orag"), ("metrics", "metrics.csv"), ("regret", "regret.csv")])
+def test_an_output_that_cannot_be_written_exits_two(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert cli_main([command, "--config", _cfg(tmp_path), "--out", str(out),
+                     "--passes", "2"]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: ")
+
+
+@pytest.mark.parametrize("passes", ["0", "-3"])
+def test_passes_below_one_exits_one_before_running(tmp_path, capsys, passes):
+    out = tmp_path / "regret"
+    assert cli_main(["regret", "--config", _cfg(tmp_path), "--out", str(out),
+                     "--passes", passes]) == 1
+    assert "--passes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shift_round", [-7, 0])
+def test_shift_round_below_one_exits_one(tmp_path, capsys, shift_round):
+    path = _cfg(tmp_path, {**MINIMAL, "shift_round": shift_round})
+    with pytest.raises(ValidationError, match="shift_round"):
+        load_config(path)
+    assert cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert load_config(_cfg(tmp_path, {**MINIMAL, "shift_round": None})).shift_round is None

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from orag.errors import (
     IoError,
     ParseError,
     SchemaError,
+    UndefinedRound,
     UnknownId,
     ValidationError,
 )
@@ -112,14 +114,14 @@ def _records():
 def test_event_log_empty_round_trip(tmp_path):
     path = str(tmp_path / "empty.jsonl")
     write_event_log([], path)
-    assert open(path).read() == ""
+    assert Path(path).read_text() == ""
     assert read_event_log(path) == []
 
 
 def test_event_log_three_record_round_trip(tmp_path):
     path = str(tmp_path / "log.jsonl")
     write_event_log(_records(), path)
-    assert len(open(path).readlines()) == 3
+    assert len(Path(path).read_text().splitlines()) == 3
     assert read_event_log(path) == _records()
 
 
@@ -127,15 +129,15 @@ def test_event_log_bytes_are_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
     write_event_log(_records(), p1)
     write_event_log(_records(), p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_event_log_corrupt_line_cites_its_number(tmp_path):
     path = str(tmp_path / "bad.jsonl")
     write_event_log(_records(), path)
-    lines = open(path).readlines()
+    lines = Path(path).read_text().splitlines(keepends=True)
     lines[1] = "{corrupt\n"
-    open(path, "w").writelines(lines)
+    Path(path).write_text("".join(lines))
     with pytest.raises(SchemaError, match="line 2"):
         read_event_log(path)
 
@@ -225,7 +227,7 @@ def _dump(tmp_path, d_queries=4, d_items=4, dtype=np.float64):
 def test_ingest_dump_happy_path(tmp_path, dtype):
     qp, ip, lp = _dump(tmp_path, dtype=dtype)
     stream = ingest_embedding_dump(qp, ip, lp)
-    assert len(stream) == 2
+    assert stream.total_rounds == 2
     assert stream.labels == {"q0": "doc1", "q1": "doc2"}
     assert stream.queries.shape == (2, 4)
     assert set(stream.catalog.ids) == {"doc0", "doc1", "doc2"}
@@ -234,6 +236,20 @@ def test_ingest_dump_happy_path(tmp_path, dtype):
     assert stream.query_ids == ["q0", "q1"]
     assert stream.queries.dtype == dtype
     assert stream.queries.tobytes() == np.stack([queries.row("q0"), queries.row("q1")]).tobytes()
+
+
+def test_replay_stream_serves_the_labelled_queries_as_rounds(tmp_path):
+    stream = ingest_embedding_dump(*_dump(tmp_path, dtype=np.float32))
+    for t, (qid, item) in enumerate([("q0", "doc1"), ("q1", "doc2")], start=1):
+        q = stream.query_at(t)
+        assert q.query_id == qid and stream.optimal_item(t) == item
+        assert q.q.dtype == np.float64
+        assert q.q.tobytes() == stream.queries[t - 1].astype(np.float64).tobytes()
+    for t in (0, 3):
+        with pytest.raises(UndefinedRound):
+            stream.query_at(t)
+        with pytest.raises(UndefinedRound):
+            stream.optimal_item(t)
 
 
 def test_ingest_dump_unknown_item(tmp_path):

@@ -23,8 +23,8 @@ from orag.policy import ProbabilityVector, RandomSource, score
 from orag.simulator import EpisodeConfig, make_environment, run_episode
 
 
-def _pv(ids, probs, generation=0):
-    return ProbabilityVector(tuple(ids), np.asarray(probs, dtype=float), generation)
+def _pv(ids, probs):
+    return ProbabilityVector(tuple(ids), np.asarray(probs, dtype=float))
 
 
 def test_full_gradient_success_half_half():

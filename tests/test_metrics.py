@@ -27,7 +27,7 @@ from orag.simulator import EpisodeConfig, make_environment, run_episode
 
 
 def _pv(ids, probs):
-    return ProbabilityVector(tuple(ids), np.asarray(probs, dtype=float), 0)
+    return ProbabilityVector(tuple(ids), np.asarray(probs, dtype=float))
 
 
 def test_cross_entropy_of_certainty_is_zero():

@@ -70,13 +70,6 @@ def test_score_errors():
         score(np.array([np.nan, 1.0]), cat)
 
 
-def test_score_records_generation():
-    cat = _cat([("a", [1.0])])
-    cat.update_rows(["a"], np.ones((1, 1)), np.array([[0.1]]), eta=0.1)
-    p = score(np.array([1.0]), cat)
-    assert p.generation == cat.generation
-
-
 def test_sample_one_degenerate():
     cat = _cat([("only", [0.5, 0.5])])
     p = score(np.array([1.0, 1.0]), cat)
@@ -194,7 +187,7 @@ def test_sample_k_matches_list_reference():
         n = int(gen.integers(1, 300))
         k = int(gen.integers(1, min(n, 12) + 1))
         probs = gen.dirichlet(np.full(n, float(gen.choice([0.05, 1.0, 20.0]))))
-        p = ProbabilityVector(tuple(f"i{j:03d}" for j in range(n)), probs, 0)
+        p = ProbabilityVector(tuple(f"i{j:03d}" for j in range(n)), probs)
         a, b = RandomSource(trial), RandomSource(trial)
         assert sample_k_without_replacement(p, k, a) == _sample_k_list_reference(p, k, b)
         assert a.uniform() == b.uniform()  # the same number of draws consumed
@@ -203,7 +196,7 @@ def test_sample_k_matches_list_reference():
 def test_probability_lookup_sorted_unsorted_and_missing():
     probs = np.array([0.1, 0.2, 0.3, 0.4])
     for ids in (("a", "b", "c", "d"), ("c", "a", "d", "b")):
-        p = ProbabilityVector(ids, probs, 0)
+        p = ProbabilityVector(ids, probs)
         for k, i in enumerate(ids):
             assert p.index_of(i) == k and p[i] == probs[k]
         for missing in ("", "bb", "e", 3):
@@ -293,7 +286,7 @@ class _Counting:
 
 
 def _assert_same_as_reference(probs, k, **source):
-    p = ProbabilityVector(tuple(f"i{j:03d}" for j in range(len(probs))), np.asarray(probs), 0)
+    p = ProbabilityVector(tuple(f"i{j:03d}" for j in range(len(probs))), np.asarray(probs))
     a, b = _Counting(**source), _Counting(**source)
     assert sample_k_without_replacement(p, k, a) == _sample_k_list_reference(p, k, b)
     assert a.calls == b.calls == k
@@ -354,7 +347,7 @@ def test_sample_k_boundary_uniforms_match_reference():
     for trial in range(100):
         n = int(gen.integers(50, 400))
         probs = gen.dirichlet(np.full(n, float(gen.choice([0.05, 1.0]))))
-        p = ProbabilityVector(tuple(f"i{j:03d}" for j in range(n)), probs, 0)
+        p = ProbabilityVector(tuple(f"i{j:03d}" for j in range(n)), probs)
         us = _boundary_uniforms(probs, 12, gen)
         assert (sample_k_without_replacement(p, 12, _Counting(us=us))
                 == _sample_k_list_reference(p, 12, _Counting(us=us)))
@@ -400,7 +393,7 @@ def _churn_probs(gen, latents, dtype=np.float64):
 
 
 def _assert_same_as_suffix_reference(ids, probs, k, **source):
-    p = ProbabilityVector(ids, probs, 0)
+    p = ProbabilityVector(ids, probs)
     a, b = _Counting(**source), _Counting(**source)
     assert sample_k_without_replacement(p, k, a) == _sample_k_suffix_reference(p, k, b)
     assert a.calls == b.calls == k

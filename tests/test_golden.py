@@ -3,7 +3,9 @@
 Each case pins the SHA-256 of the artifacts of a tiny run. The `orag simulate`
 cases hash `events.jsonl` and `catalog.orag` for every variant x update mode x
 projection; the float32 cases hash the records and the final matrix of a
-float32 catalog driven by `learner.step`. With these settings the learning
+float32 catalog driven by `learner.step`; the stream cases hash the ids,
+latents, queries and targets of a synthetic environment, shifted and
+multi-pass or not. With these settings the learning
 rate is large enough that unit_ball runs really do project rows (checked by
 `test_projection_is_exercised`).
 
@@ -48,6 +50,10 @@ SIMULATE_CASES = [
     f"simulate-{v}-{m}-{p}" for v, m, p in itertools.product(VARIANTS, MODES, PROJECTIONS)
 ]
 FLOAT32_CASES = [f"float32-{m}-{p}" for m, p in itertools.product(MODES, PROJECTIONS)]
+STREAM_CASES = {
+    "stream-unshifted": {},
+    "stream-shifted-3pass": {"repeat_passes": 3, "shift_round": 50, "shift_fraction": 0.5},
+}
 
 
 def _sha(data: bytes) -> str:
@@ -93,6 +99,19 @@ def float32_digests(case: str) -> dict[str, str]:
     return {
         "records": _sha(lines.encode()),
         "matrix": _sha(catalog.matrix().tobytes()),
+    }
+
+
+def stream_digests(case: str) -> dict[str, str]:
+    opts = dict(STREAM_CASES[case])
+    episode = EpisodeConfig(T=40, I=12, d=6, repeat_passes=opts.pop("repeat_passes", 1))
+    env = make_environment(episode, 5, **opts)
+    rounds = range(1, env.total_rounds + 1)
+    return {
+        "ids": _sha("\n".join(env.ids).encode()),
+        "latents": _sha(env.latents.tobytes()),
+        "queries": _sha(np.stack([env.query_at(t).q for t in rounds]).tobytes()),
+        "targets": _sha("\n".join(env.optimal_item(t) for t in rounds).encode()),
     }
 
 
@@ -177,6 +196,18 @@ GOLDEN = {
         'records': '7dd386481c491a198a20333ef87fcb8f0ceed1e9562689fd64df1a48cf2aa375',
         'matrix': '1f0e92570993083fc7e37d34e8361994be782c4a99742a26d115afe964b2914c',
     },
+    'stream-unshifted': {
+        'ids': '081c53ce855e680ac8fd3e6c10e18b44a990fd8b37ee35396eec5afcc918ee51',
+        'latents': 'cf2345afd0d2ebbbd2c001b72d9d401dfd633526aadd1d0a03d6f54467789ff5',
+        'queries': 'd02e3cf590af3eecb2ea630e28c1319077135e1ba3d38a32563ef0f1591e7b6b',
+        'targets': '4b6b963dc6e654d20dd4b38e2ed1268771bbb695374bd30097d85303ef0a808e',
+    },
+    'stream-shifted-3pass': {
+        'ids': '081c53ce855e680ac8fd3e6c10e18b44a990fd8b37ee35396eec5afcc918ee51',
+        'latents': 'cf2345afd0d2ebbbd2c001b72d9d401dfd633526aadd1d0a03d6f54467789ff5',
+        'queries': 'b0b71cb545be19c5b9715c5bb3e191a243062d38128708729c6cc15895bc53e8',
+        'targets': '057ab1c11a90a287d0cb255a9d6fb9652b495657c9976368e8762286d5e6ef06',
+    },
 }
 
 
@@ -188,6 +219,11 @@ def test_simulate_digest(case, tmp_path):
 @pytest.mark.parametrize("case", FLOAT32_CASES)
 def test_float32_step_digest(case):
     assert float32_digests(case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_stream_digest(case):
+    assert stream_digests(case) == GOLDEN[case]
 
 
 def test_projection_is_exercised():
@@ -210,6 +246,8 @@ if __name__ == "__main__":
             digests[case] = simulate_digests(case, case_dir)
     for case in FLOAT32_CASES:
         digests[case] = float32_digests(case)
+    for case in STREAM_CASES:
+        digests[case] = stream_digests(case)
     print("GOLDEN = {")
     for case, d in digests.items():
         print(f"    {case!r}: {{")

@@ -32,23 +32,17 @@ def run_from_config(cfg: RunConfig) -> tuple[object, EpisodeLog]:
     the configured synthetic environment.
 
     A dump run is the plain or rerank episode over one pass of the labelled
-    queries; a config it cannot honour raises `ValidationError` before any round.
+    queries; a dump whose shape is not the config's (T, I, d) raises
+    `ValidationError` before any round.
     """
     episode = cfg.episode()
-    paths = (cfg.queries_path, cfg.items_path, cfg.labels_path)
     kwargs = {}
-    if paths == (None, None, None):
+    if cfg.items_path is None:
         env = make_environment(episode, cfg.seed, noise_scale=cfg.sigma,
                                shift_round=cfg.shift_round, shift_fraction=cfg.shift_fraction)
     else:
-        for key, honoured in [("queries_path, items_path, labels_path", None not in paths),
-                              ("variant", cfg.variant in (Variant.PLAIN, Variant.RERANK)),
-                              ("repeat_passes", cfg.repeat_passes == 1),
-                              ("shift_round", cfg.shift_round is None)]:
-            if not honoured:
-                raise ValidationError(f"{key}: a dump run takes all three paths and is one "
-                                      "pass of a plain or rerank episode")
-        env = ingest_embedding_dump(*paths, cfg.projection)
+        env = ingest_embedding_dump(cfg.queries_path, cfg.items_path, cfg.labels_path,
+                                    cfg.projection)
         shape = (env.total_rounds, len(env.catalog), env.catalog.dim)
         if (cfg.T, cfg.I, cfg.d) != shape:
             raise ValidationError(f"T, I, d: the dump has (labelled queries, items, dim) "
@@ -149,7 +143,7 @@ def cli_main(argv: list[str] | None = None) -> int:
                     (rec.t, recall_at_k(ranked, args.k), ndcg_at_k(ranked, args.k), int(rec.success))
                 )
             _write_csv(os.path.join(out, "metrics.csv"), ["t", f"recall_at_{args.k}", f"ndcg_at_{args.k}", "success"], rows)
-    except (ValidationError, InvalidConfig, ParseError) as e:
+    except (InvalidConfig, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (OragError, OSError) as e:

@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatch,
     InvalidConfig,
     IoError,
+    OragError,
     ParseError,
     SchemaError,
     UndefinedRound,
@@ -26,7 +27,7 @@ from .policy import QueryEmbedding
 from .simulator import EpisodeConfig, Variant
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     T: int
     I: int
@@ -47,6 +48,31 @@ class RunConfig:
     queries_path: Optional[str] = None
     items_path: Optional[str] = None
     labels_path: Optional[str] = None
+
+    def __post_init__(self):
+        """The one home of the config rules: a config built here gets exactly
+        the checks a JSON file gets, each failure a `ValidationError` naming its
+        field. Frozen, so no field changes after its check."""
+        for name, check in _CONFIG_CHECKS.items():
+            object.__setattr__(self, name, check(getattr(self, name)))
+        try:  # T, I, d, K, repeat_passes and c
+            self.episode()
+        except (InvalidConfig, ValueError) as e:
+            raise ValidationError(str(e)) from None
+        for name, low, high in [*_RANGES, ("shift_round", 1, self.T * self.repeat_passes)]:
+            value = getattr(self, name)
+            if value is not None and not low <= value <= high:
+                raise ValidationError(f"{name}: must lie in [{low}, {high}]")
+        paths = (self.queries_path, self.items_path, self.labels_path)
+        if paths == (None, None, None):
+            return
+        for key, honoured in [("queries_path, items_path, labels_path", None not in paths),
+                              ("variant", self.variant in (Variant.PLAIN, Variant.RERANK)),
+                              ("repeat_passes", self.repeat_passes == 1),
+                              ("shift_round", self.shift_round is None)]:
+            if not honoured:
+                raise ValidationError(f"{key}: a dump run takes all three paths and is one "
+                                      "pass of a plain or rerank episode")
 
     def episode(self) -> EpisodeConfig:
         return EpisodeConfig(
@@ -90,19 +116,29 @@ def _check_as(name: str, tp: type, optional: bool):
 
 
 _CONFIG_CHECKS, _CONFIG_REQUIRED = _field_checks(RunConfig)
-# Ranges `config.episode()` does not check.
+# Ranges `config.episode()` does not check; shift_round's upper end is T * repeat_passes.
 _RANGES = [("seed", 0, np.inf), ("sigma", 0, np.inf), ("sigma_init", 0, np.inf),
-           ("alpha", 0, 1), ("shift_fraction", 0, 1), ("shift_round", 1, np.inf)]
+           ("alpha", 0, 1), ("shift_fraction", 0, 1)]
+
+
+def _read_text(path: str, error: type[OragError]) -> str:
+    r"""A UTF-8 text file's contents; `OSError` is an `IoError`, bytes that are not
+    UTF-8 the caller's `error`. Split lines with `.split("\n")`, as `readlines` does:
+    `str.splitlines` also breaks at U+2028, form feeds and the like."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except OSError as e:
+        raise IoError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8: {e}") from None
 
 
 def load_config(path: str, seed: int | None = None) -> RunConfig:
-    """Read, validate, and default-fill a JSON run configuration; `seed` overrides the file's."""
+    """Read a JSON run configuration, `seed` overriding the file's; `RunConfig` checks it."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except OSError as e:
-        raise IoError(str(e)) from None
-    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, a >4300-digit int, deep nesting
+        raw = json.loads(_read_text(path, ParseError))
+    except (ValueError, RecursionError) as e:  # bad JSON, a >4300-digit int, deep nesting
         raise ParseError(f"{path}: {e}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: config must be a single JSON object")
@@ -114,16 +150,7 @@ def load_config(path: str, seed: int | None = None) -> RunConfig:
         raise ValidationError(f"missing required keys: {sorted(missing)}")
     if seed is not None:
         raw["seed"] = seed
-    config = RunConfig(**{k: _CONFIG_CHECKS[k](v) for k, v in raw.items()})
-    try:  # T, I, d, K, repeat_passes and c
-        config.episode()
-    except (InvalidConfig, ValueError) as e:
-        raise ValidationError(str(e)) from None
-    for name, low, high in _RANGES:
-        value = getattr(config, name)
-        if value is not None and not low <= value <= high:
-            raise ValidationError(f"{name}: must lie in [{low}, {high}]")
-    return config
+    return RunConfig(**raw)
 
 
 # -- JSONL event logs -------------------------------------------------------
@@ -152,15 +179,8 @@ def write_event_log(records: list[RoundRecord], path: str) -> None:
 
 def read_event_log(path: str) -> list[RoundRecord]:
     records: list[RoundRecord] = []
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
-    except OSError as e:
-        raise IoError(str(e)) from None
-    except UnicodeDecodeError as e:
-        raise SchemaError(f"{path}: not UTF-8: {e}") from None
     last_t = 0
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_text(path, SchemaError).split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -211,7 +231,9 @@ class ReplayStream:
         return QueryEmbedding(self.queries[t - 1], query_id=self.query_ids[t - 1])
 
     def optimal_item(self, t: int) -> ItemId:
-        return self.labels[self.query_at(t).query_id]
+        if not (1 <= t <= self.total_rounds):
+            raise UndefinedRound(f"round {t} outside 1..{self.total_rounds}")
+        return self.labels[self.query_ids[t - 1]]
 
 
 def ingest_embedding_dump(queries_path: str, items_path: str, labels_path: str,
@@ -224,14 +246,7 @@ def ingest_embedding_dump(queries_path: str, items_path: str, labels_path: str,
             f"query dim {queries_cat.dim} != item dim {catalog.dim}"
         )
     labels: dict[str, ItemId] = {}
-    try:
-        with open(labels_path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
-    except OSError as e:
-        raise IoError(str(e)) from None
-    except UnicodeDecodeError as e:
-        raise SchemaError(f"{labels_path}: not UTF-8: {e}") from None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_text(labels_path, SchemaError).split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split()

@@ -73,48 +73,18 @@ def _unit(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 @dataclass
 class Environment:
     """Unit latent directions, `latents[k]` of the sorted `ids[k]`, plus a
-    deterministic (q_t, i*_t) stream."""
+    deterministic stream: round t asks `queries[t - 1]`, won by `targets[t - 1]`."""
 
     ids: tuple[ItemId, ...]
     latents: np.ndarray
+    queries: np.ndarray
+    targets: list[ItemId]
     noise_scale: float
     seed: int
-    horizon: int
-    shift_round: int | None = None
-    shift_fraction: float = 0.5
-    repeat_passes: int = 1
-    _queries: np.ndarray = field(init=False, repr=False)
-    _targets: list[ItemId] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        ids = self.ids
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 1]))
-        base_t = self.horizon
-        picks = rng.integers(0, len(ids), size=base_t)
-        noise = rng.normal(0.0, self.noise_scale, size=(base_t, self.dim))
-        raw = self.latents[picks] + noise
-        base_queries = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-
-        # Shift: remap a fraction of query clusters to new ground-truth items
-        # from the given round on. Queries keep their geometry; labels move.
-        remap = {}
-        if self.shift_round is not None:
-            n_shift = int(round(self.shift_fraction * len(ids)))
-            shifted = list(rng.choice(ids, size=n_shift, replace=False))
-            remap = dict(zip(shifted, shifted[1:] + shifted[:1]))
-
-        order = np.arange(base_t * self.repeat_passes) % base_t
-        for p in range(1, self.repeat_passes):
-            seg = order[p * base_t : (p + 1) * base_t]
-            rng.shuffle(seg)
-        self._queries = base_queries[order]
-        clusters = [ids[k] for k in picks[order]]
-        cut = len(clusters) if self.shift_round is None else max(self.shift_round - 1, 0)
-        self._targets = clusters[:cut] + [remap.get(c, c) for c in clusters[cut:]]
 
     @property
     def total_rounds(self) -> int:
-        return self.horizon * self.repeat_passes
+        return len(self.targets)
 
     @property
     def dim(self) -> int:
@@ -123,12 +93,12 @@ class Environment:
     def query_at(self, t: int) -> QueryEmbedding:
         if not (1 <= t <= self.total_rounds):
             raise UndefinedRound(f"round {t} outside 1..{self.total_rounds}")
-        return QueryEmbedding(self._queries[t - 1], query_id=f"q{t}")
+        return QueryEmbedding(self.queries[t - 1], query_id=f"q{t}")
 
     def optimal_item(self, t: int) -> ItemId:
         if not (1 <= t <= self.total_rounds):
             raise UndefinedRound(f"round {t} outside 1..{self.total_rounds}")
-        return self._targets[t - 1]
+        return self.targets[t - 1]
 
 
 def make_environment(
@@ -138,28 +108,41 @@ def make_environment(
     shift_round: int | None = None,
     shift_fraction: float = 0.5,
 ) -> Environment:
-    """Draw unit-sphere latent directions and build the query stream."""
+    """Draw unit-sphere latent directions from `SeedSequence([seed, 0])`, then
+    the query stream from `[seed, 1]`.
+
+    From `shift_round` on, a `shift_fraction` of the query clusters answer to
+    new ground-truth items: queries keep their geometry, labels move. Each pass
+    after the first replays the T base queries in a shuffled order."""
     if noise_scale < 0:
         raise InvalidConfig("noise_scale must be >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
-    names = [f"item{k:04d}" for k in range(config.I)]
-    order = sorted(range(config.I), key=names.__getitem__)  # "item10000" < "item1001"
+    seed, T, I, d = int(seed), config.T, config.I, config.d
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    names = [f"item{k:04d}" for k in range(I)]
+    order = sorted(range(I), key=names.__getitem__)  # "item10000" < "item1001"
     dest = np.argsort(order)  # the row of item k in the sorted ids
-    latents = np.empty((config.I, config.d))
+    latents = np.empty((I, d))
     # Drawn chunk by chunk, the normals are those of one whole-block draw.
-    for chunk in row_chunks(config.I, config.d):
-        raw = rng.normal(size=(chunk.stop - chunk.start, config.d))
+    for chunk in row_chunks(I, d):
+        raw = rng.normal(size=(chunk.stop - chunk.start, d))
         latents[dest[chunk]] = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    return Environment(
-        ids=tuple(map(names.__getitem__, order)),
-        latents=latents,
-        noise_scale=noise_scale,
-        seed=int(seed),
-        horizon=config.T,
-        shift_round=shift_round,
-        shift_fraction=shift_fraction,
-        repeat_passes=config.repeat_passes,
-    )
+    ids = tuple(map(names.__getitem__, order))
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    picks = rng.integers(0, I, size=T)
+    raw = latents[picks] + rng.normal(0.0, noise_scale, size=(T, d))
+    queries = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    remap = {}
+    if shift_round is not None:
+        shifted = list(rng.choice(ids, size=int(round(shift_fraction * I)), replace=False))
+        remap = dict(zip(shifted, shifted[1:] + shifted[:1]))
+    rounds = np.arange(T * config.repeat_passes) % T
+    for p in range(1, config.repeat_passes):
+        rng.shuffle(rounds[p * T : (p + 1) * T])
+    clusters = [ids[k] for k in picks[rounds]]
+    cut = len(clusters) if shift_round is None else max(shift_round - 1, 0)
+    targets = clusters[:cut] + [remap.get(c, c) for c in clusters[cut:]]
+    return Environment(ids, latents, queries[rounds], targets, noise_scale, seed)
 
 
 def initial_catalog(

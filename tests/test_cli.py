@@ -351,7 +351,7 @@ def test_dump_config_keys_a_dump_run_rejects_exit_one(tmp_path, capsys, command,
 def test_a_directly_built_dump_config_is_checked(tmp_path):
     payload = _dump_config(tmp_path, repeat_passes=3)
     with pytest.raises(ValidationError, match="repeat_passes"):
-        run_from_config(RunConfig(**payload))
+        RunConfig(**payload)
     env, log = run_from_config(RunConfig(**{**payload, "repeat_passes": 1}))
     assert env.total_rounds == len(log.rounds) == 8
 
@@ -397,3 +397,16 @@ def test_shift_round_below_one_exits_one(tmp_path, capsys, shift_round):
         load_config(path)
     assert cli_main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 1
     assert load_config(_cfg(tmp_path, {**MINIMAL, "shift_round": None})).shift_round is None
+
+
+def test_shift_round_past_the_last_round_exits_one(tmp_path, capsys):
+    payload = {**MINIMAL, "T": 40, "repeat_passes": 3, "shift_round": 121}
+    with pytest.raises(ValidationError, match=r"shift_round: must lie in \[1, 120\]"):
+        load_config(_cfg(tmp_path, payload))
+    with pytest.raises(ValidationError, match=r"shift_round: must lie in \[1, 120\]"):
+        RunConfig(**payload)
+    out = tmp_path / "o"
+    assert cli_main(["simulate", "--config", _cfg(tmp_path, payload), "--out", str(out)]) == 1
+    assert "shift_round" in capsys.readouterr().err
+    assert not out.exists()
+    assert RunConfig(**{**payload, "shift_round": 120}).shift_round == 120

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -123,6 +124,18 @@ def test_event_log_three_record_round_trip(tmp_path):
     write_event_log(_records(), path)
     assert len(Path(path).read_text().splitlines()) == 3
     assert read_event_log(path) == _records()
+
+
+def test_event_log_lines_break_only_at_newlines(tmp_path):
+    # U+2028 and NEL end a line for str.splitlines, not for a JSONL reader.
+    rec = RoundRecord(t=1, query_id="q\u2028\x85x", chosen="a", success=True,
+                      propensity=0.5, eta=0.1)
+    row = {"t": 1, "query_id": rec.query_id, "chosen": "a", "success": True,
+           "propensity": 0.5, "eta": 0.1}
+    path = tmp_path / "raw.jsonl"
+    path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert "\u2028" in path.read_text(encoding="utf-8")
+    assert read_event_log(str(path)) == [rec]
 
 
 def test_event_log_bytes_are_deterministic(tmp_path):
@@ -297,3 +310,10 @@ def test_run_config_direct_construction():
     cfg = RunConfig(T=10, I=4, d=2, seed=0)
     ep = cfg.episode()
     assert (ep.T, ep.I, ep.d) == (10, 4, 2)
+    assert RunConfig(T=10, I=4, d=2, seed=0, variant="rerank").variant is Variant.RERANK
+    with pytest.raises(ValidationError, match="K"):
+        RunConfig(T=10, I=4, d=2, seed=0, K=5)
+    with pytest.raises(ValidationError, match="alpha"):
+        RunConfig(T=10, I=4, d=2, seed=0, alpha=1.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.shift_round = 50

@@ -15,6 +15,7 @@ from orag.errors import (
     NonFiniteInput,
     OragError,
     UnknownId,
+    ValidationError,
 )
 from orag.io_utils import (
     RunConfig, ingest_embedding_dump, load_config, read_event_log, write_event_log)
@@ -335,6 +336,41 @@ def test_load_config_fuzz_accepts_or_raises_orag_error(valid_files, data):
     seed = data.draw(st.none() | st.integers(-3, 2**64))
     _read_or_orag_error(lambda path: load_config(path, seed=seed),
                         str(valid_files[0] / "fuzz.json"), blob)
+
+
+# Values each field takes when valid, so that drawn configs also pass every check.
+_VALID = {"T": [1, 4, 40], "I": [2, 5], "d": [1, 3], "seed": [0, 7], "K": [1, 2],
+          "variant": ["plain", "rerank", "dynamic", "multihop"],
+          "update_mode": ["full", "chosen_only"], "schedule": ["constant", "inverse_sqrt"],
+          "c": [0.5, 1, 1e-5], "projection": ["none", "unit_ball"], "repeat_passes": [1, 3],
+          "sigma": [0, 0.3], "sigma_init": [0.0, 1], "alpha": [0.5, 1],
+          "shift_round": [None, 1, 4], "shift_fraction": [0.0, 0.5],
+          "queries_path": [None, "q.orag"], "items_path": [None, "items/i.orag"],
+          "labels_path": [None, "labels.txt"]}
+_REQUIRED_KEYS = [f.name for f in dataclasses.fields(RunConfig) if f.default is dataclasses.MISSING]
+_ANY_VALUE = (st.sampled_from(sum(_VALID.values(), [-1, True, False]))
+              | st.integers(-2**70, 2**70) | st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_direct_and_json_configs_agree(valid_files, data):
+    # RunConfig(**payload) and the same payload read from a JSON file either give equal
+    # configs or fail with the same ValidationError.
+    assert list(_VALID) == _CONFIG_KEYS
+    optional = data.draw(st.lists(st.sampled_from(_CONFIG_KEYS[len(_REQUIRED_KEYS):]),
+                                  unique=True, max_size=8))
+    payload = {k: data.draw(st.sampled_from(_VALID[k]) if data.draw(st.integers(0, 7))
+                            else _ANY_VALUE) for k in _REQUIRED_KEYS + optional}
+    path = valid_files[0] / "agree.json"
+    path.write_text(json.dumps(payload))
+    outcomes = []
+    for build in (lambda: RunConfig(**payload), lambda: load_config(str(path))):
+        try:
+            outcomes.append(build())
+        except ValidationError as e:
+            outcomes.append(("ValidationError", str(e)))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,8 @@ import copy
 import enum
 import os
 import struct
-from typing import Iterable, Sequence
+import weakref
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -83,6 +84,39 @@ def row_chunks(n: int, dim: int) -> list[slice]:
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
+class SortedIds(Sequence):
+    """A catalog's sorted ids, read in place: `Catalog.ids` and every `score` at one id set
+    share one. The catalog's next add or remove freezes one held outside it into a tuple
+    of the ids it had. `index` bisects; it equals a tuple with the same ids."""
+
+    __slots__ = ("_ids", "__weakref__")
+
+    def __init__(self, ids: Sequence[ItemId]):
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, k):
+        return tuple(self._ids[k]) if isinstance(k, slice) else self._ids[k]
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def index(self, item_id) -> int:
+        ids = self._ids
+        k = bisect.bisect_left(ids, item_id) if isinstance(item_id, str) else len(ids)
+        if k == len(ids) or ids[k] != item_id:
+            raise ValueError(f"{item_id!r} is not in the ids")
+        return k
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, SortedIds)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SortedIds({tuple(self)!r})"
+
+
 class Catalog:
     """Mapping ItemId -> embedding row plus a generation counter.
 
@@ -90,11 +124,11 @@ class Catalog:
     id -> slot, `_slot_ids` slot -> id, `_order[:n]` (a buffer as long as the
     rows') lists the slots in id order, and a removal moves the last slot
     into the hole. Add/remove cost O(d) plus two bisects and O(I) in-place
-    memmoves of the sorted ids and `_order`, with no allocation of O(I);
-    `update_rows` and `row` one dict lookup per row (none for all rows);
-    `matrix()` one gather (`logits` reads the slots in place).
-    `apply_changes` is the one path that adds and removes rows. Each
-    successful mutation bumps `generation`.
+    memmoves of the sorted ids and `_order`, with no allocation of O(I)
+    unless a `SortedIds` held outside must be frozen; `update_rows` and `row`
+    one dict lookup per row (none for all rows); `matrix()` one gather
+    (`logits` reads the slots in place). `apply_changes` is the one path that
+    adds and removes rows. Each successful mutation bumps `generation`.
     """
 
     def __init__(
@@ -145,7 +179,7 @@ class Catalog:
         self._ids = [ids[k] for k in order]      # sorted
         self._slot_ids = ids                     # slot -> id
         self._order = np.array(order, dtype=np.intp)
-        self._ids_tuple: tuple[ItemId, ...] | None = None
+        self._shared: SortedIds | None = None  # what `ids` returns until the id set changes
 
     # -- read side ----------------------------------------------------------
 
@@ -156,11 +190,11 @@ class Catalog:
         return item_id in self._slot
 
     @property
-    def ids(self) -> tuple[ItemId, ...]:
-        """Item ids in the canonical (sorted) order."""
-        if self._ids_tuple is None:
-            self._ids_tuple = tuple(self._ids)
-        return self._ids_tuple
+    def ids(self) -> SortedIds:
+        """Item ids in the canonical (sorted) order: one shared object per id set."""
+        if self._shared is None:
+            self._shared = SortedIds(self._ids)
+        return self._shared
 
     def logits(self, q: np.ndarray) -> np.ndarray:
         """q . row for every row, in id order, as a fresh float64 array."""
@@ -222,6 +256,10 @@ class Catalog:
             new.add(item_id)
         rows = self._check_rows([v for _, v in added])
         _project_rows(rows, self.projection)
+        if self._shared is not None and (removed or new_ids):
+            held, self._shared = weakref.ref(self._shared), None  # drop the catalog's reference
+            if (shared := held()) is not None:  # still held elsewhere: it keeps the ids it had
+                shared._ids = tuple(self._ids)
         order = self._order  # shifted in place: overlapping slice copies are memmoves
         for item_id in removed:
             hole, last = self._slot.pop(item_id), len(self._ids) - 1
@@ -234,7 +272,6 @@ class Catalog:
                 self._slot[moved] = order[bisect.bisect_left(self._ids, moved)] = hole
                 self._slot_ids[hole] = moved
             self._retired.add(item_id)
-            self._ids_tuple = None
             self.generation += 1
         for item_id, v in zip(new_ids, rows):
             n = len(self._ids)
@@ -249,15 +286,14 @@ class Catalog:
             self._ids.insert(pos, item_id)
             order[pos + 1:n + 1] = order[pos:n]
             order[pos] = n
-            self._ids_tuple = None
             self.generation += 1
 
     def update_rows(self, ids: Sequence[ItemId], coeff, queries, eta: float) -> None:
         """Apply theta_i <- project(theta_i - eta * g_i), where g for `ids[k]` is
         `coeff[k] @ queries`, an (n, B) coefficient block over (B, dim) queries.
 
-        The catalog's own `ids` tuple steps the slot block where it sits, with no
-        id lookups. All or nothing: a failed update leaves rows and `generation`
+        The catalog's own `ids` steps the slot block where it sits, with no id
+        lookups. All or nothing: a failed update leaves rows and `generation`
         as they were."""
         try:
             coeff, queries = np.asarray(coeff, np.float64), np.asarray(queries, np.float64)
@@ -266,7 +302,7 @@ class Catalog:
         except (TypeError, ValueError):
             raise DimensionMismatch(f"need ({len(ids)}, B) and (B, {self.dim}) blocks") from None
         n = len(ids)
-        if ids is self._ids_tuple:  # every row: the coefficients go into slot order
+        if ids is self._shared:  # every row: the coefficients go into slot order
             slots, by_slot = slice(0, n), np.empty_like(coeff)
             by_slot[self._order[:n]] = coeff
             coeff = by_slot
@@ -292,11 +328,12 @@ class Catalog:
         n = len(self)
         out._rows, out._order = self._rows[:n].copy(), self._order[:n].copy()
         out._slot, out._ids, out._retired = dict(self._slot), list(self._ids), set(self._retired)
-        out._slot_ids = list(self._slot_ids)
+        out._slot_ids, out._shared = list(self._slot_ids), None
         return out
 
-    def max_row_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self._rows[: len(self)], axis=1), initial=0.0))
+    def max_row_norm(self) -> float:  # 64 KB of rows at a time; 0.0 when empty
+        return max((float(np.maximum.reduce(row_norms(self._rows[c]), axis=None))
+                    for c in row_chunks(len(self), self.dim)), default=0.0)
 
 
 # -- binary snapshot --------------------------------------------------------

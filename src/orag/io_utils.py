@@ -24,7 +24,7 @@ from .errors import (
 )
 from .learner import LearningRateSchedule, RoundRecord, ScheduleKind, UpdateMode
 from .policy import QueryEmbedding
-from .simulator import EpisodeConfig, Variant
+from .simulator import EpisodeConfig, Variant, check_shift_round
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,11 @@ class RunConfig:
         field. Frozen, so no field changes after its check."""
         for name, check in _CONFIG_CHECKS.items():
             object.__setattr__(self, name, check(getattr(self, name)))
-        try:  # T, I, d, K, repeat_passes and c
-            self.episode()
+        try:  # T, I, d, K, repeat_passes, c and shift_round
+            check_shift_round(self.episode(), self.shift_round)
         except (InvalidConfig, ValueError) as e:
             raise ValidationError(str(e)) from None
-        for name, low, high in [*_RANGES, ("shift_round", 1, self.T * self.repeat_passes)]:
+        for name, low, high in _RANGES:
             value = getattr(self, name)
             if value is not None and not low <= value <= high:
                 raise ValidationError(f"{name}: must lie in [{low}, {high}]")
@@ -116,7 +116,7 @@ def _check_as(name: str, tp: type, optional: bool):
 
 
 _CONFIG_CHECKS, _CONFIG_REQUIRED = _field_checks(RunConfig)
-# Ranges `config.episode()` does not check; shift_round's upper end is T * repeat_passes.
+# Ranges that neither `config.episode()` nor `check_shift_round` checks.
 _RANGES = [("seed", 0, np.inf), ("sigma", 0, np.inf), ("sigma_init", 0, np.inf),
            ("alpha", 0, 1), ("shift_fraction", 0, 1)]
 
@@ -245,6 +245,9 @@ def ingest_embedding_dump(queries_path: str, items_path: str, labels_path: str,
         raise DimensionMismatch(
             f"query dim {queries_cat.dim} != item dim {catalog.dim}"
         )
+    bad = [i for cat in (queries_cat, catalog) for i in cat.ids if i.split() != [i]]
+    if bad:  # a label line splits at whitespace, so it could never name such an id
+        raise SchemaError(f"id {bad[0]!r} is empty or holds whitespace")
     labels: dict[str, ItemId] = {}
     for lineno, line in enumerate(_read_text(labels_path, SchemaError).split("\n"), start=1):
         if not line.strip():

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .catalog import Catalog, ItemId
+from .catalog import Catalog, ItemId, SortedIds
 from .errors import PropensityMismatch, ZeroPropensity
 from .policy import ProbabilityVector, RandomSource, _as_query, sample_one, score
 
@@ -41,7 +41,7 @@ class Feedback:
 class GradientBatch:
     """Update directions: the row for `ids[k]` is `coeff[k] @ queries`, (n, B) over (B, d)."""
 
-    ids: tuple[ItemId, ...]
+    ids: SortedIds | tuple[ItemId, ...]  # the full support: a `score` p's `SortedIds`
     coeff: np.ndarray
     queries: np.ndarray
     t: int = 0

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import neg
 
 import numpy as np
 
-from .catalog import Catalog, ItemId
+from .catalog import Catalog, ItemId, SortedIds
 from .errors import DimensionMismatch, EmptyCatalog, KTooLarge, NonFiniteInput
 
 
@@ -49,17 +50,14 @@ class RandomSource:
 class ProbabilityVector:
     """Softmax probabilities over the catalog's items, in sorted-id order."""
 
-    ids: tuple[ItemId, ...]
+    ids: SortedIds | tuple[ItemId, ...]
     probs: np.ndarray
 
     def __getitem__(self, item_id: ItemId) -> float:
         return float(self.probs[self.index_of(item_id)])
 
     def index_of(self, item_id: ItemId) -> int:
-        """Bisects the sorted ids `score` makes; unsorted hand-built ids fall back to a scan."""
-        k = bisect.bisect_left(self.ids, item_id) if isinstance(item_id, str) else 0
-        if k < len(self.ids) and self.ids[k] == item_id:
-            return k
+        """The ids' own `index`: `SortedIds` bisects, a hand-built tuple scans."""
         try:
             return self.ids.index(item_id)
         except ValueError:
@@ -124,15 +122,16 @@ def sample_k_without_replacement(
     # u·total's dtype. The bound needs a monotone CDF: no negative weight.
     tol = 4 * (n + k + 2) * np.finfo((1.0 * cdf[-1]).dtype).eps * cdf[-1]
     certify = tol < np.inf and np.minimum.reduce(w) >= 0
-    # Over the sorted drawn positions: below[c] is the weight of the c lowest,
-    # and cut[c] the undrawn weight before the (c+1)-th lowest.
-    drawn, below, cut = [], np.zeros(k, cdf.dtype), np.zeros(k, cdf.dtype)
+    # Over the sorted drawn positions, row c holds below[c], the weight of the c lowest, and
+    # -cut[c], minus the undrawn weight before the (c+1)-th lowest; one assignment shifts both.
+    drawn, bc = [], np.zeros((k, 2), cdf.dtype)
+    below, ncut = bc[:, 0], bc[:, 1]
     last, picks = n - 1, []  # last live item: the pick when u * total rounds to total
     while True:
         u, r = rng.uniform(), len(drawn)
         t = u * (cdf[-1] - below[r])
         # The drawn positions whose cut is at most t lie before the pick: pass t plus their weight.
-        j = int(cdf.searchsorted(t + below[bisect.bisect_right(cut, t, 0, r)], side="right"))
+        j = int(cdf.searchsorted(t + below[bisect.bisect_right(ncut, t, 0, r, key=neg)], "right"))
         if r and not (certify and j < n and cdf[j] - below[bisect.bisect_right(drawn, j)] - t > tol
                       and (j == 0 or t - cdf[j - 1] + below[bisect.bisect_left(drawn, j)] > tol)):
             j = _exact_pick(w, drawn, u)
@@ -142,8 +141,7 @@ def sample_k_without_replacement(
             return [p.ids[i] for i in picks]
         i = bisect.bisect_left(drawn, j)
         drawn.insert(i, j)
-        below[i + 1 : r + 2] = below[i : r + 1] + w[j]
-        cut[i + 1 : r + 1] = cut[i:r] - w[j]
-        cut[i] = cdf[j] - below[i + 1]
+        bc[i + 1 : r + 2] = bc[i : r + 1] + w[j]  # -cut[r + 1] is not read
+        ncut[i] = below[i + 1] - cdf[j]
         while i >= 0 and drawn[i] == last:  # the drawn tail is contiguous; step below it
             i, last = i - 1, last - 1

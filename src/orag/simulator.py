@@ -101,6 +101,12 @@ class Environment:
         return self.targets[t - 1]
 
 
+def check_shift_round(config: EpisodeConfig, shift_round: int | None) -> None:
+    """The one shift rule: a shift falls within the stream, 1 <= shift_round <= T * passes."""
+    if shift_round is not None and not 1 <= shift_round <= config.T * config.repeat_passes:
+        raise InvalidConfig(f"shift_round: must lie in [1, {config.T * config.repeat_passes}]")
+
+
 def make_environment(
     config: EpisodeConfig,
     seed: int,
@@ -116,6 +122,7 @@ def make_environment(
     after the first replays the T base queries in a shuffled order."""
     if noise_scale < 0:
         raise InvalidConfig("noise_scale must be >= 0")
+    check_shift_round(config, shift_round)
     seed, T, I, d = int(seed), config.T, config.I, config.d
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     names = [f"item{k:04d}" for k in range(I)]
@@ -140,7 +147,7 @@ def make_environment(
     for p in range(1, config.repeat_passes):
         rng.shuffle(rounds[p * T : (p + 1) * T])
     clusters = [ids[k] for k in picks[rounds]]
-    cut = len(clusters) if shift_round is None else max(shift_round - 1, 0)
+    cut = len(clusters) if shift_round is None else shift_round - 1
     targets = clusters[:cut] + [remap.get(c, c) for c in clusters[cut:]]
     return Environment(ids, latents, queries[rounds], targets, noise_scale, seed)
 

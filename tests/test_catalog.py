@@ -646,3 +646,57 @@ def test_full_update_makes_one_catalog_sized_block(projection, dtype):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * nbytes
+
+
+def test_ids_compare_by_content_and_bisect():
+    cat = Catalog(1, [("b", [0.0]), ("a", [1.0]), ("c", [2.0])])
+    ids = cat.ids
+    assert ids == ("a", "b", "c") and ("a", "b", "c") == ids and ids != ("a", "b")
+    assert ids == Catalog.from_rows(1, ["c", "b", "a"], np.zeros((3, 1))).ids
+    assert ids != ["a", "b", "c"] and ids[1:] == ("b", "c") and list(ids) == ["a", "b", "c"]
+    assert [ids.index(i) for i in ids] == [0, 1, 2] and "b" in ids
+    for missing in ("", "bb", "d", 3):
+        assert missing not in ids
+        with pytest.raises(ValueError):
+            ids.index(missing)
+    assert repr(ids) == "SortedIds(('a', 'b', 'c'))"
+
+
+def test_held_ids_keep_the_id_set_they_were_read_at():
+    cat = Catalog(1, [(i, [0.0]) for i in "bdf"])
+    held = cat.ids
+    assert cat.ids is held  # one object per id set
+    cat.update_rows(["b"], [[1.0]], [[1.0]], 0.5)  # rows change, the id set does not
+    cat.apply_changes((), ())
+    assert cat.ids is held
+    cat.apply_changes(["d"], [("a", [1.0]), ("e", [2.0])])
+    assert held == ("b", "d", "f") and held.index("d") == 1 and "a" not in held
+    assert cat.ids == ("a", "b", "e", "f") and cat.ids is not held
+    copied = cat.copy()
+    assert copied.ids == cat.ids and copied.ids is not cat.ids
+    copied.remove_item("a")
+    assert cat.ids == ("a", "b", "e", "f")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_max_row_norm_is_the_largest_row_norm(dtype):
+    rng = np.random.default_rng(17)
+    for n, d in [(0, 3), (1, 1), (5, 3), (3000, 8), (777, 64)]:
+        rows = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=(n, 1))
+        cat = Catalog.from_rows(d, [f"i{k:05d}" for k in range(n)], rows, dtype=dtype)
+        expected = max((np.linalg.norm(row) for row in cat.matrix()), default=0.0)
+        assert cat.max_row_norm() == float(expected)
+
+
+def test_max_row_norm_makes_no_catalog_sized_temporary():
+    import tracemalloc
+
+    cat = _churned(10_000, 64)
+    cat.max_row_norm()  # warm-up
+    tracemalloc.start()
+    try:
+        cat.max_row_norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cat.matrix().nbytes / 4

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -317,3 +318,13 @@ def test_run_config_direct_construction():
         RunConfig(T=10, I=4, d=2, seed=0, alpha=1.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.shift_round = 50
+
+
+@pytest.mark.parametrize("bad", ["q 0", "q\u20280", "q\x850", "q\t", ""])
+@pytest.mark.parametrize("snapshot", ["queries", "items"])
+def test_ingest_dump_rejects_an_id_no_label_line_can_name(tmp_path, bad, snapshot):
+    qp, ip, lp = _dump(tmp_path)
+    ids = [bad, "q1"] if snapshot == "queries" else [bad, "doc1", "doc2"]
+    write_snapshot(Catalog(4, [(i, np.ones(4)) for i in ids]), qp if snapshot == "queries" else ip)
+    with pytest.raises(SchemaError, match=re.escape(repr(bad))):
+        ingest_embedding_dump(qp, ip, lp)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orag.catalog import Catalog, ProjectionMode
-from orag.errors import PropensityMismatch, ZeroPropensity
+from orag.errors import PropensityMismatch, UnknownId, ZeroPropensity
 from orag.learner import (
     Feedback,
     GradientBatch,
@@ -229,3 +229,39 @@ def test_online_loss_monotone_on_repeated_fixed_query():
         losses.append(cross_entropy_loss(score(q, cat), "good"))
         step(q, cat, rng, sched, UpdateMode.FULL, t, lambda tt, ch: ch == "good")
     assert np.mean(losses[-30:]) < np.mean(losses[:30])
+
+
+class _CountingSlots(dict):
+    lookups = 0
+
+    def __getitem__(self, key):
+        _CountingSlots.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_a_full_update_from_a_score_p_looks_up_no_id():
+    rng = np.random.default_rng(22)
+    cat = Catalog.from_rows(4, [f"i{k:03d}" for k in rng.permutation(200)], rng.normal(size=(200, 4)))
+    cat.apply_changes([cat.ids[5]], [("new", rng.normal(size=4))])  # a fresh id set
+    ref = cat.copy()
+    cat._slot = _CountingSlots(cat._slot)
+    q = rng.normal(size=4)
+    p = score(q, cat)
+    chosen = p.ids[17]
+    g = estimate_gradient_full(p, q, Feedback(chosen, True, p[chosen]))
+    apply_update(cat, g, 0.1)
+    assert _CountingSlots.lookups == 0
+    ref.update_rows(tuple(g.ids), g.coeff, g.queries, 0.1)  # by id lookups
+    assert cat.matrix().tobytes() == ref.matrix().tobytes()
+
+
+def test_an_update_from_a_p_scored_before_a_removal_is_refused():
+    cat = Catalog(2, [("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [1.0, 1.0])])
+    q = np.array([1.0, 0.5])
+    p = score(q, cat)
+    g = estimate_gradient_full(p, q, Feedback("a", True, p["a"]))
+    cat.remove_item("b")
+    before, generation = cat.matrix(), cat.generation
+    with pytest.raises(UnknownId):
+        apply_update(cat, g, 0.1)
+    assert cat.generation == generation and cat.matrix().tobytes() == before.tobytes()

@@ -428,6 +428,17 @@ def test_sample_k_whole_catalog_matches_suffix_reference_at_2000(dtype):
     _assert_same_as_suffix_reference(ids, flat, 2000, seed=2)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sample_k_fifty_matches_suffix_reference_at_churn_scale(dtype):
+    gen = np.random.default_rng(19)
+    latents = _latents(gen, 10_000)
+    ids = tuple(f"i{j:05d}" for j in range(len(latents)))
+    for case in range(20):
+        _assert_same_as_suffix_reference(ids, _churn_probs(gen, latents, dtype), 50, seed=case)
+    flat = gen.dirichlet(np.ones(len(ids))).astype(dtype)
+    _assert_same_as_suffix_reference(ids, flat, 50, seed=20)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_sample_k_non_probability_weights_match_suffix_reference():
     # A hand-built vector may hold negative or non-finite weights: its CDF is
@@ -452,3 +463,52 @@ def test_sample_k_boundary_uniforms_take_the_exact_rebuild(monkeypatch):
         _assert_same_as_suffix_reference(ids, probs, 10, us=_boundary_uniforms(probs, 10, gen))
     # Each draw after the first lands on a CDF value, so none can be certified.
     assert len(rebuilds) == 90
+
+
+def test_scores_at_one_id_set_share_the_catalog_ids():
+    rng = np.random.default_rng(20)
+    cat = _churned(300, 8, np.float64)
+    first, second = score(rng.normal(size=8), cat), score(rng.normal(size=8), cat)
+    assert first.ids is second.ids is cat.ids
+    cat.apply_changes([cat.ids[7]], [("fresh", rng.normal(size=8))])
+    third = score(rng.normal(size=8), cat)
+    assert third.ids is cat.ids and third.ids is not first.ids
+
+
+def test_a_p_scored_before_a_change_keeps_its_ids():
+    rng = np.random.default_rng(21)
+    cat = _churned(500, 8, np.float64)
+    p = score(3.0 * rng.normal(size=8), cat)
+    old = tuple(cat.ids)
+    frozen = ProbabilityVector(old, p.probs)
+    row = rng.normal(size=8)
+    cat.apply_changes([old[0], old[250], old[-1]],
+                      [("a-first", row), (old[250] + "x", row), ("zzz", row)])
+    assert p.ids == old and len(p.ids) == len(old) and p.ids[250] == old[250]
+    assert all(p.index_of(i) == k and p[i] == p.probs[k] for k, i in enumerate(old))
+    for missing in ("a-first", old[250] + "x", "zzz"):
+        with pytest.raises(KeyError):
+            p[missing]
+    for seed in range(5):
+        assert sample_one(p, RandomSource(seed)) == sample_one(frozen, RandomSource(seed))
+        assert (sample_k_without_replacement(p, 10, RandomSource(seed))
+                == sample_k_without_replacement(frozen, 10, RandomSource(seed)))
+
+
+def test_a_delta_then_score_builds_no_id_tuple():
+    import tracemalloc
+
+    rng = np.random.default_rng(23)
+    cat = _churned(10_000, 64, np.float64)
+    q, row = rng.normal(size=64), rng.normal(size=64)
+    score(q, cat)  # warm-up
+    for k, gone in enumerate((cat.ids[4567], cat.ids[-1])):
+        tracemalloc.start()
+        try:
+            cat.apply_changes([gone], [(f"fresh-{k}", row)])
+            p = score(q, cat)
+            held = tracemalloc.get_traced_memory()[0] - p.probs.nbytes
+        finally:
+            tracemalloc.stop()
+        del p
+        assert held < 16 * 1024  # a tuple of the 10^4 ids is 80 KB

@@ -349,3 +349,13 @@ def test_restricted_catalog_builds_only_the_kept_rows(noise):
     pos = {i: k for k, i in enumerate(full.ids)}
     assert cat.ids == tuple(kept)
     assert cat.matrix().tobytes() == full.matrix()[[pos[i] for i in kept]].tobytes()
+
+
+@pytest.mark.parametrize("shift_round", [-1, 0, 31, 500])
+def test_make_environment_rejects_a_shift_outside_the_stream(shift_round):
+    with pytest.raises(InvalidConfig, match="shift_round"):
+        make_environment(EpisodeConfig(T=10, I=5, d=3), 0, shift_round=500)
+    ep = EpisodeConfig(T=10, I=5, d=3, repeat_passes=3)
+    with pytest.raises(InvalidConfig, match=r"shift_round: must lie in \[1, 30\]"):
+        make_environment(ep, 0, shift_round=shift_round)
+    assert make_environment(ep, 0, shift_round=30).total_rounds == 30  # the last round may shift

@@ -5,7 +5,8 @@ cases hash `events.jsonl` and `catalog.orag` for every variant x update mode x
 projection; the float32 cases hash the records and the final matrix of a
 float32 catalog driven by `learner.step`; the stream cases hash the ids,
 latents, queries and targets of a synthetic environment, shifted and
-multi-pass or not. With these settings the learning
+multi-pass or not; the dump cases hash the query ids, queries and targets of
+an ingested float32 or float64 embedding dump. With these settings the learning
 rate is large enough that unit_ball runs really do project rows (checked by
 `test_projection_is_exercised`).
 
@@ -32,8 +33,9 @@ import json
 import numpy as np
 import pytest
 
-from orag.catalog import Catalog, ProjectionMode
+from orag.catalog import Catalog, ProjectionMode, write_snapshot
 from orag.cli import cli_main
+from orag.io_utils import ingest_embedding_dump
 from orag.learner import LearningRateSchedule, ScheduleKind, UpdateMode, step
 from orag.policy import RandomSource
 from orag.simulator import EpisodeConfig, make_environment
@@ -54,6 +56,7 @@ STREAM_CASES = {
     "stream-unshifted": {},
     "stream-shifted-3pass": {"repeat_passes": 3, "shift_round": 50, "shift_fraction": 0.5},
 }
+DUMP_CASES = {"dump-float64": np.float64, "dump-float32": np.float32}
 
 
 def _sha(data: bytes) -> str:
@@ -110,6 +113,25 @@ def stream_digests(case: str) -> dict[str, str]:
     return {
         "ids": _sha("\n".join(env.ids).encode()),
         "latents": _sha(env.latents.tobytes()),
+        "queries": _sha(np.stack([env.query_at(t).q for t in rounds]).tobytes()),
+        "targets": _sha("\n".join(env.optimal_item(t) for t in rounds).encode()),
+    }
+
+
+def dump_digests(case: str, tmp_path) -> dict[str, str]:
+    # 9 queries, 7 of them labelled and listed out of id order, over 5 items.
+    rng = np.random.default_rng(11)
+    queries = Catalog(6, [(f"q{k}", rng.normal(size=6)) for k in range(9)], dtype=DUMP_CASES[case])
+    items = Catalog(6, [(f"doc{k}", rng.normal(size=6)) for k in range(5)])
+    paths = [str(tmp_path / name) for name in ("q.orag", "i.orag", "labels.txt")]
+    write_snapshot(queries, paths[0])
+    write_snapshot(items, paths[1])
+    (tmp_path / "labels.txt").write_text(
+        "".join(f"q{k} doc{(2 * k) % 5}\n" for k in [8, 0, 5, 3, 1, 6, 2]))
+    env = ingest_embedding_dump(*paths)
+    rounds = range(1, env.total_rounds + 1)
+    return {
+        "query_ids": _sha("\n".join(env.query_at(t).query_id for t in rounds).encode()),
         "queries": _sha(np.stack([env.query_at(t).q for t in rounds]).tobytes()),
         "targets": _sha("\n".join(env.optimal_item(t) for t in rounds).encode()),
     }
@@ -208,6 +230,16 @@ GOLDEN = {
         'queries': 'b0b71cb545be19c5b9715c5bb3e191a243062d38128708729c6cc15895bc53e8',
         'targets': '057ab1c11a90a287d0cb255a9d6fb9652b495657c9976368e8762286d5e6ef06',
     },
+    'dump-float64': {
+        'query_ids': '6e9df809c46e7ed1bd32b0cd5fe50b107f5f68defd00d9cfdabc6c1d6d3c2d0a',
+        'queries': '766e388cc073cd47adac8bbf8cb114bf56b65c468f2a10e6d340ebf36a36a34b',
+        'targets': 'ef92f0361dff69ce524e22c8d28ce2dbe684a1518a22e2248c93e640f6ab4340',
+    },
+    'dump-float32': {
+        'query_ids': '6e9df809c46e7ed1bd32b0cd5fe50b107f5f68defd00d9cfdabc6c1d6d3c2d0a',
+        'queries': 'f12fdddbffefd552756f3189fe4a341651e40eddd65ca52fb1d11921cc2ca67e',
+        'targets': 'ef92f0361dff69ce524e22c8d28ce2dbe684a1518a22e2248c93e640f6ab4340',
+    },
 }
 
 
@@ -224,6 +256,11 @@ def test_float32_step_digest(case):
 @pytest.mark.parametrize("case", STREAM_CASES)
 def test_stream_digest(case):
     assert stream_digests(case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", DUMP_CASES)
+def test_dump_stream_digest(case, tmp_path):
+    assert dump_digests(case, tmp_path) == GOLDEN[case]
 
 
 def test_projection_is_exercised():
@@ -248,6 +285,11 @@ if __name__ == "__main__":
         digests[case] = float32_digests(case)
     for case in STREAM_CASES:
         digests[case] = stream_digests(case)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in DUMP_CASES:
+            case_dir = pathlib.Path(tmp) / case
+            case_dir.mkdir()
+            digests[case] = dump_digests(case, case_dir)
     print("GOLDEN = {")
     for case, d in digests.items():
         print(f"    {case!r}: {{")

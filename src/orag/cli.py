@@ -9,13 +9,13 @@ import sys
 
 import numpy as np
 
-from .catalog import read_snapshot, write_snapshot
+from .catalog import write_snapshot
 from .errors import OragError, ValidationError, InvalidConfig, ParseError
-from .io_utils import (
-    ReplayStream, RunConfig, ingest_embedding_dump, load_config, write_event_log)
+from .io_utils import RunConfig, ingest_embedding_dump, load_config, write_event_log
 from .metrics import RankedList, ndcg_at_k, recall_at_k, regret_curve, train_oracle
 from .policy import RandomSource, score
 from .simulator import (
+    Environment,
     EpisodeLog,
     Variant,
     half_withheld_scenario,
@@ -27,9 +27,9 @@ from .simulator import (
 from .variants import make_stub_reranker
 
 
-def run_from_config(cfg: RunConfig) -> tuple[object, EpisodeLog]:
-    """Execute one episode: over the embedding dump the config names, else over
-    the configured synthetic environment.
+def run_from_config(cfg: RunConfig) -> tuple[Environment, EpisodeLog]:
+    """Execute one episode from `initial_catalog` (which `regret` shares): over the
+    embedding dump the config names, else over the configured synthetic environment.
 
     A dump run is the plain or rerank episode over one pass of the labelled
     queries; a dump whose shape is not the config's (T, I, d) raises
@@ -47,11 +47,10 @@ def run_from_config(cfg: RunConfig) -> tuple[object, EpisodeLog]:
         if (cfg.T, cfg.I, cfg.d) != shape:
             raise ValidationError(f"T, I, d: the dump has (labelled queries, items, dim) "
                                   f"{shape}, the config {(cfg.T, cfg.I, cfg.d)}")
-        kwargs.update(catalog=env.catalog, rng=RandomSource(cfg.seed))
+        kwargs["rng"] = RandomSource(cfg.seed)
     if cfg.variant is Variant.RERANK:
         rr_rng = RandomSource(np.random.SeedSequence([cfg.seed, 6]).generate_state(1)[0])
-        truth = env.labels if isinstance(env, ReplayStream) else {
-            f"q{t}": env.optimal_item(t) for t in range(1, env.total_rounds + 1)}
+        truth = dict(zip(env.query_ids, env.targets))
         kwargs["reranker"] = make_stub_reranker(cfg.alpha, truth.__getitem__, rr_rng)
     elif cfg.variant is Variant.DYNAMIC:
         initial_ids, deltas = half_withheld_scenario(env)
@@ -121,8 +120,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             write_snapshot(log.final_catalog, os.path.join(out, "catalog.orag"))
         elif args.command == "regret":
             events = list(zip(log.queries, log.true_items))
-            init = (read_snapshot(cfg.items_path, cfg.projection) if isinstance(env, ReplayStream)
-                    else initial_catalog(env, cfg.sigma_init, projection=cfg.projection))
+            init = initial_catalog(env, cfg.sigma_init, projection=cfg.projection)
             fit = train_oracle(events, init, passes=args.passes)
             ledger = regret_curve(log, fit.catalog)
             _write_csv(

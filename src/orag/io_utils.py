@@ -10,7 +10,7 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .catalog import Catalog, ItemId, ProjectionMode, read_snapshot
+from .catalog import ItemId, ProjectionMode, read_snapshot
 from .errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -18,13 +18,11 @@ from .errors import (
     OragError,
     ParseError,
     SchemaError,
-    UndefinedRound,
     UnknownId,
     ValidationError,
 )
 from .learner import LearningRateSchedule, RoundRecord, ScheduleKind, UpdateMode
-from .policy import QueryEmbedding
-from .simulator import EpisodeConfig, Variant, check_shift_round
+from .simulator import Environment, EpisodeConfig, Variant, check_shift_round
 
 
 @dataclass(frozen=True)
@@ -211,34 +209,11 @@ def read_event_log(path: str) -> list[RoundRecord]:
 # -- embedding dump ingestion ----------------------------------------------
 
 
-@dataclass
-class ReplayStream:
-    """An ingested dump as the stream `run_episode` drives: round t is the t-th
-    labelled query, in the dump's id order, and its label is the round's target."""
-
-    query_ids: list[str]
-    queries: np.ndarray
-    catalog: Catalog
-    labels: dict[str, ItemId]
-
-    @property
-    def total_rounds(self) -> int:
-        return len(self.query_ids)
-
-    def query_at(self, t: int) -> QueryEmbedding:
-        if not (1 <= t <= self.total_rounds):
-            raise UndefinedRound(f"round {t} outside 1..{self.total_rounds}")
-        return QueryEmbedding(self.queries[t - 1], query_id=self.query_ids[t - 1])
-
-    def optimal_item(self, t: int) -> ItemId:
-        if not (1 <= t <= self.total_rounds):
-            raise UndefinedRound(f"round {t} outside 1..{self.total_rounds}")
-        return self.labels[self.query_ids[t - 1]]
-
-
 def ingest_embedding_dump(queries_path: str, items_path: str, labels_path: str,
-                          projection: ProjectionMode = ProjectionMode.NONE) -> ReplayStream:
-    """Load query/item vectors (snapshot layout; items projected) and query -> item labels."""
+                          projection: ProjectionMode = ProjectionMode.NONE) -> Environment:
+    """Load query/item vectors (snapshot layout; items projected) and query -> item labels
+    as the stream of an episode: round t is the t-th labelled query, in the dump's id
+    order, and its label is the round's target. The items are the stream's `catalog`."""
     queries_cat = read_snapshot(queries_path)
     catalog = read_snapshot(items_path, projection)
     if queries_cat.dim != catalog.dim:
@@ -265,5 +240,5 @@ def ingest_embedding_dump(queries_path: str, items_path: str, labels_path: str,
         labels[qid] = iid
     keep = [k for k, q in enumerate(queries_cat.ids) if q in labels]
     query_ids = [queries_cat.ids[k] for k in keep]
-    queries = queries_cat.matrix()[keep]
-    return ReplayStream(query_ids=query_ids, queries=queries, catalog=catalog, labels=labels)
+    return Environment(query_ids, queries_cat.matrix()[keep], [labels[q] for q in query_ids],
+                       tuple(catalog.ids), catalog=catalog)

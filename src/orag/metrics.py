@@ -169,8 +169,11 @@ class RankedList:
 
     @classmethod
     def from_probabilities(cls, p: ProbabilityVector, relevant) -> "RankedList":
-        order = sorted(range(len(p.ids)), key=lambda k: (-p.probs[k], p.ids[k]))
-        return cls(tuple(p.ids[k] for k in order), frozenset(relevant))
+        ids = list(p.ids)
+        rank = np.empty(len(ids), np.intp)  # rank[k]: ids[k]'s place in id order
+        rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        order = np.lexsort((rank, -p.probs))
+        return cls(tuple(map(ids.__getitem__, order.tolist())), frozenset(relevant))
 
 
 def recall_at_k(ranked: RankedList, k: int) -> float:

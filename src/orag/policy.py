@@ -11,6 +11,7 @@ the exact per-draw CDF; a pick too close to call rebuilds that CDF.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from operator import neg
 
@@ -74,11 +75,14 @@ def score(q, catalog: Catalog) -> ProbabilityVector:
     qv = _as_query(q)
     if qv.shape != (catalog.dim,):
         raise DimensionMismatch(f"query length {qv.shape[0]} != catalog dim {catalog.dim}")
-    # The ufuncs' own reduce: `.all()`/`.max()`/`.sum()`'s bits without their wrappers.
-    if not np.logical_and.reduce(np.isfinite(qv)):
-        raise NonFiniteInput("query contains non-finite entries")
     logits = catalog.logits(qv)
-    logits -= np.maximum.reduce(logits)
+    # The ufuncs' own reduce: `.all()`/`.max()`/`.sum()`'s bits without their wrappers.
+    top = np.maximum.reduce(logits)
+    if not math.isfinite(top):  # a NaN logit makes the max NaN; a finite q's logits can overflow
+        if not np.logical_and.reduce(np.isfinite(qv)):
+            raise NonFiniteInput("query contains non-finite entries")
+        raise NonFiniteInput(f"logits overflow: the largest is {top}")
+    logits -= top
     # exp underflows to exact zero below ~-745; the softmax of finite logits
     # is mathematically positive, so floor the gap to keep every entry > 0.
     np.maximum(logits, -700.0, out=logits)

@@ -1,6 +1,7 @@
-"""Synthetic online environments and the episode runner.
+"""The stream type `Environment`, synthetic streams and the episode runner.
 
-Ground truth is a set of unit-norm latent directions, one per item. A query
+A dump ingested by `io_utils` is an `Environment` too. A synthetic stream's
+ground truth is a set of unit-norm latent directions, one per item. A query
 for item i is its latent direction plus Gaussian noise, renormalized; the
 feedback oracle is an exact match against the per-round optimal item. Streams
 are deterministic in the environment seed, and support an optional
@@ -11,8 +12,8 @@ shift) plus multi-pass replay of the query list.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -70,17 +71,33 @@ def _unit(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(v, np.where(n > 0, n, 1.0), out=out)
 
 
+class RoundIds(Sequence):
+    """"q1", "q2", ...: the query ids of a synthetic stream's rounds, each made when read."""
+
+    def __init__(self, n: int):
+        self._rounds = range(1, n + 1)
+
+    def __len__(self) -> int:
+        return len(self._rounds)
+
+    def __getitem__(self, k):
+        return f"q{self._rounds[k]}"
+
+
 @dataclass
 class Environment:
-    """Unit latent directions, `latents[k]` of the sorted `ids[k]`, plus a
-    deterministic stream: round t asks `queries[t - 1]`, won by `targets[t - 1]`."""
+    """The one stream type: round t asks `queries[t - 1]`, id `query_ids[t - 1]`, won by
+    `targets[t - 1]`. A synthetic stream holds unit `latents[k]` of the sorted `ids[k]` and
+    the `noise_scale` and `seed` it was drawn with; a dump, its items' `catalog` (`ids`)."""
 
-    ids: tuple[ItemId, ...]
-    latents: np.ndarray
+    query_ids: Sequence[str]
     queries: np.ndarray
     targets: list[ItemId]
-    noise_scale: float
-    seed: int
+    ids: tuple[ItemId, ...]
+    latents: np.ndarray | None = None
+    noise_scale: float = 0.0
+    seed: int = 0
+    catalog: Catalog | None = None
 
     @property
     def total_rounds(self) -> int:
@@ -88,17 +105,18 @@ class Environment:
 
     @property
     def dim(self) -> int:
-        return self.latents.shape[1]
+        return self.queries.shape[1]
 
     def query_at(self, t: int) -> QueryEmbedding:
-        if not (1 <= t <= self.total_rounds):
-            raise UndefinedRound(f"round {t} outside 1..{self.total_rounds}")
-        return QueryEmbedding(self.queries[t - 1], query_id=f"q{t}")
+        return QueryEmbedding(self.queries[self._row(t)], query_id=self.query_ids[t - 1])
 
     def optimal_item(self, t: int) -> ItemId:
+        return self.targets[self._row(t)]
+
+    def _row(self, t: int) -> int:
         if not (1 <= t <= self.total_rounds):
             raise UndefinedRound(f"round {t} outside 1..{self.total_rounds}")
-        return self.targets[t - 1]
+        return t - 1
 
 
 def check_shift_round(config: EpisodeConfig, shift_round: int | None) -> None:
@@ -149,7 +167,8 @@ def make_environment(
     clusters = [ids[k] for k in picks[rounds]]
     cut = len(clusters) if shift_round is None else shift_round - 1
     targets = clusters[:cut] + [remap.get(c, c) for c in clusters[cut:]]
-    return Environment(ids, latents, queries[rounds], targets, noise_scale, seed)
+    return Environment(RoundIds(len(targets)), queries[rounds], targets, ids, latents,
+                       noise_scale, seed)
 
 
 def initial_catalog(
@@ -161,7 +180,10 @@ def initial_catalog(
     """Rows = normalize(latent + init_noise * gaussian); seeded by env.seed.
 
     `restrict_to` keeps those ids' rows only, with the bits they have in the
-    whole catalog."""
+    whole catalog. An ingested dump starts from a copy of its own items, projected
+    as they were read; `init_noise` and `restrict_to` shape synthetic catalogs only."""
+    if env.catalog is not None:
+        return env.catalog.copy()
     ids, keep = env.ids, np.arange(len(env.ids))
     if restrict_to is not None:
         wanted = set(restrict_to)
@@ -270,17 +292,17 @@ def run_episode(
 ) -> EpisodeLog:
     """Run the configured variant for `env.total_rounds` rounds.
 
-    `env` is an `Environment` or another stream with `total_rounds`, `query_at`
-    and `optimal_item`, such as a dump's `ReplayStream`. `catalog` defaults to
-    `initial_catalog(env, init_noise)`; a given one must have the episode's
-    projection. The rerank variant needs `reranker`; dynamic takes `deltas`
-    (round -> CatalogDelta); multihop takes `multihop_rounds` (round ->
-    MultiHopRound) and records the per-hop records flattened into the log.
+    `env` is the one stream type, `Environment`: a synthetic stream or an
+    ingested dump. `catalog` defaults to `initial_catalog(env, init_noise)`;
+    either way it must have the episode's projection. The rerank variant needs
+    `reranker`; dynamic takes `deltas` (round -> CatalogDelta); multihop takes
+    `multihop_rounds` (round -> MultiHopRound) and records the per-hop records
+    flattened into the log.
     """
     variant = episode.variant
     if catalog is None:
         catalog = initial_catalog(env, init_noise, projection=episode.projection)
-    elif catalog.projection is not episode.projection:
+    if catalog.projection is not episode.projection:
         raise InvalidConfig(f"catalog projection {catalog.projection} is not {episode.projection}")
     if variant is Variant.RERANK and reranker is None:
         raise InvalidConfig("rerank variant needs a reranker")
@@ -290,19 +312,19 @@ def run_episode(
     if rng is None:
         rng = RandomSource(np.random.SeedSequence([env.seed, 4]).generate_state(1)[0])
 
-    oracle = lambda t, chosen: feedback_oracle(env, t, chosen)
     rounds: list[RoundRecord] = []
-    queries: list[np.ndarray] = []
-    labels: list[ItemId] = []
-    losses: list[float] = []
-    for t in range(1, env.total_rounds + 1):
-        if variant is Variant.MULTIHOP:  # its hops bring their own sub-queries
+    if variant is Variant.MULTIHOP:  # its hops bring their own sub-queries
+        for t in range(1, env.total_rounds + 1):
             rounds.extend(variants.step_multihop(
                 multihop_rounds[t], catalog, rng, episode.schedule, t,
                 update_mode=episode.update_mode,
                 clip_propensity=episode.clip_propensity,
             ))
-            continue
+        return EpisodeLog(rounds, catalog)
+
+    oracle = lambda t, chosen: feedback_oracle(env, t, chosen)
+    losses: list[float] = []
+    for t in range(1, env.total_rounds + 1):
         q = env.query_at(t)
         if variant is Variant.DYNAMIC and deltas and t in deltas:
             variants.apply_delta(catalog, deltas[t], t)
@@ -324,14 +346,7 @@ def run_episode(
             )
         rec.loss = loss
         rounds.append(rec)
-        queries.append(q.q)
-        labels.append(target)
         losses.append(loss if loss is not None else float("nan"))
-
-    return EpisodeLog(
-        rounds=rounds,
-        final_catalog=catalog,
-        queries=queries or None,
-        true_items=labels or None,
-        online_losses=losses or None,
-    )
+    # Each round's q is that row of the stream, as `query_at` hands it out.
+    return EpisodeLog(rounds, catalog, list(env.queries.astype(np.float64, copy=False)),
+                      list(env.targets), losses)

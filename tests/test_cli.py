@@ -12,7 +12,7 @@ from orag.io_utils import RunConfig, ingest_embedding_dump, load_config, write_e
 from orag.learner import LearningRateSchedule, step
 from orag.metrics import regret_curve, train_oracle
 from orag.policy import QueryEmbedding, RandomSource
-from orag.simulator import initial_catalog, make_environment
+from orag.simulator import Environment, initial_catalog, make_environment
 
 MINIMAL = {"I": 10, "d": 4, "T": 100, "seed": 1}
 
@@ -255,15 +255,18 @@ def _dump_config(tmp_path, n_items=6, d=4, dtype=np.float64, **extra):
 
 
 def _replay_reference(cfg):
-    """The loop `orag replay` ran on its own: one `step` per labelled query."""
+    """The loop `orag replay` ran on its own: one `step` per labelled query, judged
+    by the label file's line for that query."""
     stream = ingest_embedding_dump(cfg.queries_path, cfg.items_path, cfg.labels_path,
                                    cfg.projection)
+    with open(cfg.labels_path, encoding="utf-8") as f:
+        labels = dict(line.split() for line in f)
     schedule = LearningRateSchedule(cfg.schedule, cfg.c)
     rng = RandomSource(cfg.seed)
     records = []
     for t, qid in enumerate(stream.query_ids, start=1):
         q = QueryEmbedding(stream.queries[t - 1], query_id=qid)
-        truth = stream.labels[qid]
+        truth = labels[qid]
         records.append(step(q, stream.catalog, rng, schedule, cfg.update_mode, t,
                             lambda _t, chosen: chosen == truth))
     return records, stream.catalog
@@ -286,6 +289,17 @@ def test_replay_matches_its_reference_loop(tmp_path, update_mode, projection, dt
     assert [r["query_id"] for r in rows] == ["q00", "q01", "q02", "q03", "q04", "q05", "q07", "q09"]
     write_snapshot(catalog, str(tmp_path / "ref.orag"))
     assert _read(out / "catalog.orag") == _read(tmp_path / "ref.orag")
+
+
+def test_a_dump_run_asks_environment_query_at_once_per_round(tmp_path, monkeypatch):
+    # Wrapped on the class, as a benchmark's round clock wraps it to mark rounds.
+    calls = []
+    query_at = Environment.__dict__["query_at"]
+    monkeypatch.setattr(Environment, "query_at", lambda env, t: calls.append(t) or query_at(env, t))
+    cfg = RunConfig(**_dump_config(tmp_path))
+    env, log = run_from_config(cfg)
+    assert calls == [r.t for r in log.rounds] == list(range(1, env.total_rounds + 1))
+    assert len(calls) == cfg.T == 8
 
 
 def test_replay_runs_the_rerank_variant(tmp_path):

@@ -24,7 +24,7 @@ from orag.io_utils import (
     write_event_log,
 )
 from orag.learner import RoundRecord, ScheduleKind, UpdateMode
-from orag.simulator import Variant
+from orag.simulator import Environment, Variant
 
 
 def _write_config(tmp_path, payload, name="cfg.json"):
@@ -241,10 +241,12 @@ def _dump(tmp_path, d_queries=4, d_items=4, dtype=np.float64):
 def test_ingest_dump_happy_path(tmp_path, dtype):
     qp, ip, lp = _dump(tmp_path, dtype=dtype)
     stream = ingest_embedding_dump(qp, ip, lp)
+    assert type(stream) is Environment
     assert stream.total_rounds == 2
-    assert stream.labels == {"q0": "doc1", "q1": "doc2"}
+    assert dict(zip(stream.query_ids, stream.targets)) == {"q0": "doc1", "q1": "doc2"}
     assert stream.queries.shape == (2, 4)
     assert set(stream.catalog.ids) == {"doc0", "doc1", "doc2"}
+    assert stream.ids == ("doc0", "doc1", "doc2") and stream.latents is None
     # The labelled rows only (q2 has no label), in id order, with their bits.
     queries = read_snapshot(qp)
     assert stream.query_ids == ["q0", "q1"]

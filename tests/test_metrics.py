@@ -246,6 +246,26 @@ def test_ranked_list_ties_break_by_id():
     assert ranked.order == ("a", "b", "c")
 
 
+def _sorted_order(p):
+    """The order by a Python sort: descending probability, then id."""
+    return tuple(p.ids[k] for k in sorted(range(len(p.ids)), key=lambda k: (-p.probs[k], p.ids[k])))
+
+
+def test_ranked_list_order_is_that_of_a_python_sort_on_ties():
+    rng = np.random.default_rng(9)
+    # A scored p (sorted ids), with whole groups of tied rows.
+    rows = rng.normal(size=(6, 3))[rng.integers(0, 6, size=200)]
+    cat = Catalog.from_rows(3, [f"i{k:03d}" for k in range(200)], rows)
+    p = score(rng.normal(size=3), cat)
+    assert len(set(p.probs.tolist())) <= 6
+    assert RankedList.from_probabilities(p, {"i000"}).order == _sorted_order(p)
+    # Hand-built ps with unsorted ids and few distinct probabilities.
+    for n in (1, 2, 17, 300):
+        ids = [f"x{k}" for k in rng.permutation(n)]
+        hand = _pv(ids, rng.choice([0.0, 0.1, 0.25], size=n))
+        assert RankedList.from_probabilities(hand, {ids[0]}).order == _sorted_order(hand)
+
+
 def test_rolling_accuracy_examples():
     np.testing.assert_array_equal(rolling_accuracy([True] * 5, 3), np.ones(3))
     alt = [True, False] * 4

@@ -70,6 +70,38 @@ def test_score_errors():
         score(np.array([np.nan, 1.0]), cat)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("q, rows", [
+    ([1e200, 0.0], [("a", [1e200, 0.0]), ("b", [0.0, 1.0])]),  # one logit overflows to +inf
+    ([1e200, 0.0], [("a", [-1e200, 0.0]), ("b", [-1e200, 1.0])]),  # every logit is -inf
+])
+def test_finite_inputs_whose_logits_overflow_are_non_finite_input(q, rows):
+    # Their softmax would be NaN, and sampling from it would pick an item silently.
+    with pytest.raises(NonFiniteInput, match="logits overflow"):
+        score(np.array(q), _cat(rows))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_query_keeps_its_message(bad):
+    cat = _cat([("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [-2.0, 0.5])])
+    with pytest.raises(NonFiniteInput, match="query contains non-finite entries"):
+        score(np.array([bad, 0.5]), cat)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_finite_scores_keep_their_bits(dtype):
+    # The softmax as written before the overflow check: max-subtract, floor, exp, normalise.
+    rng = np.random.default_rng(4)
+    for scale in (1.0, 50.0, 1e3):
+        cat = Catalog(5, [(f"i{k}", rng.normal(scale=scale, size=5)) for k in range(40)],
+                      dtype=dtype)
+        q = rng.normal(size=5)
+        z = cat.logits(q)
+        z = np.exp(np.maximum(z - z.max(), -700.0))
+        assert score(q, cat).probs.tobytes() == (z / z.sum()).tobytes()
+
+
 def test_sample_one_degenerate():
     cat = _cat([("only", [0.5, 0.5])])
     p = score(np.array([1.0, 1.0]), cat)

@@ -6,7 +6,9 @@ projection; the float32 cases hash the records and the final matrix of a
 float32 catalog driven by `learner.step`; the stream cases hash the ids,
 latents, queries and targets of a synthetic environment, shifted and
 multi-pass or not; the dump cases hash the query ids, queries and targets of
-an ingested float32 or float64 embedding dump. With these settings the learning
+an ingested float32 or float64 embedding dump. The decision cases hash each
+multihop record's decision fields (`DECISION_FIELDS`) and the final snapshot,
+so they hold when a record only gains keys. With these settings the learning
 rate is large enough that unit_ball runs really do project rows (checked by
 `test_projection_is_exercised`).
 
@@ -57,21 +59,41 @@ STREAM_CASES = {
     "stream-shifted-3pass": {"repeat_passes": 3, "shift_round": 50, "shift_fraction": 0.5},
 }
 DUMP_CASES = {"dump-float64": np.float64, "dump-float32": np.float32}
+MULTIHOP_CASES = [case for case in SIMULATE_CASES if case.startswith("simulate-multihop-")]
+DECISION_FIELDS = ("t", "query_id", "chosen", "success", "propensity", "eta", "generation")
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def simulate_digests(case: str, tmp_path) -> dict[str, str]:
+def simulate(case: str, tmp_path):
+    """Run `orag simulate` on the case's config; the output directory."""
     _, variant, mode, projection = case.split("-")
     cfg = dict(BASE, variant=variant, update_mode=mode, projection=projection)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert cli_main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    return out
+
+
+def simulate_digests(case: str, tmp_path) -> dict[str, str]:
+    out = simulate(case, tmp_path)
     return {
         "events.jsonl": _sha((out / "events.jsonl").read_bytes()),
+        "catalog.orag": _sha((out / "catalog.orag").read_bytes()),
+    }
+
+
+def decision_digests(case: str, tmp_path) -> dict[str, str]:
+    """The decision fields of each event-log record, and the final snapshot: what a
+    run decided and learned, whatever other keys its log gains."""
+    out = simulate(case, tmp_path)
+    rows = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+    decisions = "".join(json.dumps([row[k] for k in DECISION_FIELDS]) + "\n" for row in rows)
+    return {
+        "decisions": _sha(decisions.encode()),
         "catalog.orag": _sha((out / "catalog.orag").read_bytes()),
     }
 
@@ -243,9 +265,36 @@ GOLDEN = {
 }
 
 
+# The four multihop runs' decisions and final snapshots: `chosen`, `propensity`,
+# `eta` and the rest, apart from any key a record may gain.
+DECISIONS = {
+    'simulate-multihop-full-none': {
+        'decisions': '86f1a1fb9ab3f9dd5a93eb85086d68180e9be85c38735a7a61c1be7d7a0bbd44',
+        'catalog.orag': '299d3f6ab7757d3fbb15cde9b71ca7c0321b990e529cc4e6d31e6e0a0bbf60f0',
+    },
+    'simulate-multihop-full-unit_ball': {
+        'decisions': '05bed3af5363f5b96560353134f4a4e533bbe09c7225fdd2580fc53c6ddb3192',
+        'catalog.orag': '8c4577f799d3e930b8e9d395d31cf05c302fc90d6d2a305b855d94cc39790238',
+    },
+    'simulate-multihop-chosen_only-none': {
+        'decisions': '94e5f01faafd232d578c2419f2ab8212e4da30b23772ec94120599d750003f14',
+        'catalog.orag': '00a006168d359ddb864dc69769766a7826dfdf4f07f6ad3a8faa621d24874468',
+    },
+    'simulate-multihop-chosen_only-unit_ball': {
+        'decisions': '91ecdd38ced93f3e15d64d6e9cb6f026b13190f47dc065b5ac5ac4567e03be76',
+        'catalog.orag': '2828195b577bc5cf4dabd466860e4356f011aeff034b58015ed57150099e8b10',
+    },
+}
+
+
 @pytest.mark.parametrize("case", SIMULATE_CASES)
 def test_simulate_digest(case, tmp_path):
     assert simulate_digests(case, tmp_path) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", MULTIHOP_CASES)
+def test_multihop_decision_digest(case, tmp_path):
+    assert decision_digests(case, tmp_path) == DECISIONS[case]
 
 
 @pytest.mark.parametrize("case", FLOAT32_CASES)

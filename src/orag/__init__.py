@@ -58,7 +58,6 @@ from .variants import (
     CatalogDelta,
     MultiHopRound,
     make_stub_reranker,
-    step_multihop,
     step_with_rerank,
 )
 

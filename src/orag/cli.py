@@ -105,9 +105,6 @@ def cli_main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config, seed=args.seed)
-        if cfg.variant is Variant.MULTIHOP and args.command in ("regret", "metrics"):
-            raise ValidationError(f"{args.command}: variant {cfg.variant.value!r} logs no "
-                                  "per-round query or target item")
         if args.command == "replay" and cfg.items_path is None:
             raise ValidationError("replay needs queries_path, items_path, labels_path in the config")
         out = args.out or "."
@@ -126,10 +123,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             _write_csv(
                 os.path.join(out, "regret.csv"),
                 ["t", "online_loss", "oracle_loss", "cum_regret"],
-                (
-                    (t + 1, ledger.online_loss[t], ledger.oracle_loss[t], ledger.cumulative_regret[t])
-                    for t in range(len(ledger))
-                ),
+                zip((rec.t for rec in log.rounds), ledger.online_loss, ledger.oracle_loss,
+                    ledger.cumulative_regret),
             )
         elif args.command == "metrics":
             rows = []

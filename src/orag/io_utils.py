@@ -167,6 +167,8 @@ def write_event_log(records: list[RoundRecord], path: str) -> None:
             row["loss"] = r.loss
         if r.generation is not None:
             row["generation"] = r.generation
+        if r.hop is not None:
+            row["hop"] = r.hop
         lines.append(_EVENT_ENCODER.encode(row) + "\n")
     try:
         with open(path, "w", encoding="utf-8") as f:
@@ -176,8 +178,11 @@ def write_event_log(records: list[RoundRecord], path: str) -> None:
 
 
 def read_event_log(path: str) -> list[RoundRecord]:
+    """The records of a JSONL event log. A record without `hop` has a `t` above the
+    previous record's; hop h opens a round at h = 1 with such a `t`, or follows hop
+    h - 1 at the previous record's `t`."""
     records: list[RoundRecord] = []
-    last_t = 0
+    last_t, last_hop = 0, None
     for lineno, line in enumerate(_read_text(path, SchemaError).split("\n"), start=1):
         if not line.strip():
             continue
@@ -194,13 +199,17 @@ def read_event_log(path: str) -> list[RoundRecord]:
             rec = RoundRecord(**{k: _EVENT_CHECKS[k](v) for k, v in row.items()})
         except ValidationError as e:
             raise SchemaError(f"line {lineno}: {e}") from None
-        if rec.t <= last_t:
+        if rec.hop is None and rec.t <= last_t:
             raise SchemaError(f"line {lineno}: t must be a strictly increasing integer")
+        if rec.hop is not None and not (rec.hop == 1 and rec.t > last_t
+                                        or rec.t == last_t and rec.hop - 1 == last_hop):
+            raise SchemaError(f"line {lineno}: hop {rec.hop} at t={rec.t} neither opens a "
+                              "round at hop 1 nor follows the previous hop of its round")
         if not (0.0 < rec.propensity <= 1.0):
             raise SchemaError(f"line {lineno}: propensity outside (0, 1]")
         if rec.eta <= 0 or (rec.generation is not None and rec.generation < 0):
             raise SchemaError(f"line {lineno}: eta must be > 0 and generation >= 0")
-        last_t = rec.t
+        last_t, last_hop = rec.t, rec.hop
         rec.propensity, rec.eta = float(rec.propensity), float(rec.eta)
         records.append(rec)
     return records

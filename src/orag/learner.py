@@ -143,6 +143,7 @@ class RoundRecord:
     eta: float
     loss: float | None = None
     generation: int | None = None
+    hop: int | None = None  # h of a multi-hop round's h-th hop, all at its round's t
 
 
 FeedbackOracle = Callable[[int, ItemId], bool]

@@ -132,15 +132,14 @@ class RegretLedger:
 
 
 def regret_curve(episode_log, oracle: Catalog) -> RegretLedger:
-    """Per-round online/oracle losses and the running regret sum.
+    """Per-record online/oracle losses and the running regret sum.
 
-    `episode_log` must expose per-round queries, ground-truth items, and the
-    online losses recorded during the run. The sum runs over the rounds that
-    have an online loss: a round whose target was not in the catalog (an item
-    the dynamic variant still withholds) records NaN and adds nothing.
+    `episode_log` must expose each record's query, ground-truth item, and the
+    online loss recorded during the run (a multi-hop round logs one record per
+    hop). The sum runs over the records that have an online loss: one whose
+    target was not in the catalog (an item the dynamic variant still
+    withholds) records NaN and adds nothing.
     """
-    if episode_log.queries is None or episode_log.true_items is None:
-        raise MissingGroundTruth("episode log lacks (q_t, i*_t) records")
     online = np.asarray(episode_log.online_losses, dtype=np.float64)
     missing = np.isnan(online)
     if missing.all():  # run with record_losses=False: no regret to sum

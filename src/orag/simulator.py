@@ -120,7 +120,11 @@ class Environment:
 
 
 def check_shift_round(config: EpisodeConfig, shift_round: int | None) -> None:
-    """The one shift rule: a shift falls within the stream, 1 <= shift_round <= T * passes."""
+    """The one shift rule: a shift falls within the stream, 1 <= shift_round <= T * passes,
+    and a multihop episode, whose hops bring their own targets, takes none."""
+    if shift_round is not None and config.variant is Variant.MULTIHOP:
+        raise InvalidConfig("shift_round: a multihop round's hops bring their own targets, "
+                            "so there is nothing to shift")
     if shift_round is not None and not 1 <= shift_round <= config.T * config.repeat_passes:
         raise InvalidConfig(f"shift_round: must lie in [1, {config.T * config.repeat_passes}]")
 
@@ -246,11 +250,12 @@ def half_withheld_scenario(
 
 
 def make_multihop_rounds(env: Environment, hops: int = 2) -> dict:
-    """Per-round multi-hop sub-queries with an exact-match judge.
+    """Per-round multi-hop sub-queries, their targets and an exact-match judge.
 
     Hop h of round t reuses the environment's stream geometry: the sub-query
     is a noisy copy of a seeded per-(t, h) target item's latent direction, and
-    the judge returns 1 exactly when the chosen item is that target.
+    the judge returns 1 exactly when the chosen item is that target. The
+    stream's own targets play no part, so a distribution shift would not either.
     """
     rng = np.random.default_rng(np.random.SeedSequence([env.seed, 5]))
     total = env.total_rounds
@@ -260,19 +265,23 @@ def make_multihop_rounds(env: Environment, hops: int = 2) -> dict:
     rounds = {}
     for t in range(1, total + 1):
         subqueries = [QueryEmbedding(subs[t - 1, h], query_id=f"t{t}h{h + 1}") for h in range(hops)]
-        truth = {sq.query_id: env.ids[k] for sq, k in zip(subqueries, picks[t - 1])}
+        targets = [env.ids[k] for k in picks[t - 1]]
+        truth = {sq.query_id: target for sq, target in zip(subqueries, targets)}
         judge = (lambda tr: lambda q, chosen: int(chosen == tr[q.query_id]))(truth)
-        rounds[t] = variants.MultiHopRound(subqueries=subqueries, judge=judge)
+        rounds[t] = variants.MultiHopRound(subqueries, targets, judge)
     return rounds
 
 
 @dataclass
 class EpisodeLog:
+    """One entry per logged record, a round's or a multi-hop hop's: its record, query,
+    target item and online loss (NaN where none was recorded)."""
+
     rounds: list[RoundRecord]
     final_catalog: Catalog
-    queries: list[np.ndarray] | None = None
-    true_items: list[ItemId] | None = None
-    online_losses: list[float] | None = None
+    queries: list[np.ndarray]
+    true_items: list[ItemId]
+    online_losses: list[float]
 
     @property
     def successes(self) -> list[bool]:
@@ -290,14 +299,19 @@ def run_episode(
     deltas=None,
     multihop_rounds=None,
 ) -> EpisodeLog:
-    """Run the configured variant for `env.total_rounds` rounds.
+    """Run the configured variant for `env.total_rounds` rounds, one loop for all.
 
     `env` is the one stream type, `Environment`: a synthetic stream or an
     ingested dump. `catalog` defaults to `initial_catalog(env, init_noise)`;
     either way it must have the episode's projection. The rerank variant needs
     `reranker`; dynamic takes `deltas` (round -> CatalogDelta); multihop takes
-    `multihop_rounds` (round -> MultiHopRound) and records the per-hop records
-    flattened into the log.
+    `multihop_rounds` (round -> MultiHopRound).
+
+    A round is a list of hops: `(env.query_at(t), env.optimal_item(t))`, judged
+    by `feedback_oracle`, or a multihop round's sub-queries and targets, judged
+    by its judge. Each hop records its loss under the catalog it scores against
+    (the previous hop's update included), steps at the round's t, and logs its
+    record (`hop` set in a multihop round), its query and its target.
     """
     variant = episode.variant
     if catalog is None:
@@ -312,41 +326,35 @@ def run_episode(
     if rng is None:
         rng = RandomSource(np.random.SeedSequence([env.seed, 4]).generate_state(1)[0])
 
-    rounds: list[RoundRecord] = []
-    if variant is Variant.MULTIHOP:  # its hops bring their own sub-queries
-        for t in range(1, env.total_rounds + 1):
-            rounds.extend(variants.step_multihop(
-                multihop_rounds[t], catalog, rng, episode.schedule, t,
-                update_mode=episode.update_mode,
-                clip_propensity=episode.clip_propensity,
-            ))
-        return EpisodeLog(rounds, catalog)
-
     oracle = lambda t, chosen: feedback_oracle(env, t, chosen)
-    losses: list[float] = []
+    rounds, queries, targets, losses = [], [], [], []
     for t in range(1, env.total_rounds + 1):
-        q = env.query_at(t)
-        if variant is Variant.DYNAMIC and deltas and t in deltas:
-            variants.apply_delta(catalog, deltas[t], t)
-        target = env.optimal_item(t)
-        loss = None
-        if record_losses and target in catalog:
-            loss = cross_entropy_loss(score(q, catalog), target)
-
-        if variant is Variant.RERANK:
-            rec = variants.step_with_rerank(
-                q, catalog, episode.K, reranker, rng, episode.schedule, t, oracle,
-                update_mode=episode.update_mode,
-                clip_propensity=episode.clip_propensity,
-            )
+        if variant is Variant.MULTIHOP:
+            mh = multihop_rounds[t]
+            hops = [(q, target, lambda _t, chosen, q=q: int(mh.judge(q, chosen)),
+                     q.query_id or f"t{t}h{h}", h)
+                    for h, (q, target) in enumerate(zip(mh.subqueries, mh.targets), start=1)]
         else:
-            rec = step(
-                q, catalog, rng, episode.schedule, episode.update_mode, t, oracle,
-                clip_propensity=episode.clip_propensity,
-            )
-        rec.loss = loss
-        rounds.append(rec)
-        losses.append(loss if loss is not None else float("nan"))
-    # Each round's q is that row of the stream, as `query_at` hands it out.
-    return EpisodeLog(rounds, catalog, list(env.queries.astype(np.float64, copy=False)),
-                      list(env.targets), losses)
+            q = env.query_at(t)
+            if variant is Variant.DYNAMIC and deltas and t in deltas:
+                variants.apply_delta(catalog, deltas[t], t)
+            hops = [(q, env.optimal_item(t), oracle, q.query_id, None)]
+        for q, target, judge, query_id, hop in hops:
+            loss = None
+            if record_losses and target in catalog:
+                loss = cross_entropy_loss(score(q, catalog), target)
+            if variant is Variant.RERANK:
+                rec = variants.step_with_rerank(
+                    q, catalog, episode.K, reranker, rng, episode.schedule, t, judge,
+                    update_mode=episode.update_mode,
+                    clip_propensity=episode.clip_propensity,
+                )
+            else:
+                rec = step(q, catalog, rng, episode.schedule, episode.update_mode, t, judge,
+                           query_id, episode.clip_propensity)
+            rec.loss, rec.hop = loss, hop
+            rounds.append(rec)
+            queries.append(q.q)  # float64, as `score` reads it
+            targets.append(target)
+            losses.append(loss if loss is not None else float("nan"))
+    return EpisodeLog(rounds, catalog, queries, targets, losses)

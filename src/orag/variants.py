@@ -14,11 +14,11 @@ import numpy as np
 
 from .catalog import Catalog, ItemId
 from .errors import InvalidConfig, KTooLarge
-from .learner import LearningRateSchedule, RoundRecord, UpdateMode, learn_from_feedback, step
+from .learner import LearningRateSchedule, RoundRecord, UpdateMode, learn_from_feedback
 from .policy import QueryEmbedding, RandomSource, sample_k_without_replacement, score
 # Unused here, but the benchmark's tracer patches them at this module's names.
 from .learner import (  # noqa: F401
-    apply_update, estimate_gradient_chosen_only, estimate_gradient_full)
+    apply_update, estimate_gradient_chosen_only, estimate_gradient_full, step)
 from .policy import sample_one  # noqa: F401
 
 Reranker = Callable[[QueryEmbedding, Sequence[ItemId]], ItemId]
@@ -110,33 +110,16 @@ def apply_delta(catalog: Catalog, delta: CatalogDelta, t: int) -> None:
 
 @dataclass
 class MultiHopRound:
-    """Ordered sub-queries for one round plus the per-hop judge."""
+    """One round's ordered sub-queries, each hop's target item beside its sub-query,
+    and the per-hop judge. `run_episode` logs each hop as one record at the round's
+    t; the judge gives the feedback, the targets the loss and regret."""
 
     subqueries: list[QueryEmbedding]
+    targets: list[ItemId]
     judge: Judge
 
     def __post_init__(self):
         if not self.subqueries:
             raise InvalidConfig("multi-hop round needs at least one sub-query")
-
-
-def step_multihop(
-    round_: MultiHopRound,
-    catalog: Catalog,
-    rng: RandomSource,
-    schedule: LearningRateSchedule,
-    t: int,
-    update_mode: UpdateMode = UpdateMode.FULL,
-    clip_propensity: float | None = None,
-) -> list[RoundRecord]:
-    """Run one hop per sub-query, updating the catalog within the round.
-
-    Hop h+1 scores against the catalog already updated by hop h; the returned
-    records carry one entry per hop in hop order.
-    """
-    return [
-        step(q, catalog, rng, schedule, update_mode, t,
-             lambda _t, chosen, q=q: int(round_.judge(q, chosen)),
-             q.query_id or f"t{t}h{h}", clip_propensity)
-        for h, q in enumerate(round_.subqueries, start=1)
-    ]
+        if len(self.targets) != len(self.subqueries):
+            raise InvalidConfig("multi-hop round needs one target per sub-query")

@@ -8,7 +8,8 @@ import pytest
 from orag.catalog import Catalog, read_snapshot, write_snapshot
 from orag.errors import ValidationError
 from orag.cli import cli_main, run_from_config
-from orag.io_utils import RunConfig, ingest_embedding_dump, load_config, write_event_log
+from orag.io_utils import (
+    RunConfig, ingest_embedding_dump, load_config, read_event_log, write_event_log)
 from orag.learner import LearningRateSchedule, step
 from orag.metrics import regret_curve, train_oracle
 from orag.policy import QueryEmbedding, RandomSource
@@ -144,15 +145,34 @@ def test_metrics_k_below_one_exits_one_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["regret", "metrics"])
-def test_multihop_regret_and_metrics_exit_one_before_running(tmp_path, capsys, command):
-    # A multihop log holds per-hop records but no per-round query or target item.
-    payload = {"I": 6, "d": 4, "T": 20, "seed": 1, "variant": "multihop"}
-    out = tmp_path / command
-    assert cli_main([command, "--config", _cfg(tmp_path, payload), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "multihop" in err
-    assert not (out / f"{command}.csv").exists()
+def test_multihop_regret_and_metrics_write_one_row_per_hop(tmp_path):
+    # Each hop is one logged record, with its own query, target and loss.
+    cfg = _cfg(tmp_path, {"I": 6, "d": 4, "T": 20, "seed": 1, "variant": "multihop"})
+    out = tmp_path / "out"
+    for command in ("simulate", "regret", "metrics"):
+        assert cli_main([command, "--config", cfg, "--out", str(out), "--k", "3"]) == 0
+    records = read_event_log(str(out / "events.jsonl"))
+    assert [(r.t, r.hop) for r in records] == [(t, h) for t in range(1, 21) for h in (1, 2)]
+    with open(out / "regret.csv", newline="") as f:
+        regret = list(csv.DictReader(f))
+    assert [int(row["t"]) for row in regret] == [r.t for r in records]
+    assert [float(row["online_loss"]) for row in regret] == [r.loss for r in records]
+    with open(out / "metrics.csv", newline="") as f:
+        metrics = list(csv.DictReader(f))
+    assert [(int(row["t"]), int(row["success"])) for row in metrics] == [
+        (r.t, int(r.success)) for r in records]
+
+
+def test_multihop_shift_round_exits_one_before_running(tmp_path, capsys):
+    # A multihop round's hops bring their own targets: a shift of the stream's is a no-op.
+    payload = {"I": 6, "d": 4, "T": 20, "seed": 1, "variant": "multihop",
+               "shift_round": 5, "shift_fraction": 1.0}
+    out = tmp_path / "run"
+    assert cli_main(["simulate", "--config", _cfg(tmp_path, payload), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: shift_round")
+    assert not out.exists()
+    with pytest.raises(ValidationError, match="shift_round"):
+        RunConfig(**payload)
 
 
 def test_dynamic_with_one_item_exits_one_before_running(tmp_path, capsys):

@@ -23,7 +23,9 @@ bits (say, a different summation order) and says so: run
     PYTHONPATH=src python tests/test_golden.py
 
 which prints the current digests as a Python dict, and paste it over
-`GOLDEN` below in the same commit as that change.
+`GOLDEN` below in the same commit as that change. It also prints, to stderr,
+each case and artifact whose digest differs from `GOLDEN`, with the old and
+new digest: quote those lines with the change, so it shows exactly what moved.
 """
 
 from __future__ import annotations
@@ -209,19 +211,19 @@ GOLDEN = {
         'catalog.orag': '9dce96430b7abcc791b2358c4c5e475bacdcd391f138bec323770daaa331c6ea',
     },
     'simulate-multihop-full-none': {
-        'events.jsonl': 'd8935717ab6d3efa313d84d845585a37cf2197542a1db8b4043748ae07fbf2e2',
+        'events.jsonl': 'a15e4b6ee258b04a3a2dd8cb766f70cf174a7d6b0dc9551dd33f51bd511c7b94',
         'catalog.orag': '299d3f6ab7757d3fbb15cde9b71ca7c0321b990e529cc4e6d31e6e0a0bbf60f0',
     },
     'simulate-multihop-full-unit_ball': {
-        'events.jsonl': 'a01600513b1c741f95aa362439e978a16dd7d2d41ef53b6d3fe960fd000f4bcd',
+        'events.jsonl': '3b1a6cbbaf64b1c1396401ebe13c063ae5121aa1d533b35ee27718d67bf28c61',
         'catalog.orag': '8c4577f799d3e930b8e9d395d31cf05c302fc90d6d2a305b855d94cc39790238',
     },
     'simulate-multihop-chosen_only-none': {
-        'events.jsonl': '7681052f851dd517d95f8e4d1f0a65f4ca96925fd21664ea3e09a64d5f9a19e0',
+        'events.jsonl': '2a5b609b5545c40fa1f6f1001c325e6f98bd9d4bf12287d41613b23702e9796c',
         'catalog.orag': '00a006168d359ddb864dc69769766a7826dfdf4f07f6ad3a8faa621d24874468',
     },
     'simulate-multihop-chosen_only-unit_ball': {
-        'events.jsonl': '613ce47cbe0dbc96c25b79ba7f5e12e3a65107fff1d11f0da78824b2898140e8',
+        'events.jsonl': '96028d487ea210a1dea936f5b9de98e14a62145ac7a367c4b8e3498b7f40ba33',
         'catalog.orag': '2828195b577bc5cf4dabd466860e4356f011aeff034b58015ed57150099e8b10',
     },
     'float32-full-none': {
@@ -322,6 +324,7 @@ def test_projection_is_exercised():
 
 if __name__ == "__main__":
     import pathlib
+    import sys
     import tempfile
 
     digests = {}
@@ -339,6 +342,11 @@ if __name__ == "__main__":
             case_dir = pathlib.Path(tmp) / case
             case_dir.mkdir()
             digests[case] = dump_digests(case, case_dir)
+    for case, d in digests.items():  # what a re-baseline moves, quoted with it
+        for name, h in d.items():
+            old = GOLDEN.get(case, {}).get(name)
+            if old != h:
+                print(f"differs: {case} {name}: {old} -> {h}", file=sys.stderr)
     print("GOLDEN = {")
     for case, d in digests.items():
         print(f"    {case!r}: {{")

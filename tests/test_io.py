@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from orag.catalog import Catalog, read_snapshot, write_snapshot
+from orag.cli import cli_main
 from orag.errors import (
     DimensionMismatch,
     IoError,
@@ -223,6 +224,46 @@ def test_event_log_accepts_int_numbers_and_null_optionals(tmp_path):
     (rec,) = read_event_log(str(path))
     assert (rec.propensity, rec.eta, rec.loss) == (1.0, 2.0, None)
     assert type(rec.propensity) is float and type(rec.eta) is float
+
+
+def test_simulated_multihop_log_round_trips(tmp_path):
+    cfg = _write_config(tmp_path, {"T": 20, "I": 10, "d": 4, "seed": 0, "variant": "multihop"})
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    records = read_event_log(str(out / "events.jsonl"))
+    assert [(r.t, r.hop) for r in records] == [(t, h) for t in range(1, 21) for h in (1, 2)]
+    write_event_log(records, str(tmp_path / "again.jsonl"))
+    assert (tmp_path / "again.jsonl").read_bytes() == (out / "events.jsonl").read_bytes()
+
+
+def _hop_log(tmp_path, t_hops):
+    path = tmp_path / "hops.jsonl"
+    path.write_text("".join(
+        json.dumps({"t": t, "query_id": "q", "chosen": "a", "success": True, "propensity": 0.5,
+                    "eta": 0.1, **({} if hop is None else {"hop": hop})}) + "\n"
+        for t, hop in t_hops))
+    return str(path)
+
+
+def test_event_log_hops_and_plain_rounds_mix(tmp_path):
+    t_hops = [(1, None), (2, 1), (2, 2), (2, 3), (3, None), (5, 1), (6, 1), (6, 2)]
+    assert [(r.t, r.hop) for r in read_event_log(_hop_log(tmp_path, t_hops))] == t_hops
+
+
+@pytest.mark.parametrize("t_hops, line", [
+    ([(1, 0)], 1),
+    ([(1, 1), (1, 1)], 2),
+    ([(1, 1), (1, 3)], 2),
+    ([(2, 2)], 1),
+    ([(1, 1), (2, 2)], 2),
+    ([(1, 1), (1, None)], 2),
+    ([(1, None), (1, 1)], 2),
+    ([(1, None), (1, 2)], 2),
+], ids=["hop-0", "repeated-hop", "skipped-hop", "opens-at-hop-2", "new-t-at-hop-2",
+        "no-hop-at-same-t", "hop-1-at-same-t", "hop-2-after-no-hop"])
+def test_event_log_hop_rule_cites_the_line(tmp_path, t_hops, line):
+    with pytest.raises(SchemaError, match=f"^line {line}: "):
+        read_event_log(_hop_log(tmp_path, t_hops))
 
 
 def _dump(tmp_path, d_queries=4, d_items=4, dtype=np.float64):

@@ -255,7 +255,8 @@ def test_catalog_matches_reference_dict(data):
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """A directory, and the bytes of valid float64/float32 snapshots and of a valid event log."""
+    """A directory, and the bytes of valid float64/float32 snapshots and of valid
+    single-hop and multihop event logs."""
     folder = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(3)
     for dtype in (np.float64, np.float32):
@@ -266,6 +267,14 @@ def valid_files(tmp_path_factory):
         RoundRecord(t=2, query_id="q2", chosen="b", success=False, propensity=0.25, eta=0.1,
                     loss=1.5, generation=3),
     ], str(folder / "events.jsonl"))
+    write_event_log([
+        RoundRecord(t=1, query_id="t1h1", chosen="a", success=True, propensity=0.5, eta=0.1,
+                    loss=0.7, generation=1, hop=1),
+        RoundRecord(t=1, query_id="t1h2", chosen="cc", success=False, propensity=0.25,
+                    eta=0.1, loss=1.5, generation=2, hop=2),
+        RoundRecord(t=2, query_id="t2h1", chosen="b", success=True, propensity=0.75,
+                    eta=0.07, loss=0.2, generation=3, hop=1),
+    ], str(folder / "multihop.jsonl"))
     return folder, {f.name: f.read_bytes() for f in folder.iterdir()}
 
 
@@ -305,7 +314,8 @@ def test_read_snapshot_fuzz_accepts_or_raises_orag_error(valid_files, data):
 @given(st.data())
 def test_read_event_log_fuzz_accepts_or_raises_orag_error(valid_files, data):
     folder, valid = valid_files
-    blob = _fuzzed(data.draw, valid["events.jsonl"])
+    name = data.draw(st.sampled_from(["events.jsonl", "multihop.jsonl"]))
+    blob = _fuzzed(data.draw, valid[name])
     _read_or_orag_error(read_event_log, str(folder / "fuzz.jsonl"), blob)
 
 

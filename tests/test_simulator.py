@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from orag.catalog import Catalog, ProjectionMode
 from orag.errors import InvalidConfig, UndefinedRound
 from orag.learner import LearningRateSchedule, ScheduleKind, UpdateMode
 from orag.metrics import rolling_accuracy
+from orag.variants import MultiHopRound
 from orag.simulator import (
     EpisodeConfig,
     Variant,
@@ -232,7 +236,11 @@ def test_make_multihop_rounds_structure():
     rounds = make_multihop_rounds(env, hops=2)
     assert set(rounds) == set(range(1, 21))
     r1 = rounds[1]
-    assert len(r1.subqueries) == 2
+    assert len(r1.subqueries) == len(r1.targets) == 2
+    # each hop's target is the one item its judge accepts
+    for r in rounds.values():
+        for sq, target in zip(r.subqueries, r.targets):
+            assert [item for item in env.ids if r.judge(sq, item)] == [target]
     # the judge agrees with itself and rejects a wrong answer somewhere
     outcomes = {
         r.judge(sq, item)
@@ -249,8 +257,28 @@ def test_multihop_episode_logs_one_record_per_hop():
     log = run_episode(
         env, ep, init_noise=0.5, multihop_rounds=make_multihop_rounds(env, hops=2)
     )
-    assert len(log.rounds) == 30
-    assert [r.t for r in log.rounds] == [t for t in range(1, 16) for _ in range(2)]
+    assert len(log.rounds) == len(log.queries) == len(log.true_items) == 30
+    assert [(r.t, r.hop) for r in log.rounds] == [(t, h) for t in range(1, 16) for h in (1, 2)]
+    assert all(math.isfinite(loss) for loss in log.online_losses)
+    assert [r.loss for r in log.rounds] == log.online_losses
+
+
+def test_one_hop_multihop_episode_is_the_plain_episode():
+    # One loop: a multihop round whose one hop is the stream's round is that round.
+    ep = EpisodeConfig(T=30, I=6, d=4)
+    env = make_environment(ep, 4)
+    plain = run_episode(env, ep, init_noise=0.5)
+    rounds = {t: MultiHopRound([env.query_at(t)], [env.optimal_item(t)],
+                               lambda q, chosen, t=t: int(chosen == env.optimal_item(t)))
+              for t in range(1, 31)}
+    multi = run_episode(env, dataclasses.replace(ep, variant=Variant.MULTIHOP),
+                        init_noise=0.5, multihop_rounds=rounds)
+    assert [r.hop for r in multi.rounds] == [1] * 30
+    assert [dataclasses.replace(r, hop=None) for r in multi.rounds] == plain.rounds
+    assert multi.online_losses == plain.online_losses
+    assert multi.true_items == plain.true_items
+    assert np.array_equal(multi.queries, plain.queries)
+    assert multi.final_catalog.matrix().tobytes() == plain.final_catalog.matrix().tobytes()
 
 
 @pytest.mark.parametrize("n_items", [37, 50, 1000, 10_050])

@@ -19,12 +19,12 @@ from orag.learner import (
 )
 from orag.metrics import cross_entropy_loss
 from orag.policy import QueryEmbedding, RandomSource, score
+from orag.simulator import EpisodeConfig, Variant, make_environment, run_episode
 from orag.variants import (
     CatalogDelta,
     MultiHopRound,
     apply_delta,
     make_stub_reranker,
-    step_multihop,
     step_with_rerank,
 )
 
@@ -194,6 +194,14 @@ def test_late_insertion_benefits_from_competitor_pushback():
     assert score(q, cat)["target"] > score(q, untouched)["target"]
 
 
+def _multihop_episode(cat, rounds, schedule=CONST(0.1), seed=13):
+    """Run `rounds` (round -> MultiHopRound) as a multihop episode from `cat`."""
+    ep = EpisodeConfig(T=len(rounds), I=len(cat), d=cat.dim, variant=Variant.MULTIHOP,
+                       schedule=schedule)
+    return run_episode(make_environment(ep, 0), ep, catalog=cat, rng=RandomSource(seed),
+                       multihop_rounds=rounds)
+
+
 def test_multihop_single_hop_equals_plain_step():
     q = QueryEmbedding(np.array([0.2, -0.4, 0.6]), query_id="h")
     judge = lambda qq, chosen: int(chosen == "i1")
@@ -202,11 +210,14 @@ def test_multihop_single_hop_equals_plain_step():
         q, cat_a, RandomSource(13), CONST(0.1), UpdateMode.FULL, 1,
         lambda t, ch: ch == "i1",
     )
-    (rec_b,) = step_multihop(
-        MultiHopRound([q], judge), cat_b, RandomSource(13), CONST(0.1), 1
-    )
+    log = _multihop_episode(cat_b, {1: MultiHopRound([q], ["i1"], judge)})
+    (rec_b,) = log.rounds
     assert (rec_a.chosen, rec_a.success) == (rec_b.chosen, rec_b.success)
     assert cat_a.matrix().tobytes() == cat_b.matrix().tobytes()
+    # The hop's loss is taken before its update; it logs its query and target.
+    assert (rec_b.t, rec_b.hop, rec_b.query_id) == (1, 1, "h")
+    assert rec_b.loss == cross_entropy_loss(score(q, _cat(9)), "i1")
+    assert log.true_items == ["i1"] and log.queries[0].tobytes() == q.q.tobytes()
 
 
 def test_multihop_always_failing_judge_pushes_rows_away():
@@ -215,9 +226,9 @@ def test_multihop_always_failing_judge_pushes_rows_away():
         QueryEmbedding(np.array([1.0, 0.0, 0.0]), query_id="h1"),
         QueryEmbedding(np.array([0.0, 1.0, 0.0]), query_id="h2"),
     ]
-    round_ = MultiHopRound(qs, lambda q, chosen: 0)
+    round_ = MultiHopRound(qs, ["i0", "i0"], lambda q, chosen: 0)
     before = cat.copy()
-    records = step_multihop(round_, cat, RandomSource(2), CONST(0.3), 1)
+    records = _multihop_episode(cat, {1: round_}, CONST(0.3), seed=2).rounds
     assert [r.success for r in records] == [False, False]
     first = records[0]
     assert float(cat.row(first.chosen) @ qs[0].q) < float(
@@ -228,20 +239,35 @@ def test_multihop_always_failing_judge_pushes_rows_away():
 def test_multihop_later_hops_see_earlier_updates():
     cat = _cat(11, n=4)
     qs = [QueryEmbedding(np.random.default_rng(k).normal(size=3), query_id=f"h{k}") for k in range(3)]
-    records = step_multihop(
-        MultiHopRound(qs, lambda q, chosen: 0), cat, RandomSource(5), CONST(0.1), 7
-    )
+    round_ = MultiHopRound(qs, ["i0", "i1", "i2"], lambda q, chosen: 0)
+    records = _multihop_episode(cat, {1: round_, 2: round_}, seed=5).rounds
     gens = [r.generation for r in records]
-    assert gens == sorted(gens) and len(set(gens)) == 3
-    assert all(r.t == 7 for r in records)
+    assert gens == sorted(gens) and len(set(gens)) == 6
+    assert [(r.t, r.hop) for r in records] == [(t, h) for t in (1, 2) for h in (1, 2, 3)]
+    # Each hop is one `step` at its round's t, its loss taken under the catalog
+    # the previous hop left.
+    ref, rng, expected = _cat(11, n=4), RandomSource(5), []
+    for t in (1, 2):
+        for q, target in zip(qs, round_.targets):
+            loss = cross_entropy_loss(score(q, ref), target)
+            rec = step(q, ref, rng, CONST(0.1), UpdateMode.FULL, t, lambda _t, c: False)
+            expected.append((rec.chosen, rec.generation, loss))
+    assert [(r.chosen, r.generation, r.loss) for r in records] == expected
+    assert ref.matrix().tobytes() == cat.matrix().tobytes()
 
 
 def test_multihop_hop_before_round_one_is_rejected():
-    round_ = MultiHopRound([QueryEmbedding(np.ones(3), query_id="h")], lambda q, chosen: 0)
+    # A hop is one `step` at its round's t, and rounds start at 1.
+    q = QueryEmbedding(np.ones(3), query_id="h")
     with pytest.raises(ValueError):
-        step_multihop(round_, _cat(12), RandomSource(1), CONST(0.1), 0)
+        step(q, _cat(12), RandomSource(1), CONST(0.1), UpdateMode.FULL, 0, lambda t, c: 0)
 
 
 def test_multihop_round_requires_subqueries():
     with pytest.raises(InvalidConfig):
-        MultiHopRound([], lambda q, c: 0)
+        MultiHopRound([], [], lambda q, c: 0)
+
+
+def test_multihop_round_requires_one_target_per_subquery():
+    with pytest.raises(InvalidConfig, match="one target per sub-query"):
+        MultiHopRound([QueryEmbedding(np.ones(3), query_id="h")], [], lambda q, c: 0)

@@ -10,7 +10,6 @@ from .catalog import (
     Catalog,
     ItemId,
     ProjectionMode,
-    project_row,
     read_snapshot,
     write_snapshot,
 )
@@ -49,7 +48,6 @@ from .simulator import (
     EpisodeConfig,
     EpisodeLog,
     Variant,
-    feedback_oracle,
     initial_catalog,
     make_environment,
     run_episode,

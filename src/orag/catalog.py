@@ -39,24 +39,15 @@ class ProjectionMode(enum.Enum):
     UNIT_BALL = "unit_ball"
 
 
-def project_row(v: np.ndarray, mode: ProjectionMode) -> np.ndarray:
-    """Project a row, or each row of an (n, d) block, into the feasible set.
-
-    Mode NONE returns a float64 copy of the input; UNIT_BALL rescales a row
-    onto the unit sphere only when its norm exceeds 1 (see `row_norms`).
-    """
-    v = np.array(v, dtype=np.float64)
-    _project_rows(np.atleast_2d(v), mode)
-    return v
-
-
 def _project_rows(block: np.ndarray, mode: ProjectionMode,
                   error: str = "row contains non-finite entries") -> None:
     """Check an (n, d) block finite (else `NonFiniteInput(error)`) and project its rows, in place.
 
-    Works 64 KB at a time: a whole-block mask or float32 `astype` would be a
-    quarter to twice the block's size. float32 rows are divided by float64
-    norms, so they get the float64 rule's bits rounded once.
+    UNIT_BALL rescales a row onto the unit sphere only when its norm exceeds 1
+    (see `row_norms`); NONE leaves it. Works 64 KB at a time: a whole-block
+    mask or float32 `astype` would be a quarter to twice the block's size.
+    float32 rows are divided by float64 norms, so they get the float64 rule's
+    bits rounded once.
     """
     n, d = block.shape  # a block within one chunk is taken whole, with no slicing
     chunks = (block,) if n * d <= CHUNK_VALUES else (block[c] for c in row_chunks(n, d))

@@ -12,7 +12,7 @@ import numpy as np
 from .catalog import write_snapshot
 from .errors import OragError, ValidationError, InvalidConfig, ParseError
 from .io_utils import RunConfig, ingest_embedding_dump, load_config, write_event_log
-from .metrics import RankedList, ndcg_at_k, recall_at_k, regret_curve, train_oracle
+from .metrics import regret_curve, train_oracle, truth_recall_ndcg
 from .policy import RandomSource, score
 from .simulator import (
     Environment,
@@ -131,10 +131,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             for rec, q, truth in zip(log.rounds, log.queries, log.true_items):
                 if truth not in log.final_catalog:
                     continue
-                ranked = RankedList.from_probabilities(score(q, log.final_catalog), {truth})
-                rows.append(
-                    (rec.t, recall_at_k(ranked, args.k), ndcg_at_k(ranked, args.k), int(rec.success))
-                )
+                recall, ndcg = truth_recall_ndcg(score(q, log.final_catalog), truth, args.k)
+                rows.append((rec.t, recall, ndcg, int(rec.success)))
             _write_csv(os.path.join(out, "metrics.csv"), ["t", f"recall_at_{args.k}", f"ndcg_at_{args.k}", "success"], rows)
     except (InvalidConfig, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Bandit-feedback gradient estimation and the online update step.
+"""Bandit-feedback gradient estimation and `step`, the one online round.
 
 Gradient estimators (per item i, chosen item c, success bit s, propensity
 p_c = p[c] at decision time, query q):
@@ -11,7 +11,8 @@ when the chosen item is drawn from p. The full estimate is the rank-1 block
 outer(p - s * e_c / p_c, q); the chosen-only one is its row c. An estimate is
 a `GradientBatch` of those coefficients and q (B = 1 query), never an (I, d)
 block: what `Catalog.update_rows` takes for the (projected) step
-theta_i <- project(theta_i - eta_t * g_i).
+theta_i <- project(theta_i - eta_t * g_i). Every variant's round is `step`;
+they differ only in how `choose` picks the item under p.
 """
 
 from __future__ import annotations
@@ -149,38 +150,6 @@ class RoundRecord:
 FeedbackOracle = Callable[[int, ItemId], bool]
 
 
-def learn_from_feedback(
-    p: ProbabilityVector,
-    q,
-    chosen: ItemId,
-    success: bool,
-    catalog: Catalog,
-    eta: float,
-    update_mode: UpdateMode,
-    t: int,
-    query_id: str,
-    clip_propensity: float | None = None,
-) -> RoundRecord:
-    """Turn one success bit into a gradient estimate, update the catalog, record the round.
-
-    The single update path shared by every step function; `p` is the policy
-    the chosen item was drawn under.
-    """
-    fb = Feedback(chosen=chosen, success=success, propensity=p[chosen])
-    estimate = (estimate_gradient_full if update_mode is UpdateMode.FULL
-                else estimate_gradient_chosen_only)
-    apply_update(catalog, estimate(p, q, fb, t=t, clip_propensity=clip_propensity), eta)
-    return RoundRecord(
-        t=t,
-        query_id=query_id,
-        chosen=chosen,
-        success=success,
-        propensity=fb.propensity,
-        eta=eta,
-        generation=catalog.generation,
-    )
-
-
 def step(
     q,
     catalog: Catalog,
@@ -191,14 +160,25 @@ def step(
     feedback_oracle: FeedbackOracle,
     query_id: str = "",
     clip_propensity: float | None = None,
+    choose: Callable[[ProbabilityVector, RandomSource], ItemId] | None = None,
 ) -> RoundRecord:
-    """One full online round: score, sample, get feedback, estimate, update."""
+    """One online round: score, pick with `choose(p, rng)` (one `sample_one` draw if None),
+    get feedback, estimate with the single-draw propensity p[chosen], update, record."""
     if t < 1:
         raise ValueError("round index t starts at 1")
     p = score(q, catalog)
-    chosen = sample_one(p, rng)
-    success = bool(feedback_oracle(t, chosen))
-    return learn_from_feedback(
-        p, q, chosen, success, catalog, schedule.eta(t), update_mode, t,
-        query_id or getattr(q, "query_id", ""), clip_propensity,
+    chosen = sample_one(p, rng) if choose is None else choose(p, rng)
+    fb = Feedback(chosen=chosen, success=bool(feedback_oracle(t, chosen)), propensity=p[chosen])
+    estimate = (estimate_gradient_full if update_mode is UpdateMode.FULL
+                else estimate_gradient_chosen_only)
+    eta = schedule.eta(t)
+    apply_update(catalog, estimate(p, q, fb, t=t, clip_propensity=clip_propensity), eta)
+    return RoundRecord(
+        t=t,
+        query_id=query_id or getattr(q, "query_id", ""),
+        chosen=chosen,
+        success=fb.success,
+        propensity=fb.propensity,
+        eta=eta,
+        generation=catalog.generation,
     )

@@ -200,6 +200,17 @@ def ndcg_at_k(ranked: RankedList, k: int) -> float:
     return dcg / idcg
 
 
+def truth_recall_ndcg(p: ProbabilityVector, truth: ItemId, k: int) -> tuple[float, float]:
+    """recall@k and ndcg@k of `RankedList.from_probabilities(p, {truth})`, from the
+    truth's rank alone: 1 + #(p > p_truth) + #(p == p_truth at an earlier id)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pt = p[truth]
+    rank = 1 + int(np.count_nonzero(p.probs > pt))
+    rank += sum(p.ids[j] < truth for j in np.flatnonzero(p.probs == pt).tolist())
+    return (1.0, 1.0 / math.log2(rank + 1)) if rank <= k else (0.0, 0.0)
+
+
 def rolling_accuracy(successes: Sequence[bool], window: int) -> np.ndarray:
     """Windowed mean of success bits; output length is len(successes)-window+1."""
     bits = np.asarray(successes, dtype=np.float64)

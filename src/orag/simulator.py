@@ -211,10 +211,6 @@ def initial_catalog(
     return Catalog.from_rows(env.dim, ids, rows, projection=projection, copy=False)
 
 
-def feedback_oracle(env: Environment, t: int, chosen: ItemId) -> bool:
-    return chosen == env.optimal_item(t)
-
-
 def init_embedder(env: Environment, noise: float = 0.3):
     """Stub initializer for late-added items: latent direction plus noise."""
     rng = np.random.default_rng(np.random.SeedSequence([env.seed, 3]))
@@ -303,15 +299,16 @@ def run_episode(
 
     `env` is the one stream type, `Environment`: a synthetic stream or an
     ingested dump. `catalog` defaults to `initial_catalog(env, init_noise)`;
-    either way it must have the episode's projection. The rerank variant needs
-    `reranker`; dynamic takes `deltas` (round -> CatalogDelta); multihop takes
-    `multihop_rounds` (round -> MultiHopRound).
+    either way it must have the episode's projection. `rng` defaults to one drawn
+    from a synthetic stream's seed; a dump has no seed, so a dump run needs one.
+    The rerank variant needs `reranker`; dynamic takes `deltas` (round ->
+    CatalogDelta); multihop takes `multihop_rounds` (round -> MultiHopRound).
 
-    A round is a list of hops: `(env.query_at(t), env.optimal_item(t))`, judged
-    by `feedback_oracle`, or a multihop round's sub-queries and targets, judged
-    by its judge. Each hop records its loss under the catalog it scores against
-    (the previous hop's update included), steps at the round's t, and logs its
-    record (`hop` set in a multihop round), its query and its target.
+    A round is a list of hops: `(env.query_at(t), env.optimal_item(t))`, won
+    when the chosen item is that target, or a multihop round's sub-queries and
+    targets, judged by its judge. Each hop records its loss under the catalog it
+    scores against (the previous hop's update included), steps at the round's t,
+    and logs its record (`hop` set in a multihop round), its query and its target.
     """
     variant = episode.variant
     if catalog is None:
@@ -324,9 +321,10 @@ def run_episode(
             set(range(1, env.total_rounds + 1)) <= (multihop_rounds or {}).keys()):
         raise InvalidConfig("multihop variant needs per-round sub-queries")
     if rng is None:
+        if env.catalog is not None:
+            raise InvalidConfig("rng: a dump run has no seed to derive one from; pass one")
         rng = RandomSource(np.random.SeedSequence([env.seed, 4]).generate_state(1)[0])
 
-    oracle = lambda t, chosen: feedback_oracle(env, t, chosen)
     rounds, queries, targets, losses = [], [], [], []
     for t in range(1, env.total_rounds + 1):
         if variant is Variant.MULTIHOP:
@@ -338,7 +336,9 @@ def run_episode(
             q = env.query_at(t)
             if variant is Variant.DYNAMIC and deltas and t in deltas:
                 variants.apply_delta(catalog, deltas[t], t)
-            hops = [(q, env.optimal_item(t), oracle, q.query_id, None)]
+            target = env.optimal_item(t)
+            hops = [(q, target, lambda _t, chosen, target=target: chosen == target,
+                     q.query_id, None)]
         for q, target, judge, query_id, hop in hops:
             loss = None
             if record_losses and target in catalog:

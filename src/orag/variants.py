@@ -14,16 +14,15 @@ import numpy as np
 
 from .catalog import Catalog, ItemId
 from .errors import InvalidConfig, KTooLarge
-from .learner import LearningRateSchedule, RoundRecord, UpdateMode, learn_from_feedback
-from .policy import QueryEmbedding, RandomSource, sample_k_without_replacement, score
+from .learner import LearningRateSchedule, RoundRecord, UpdateMode, step
+from .policy import QueryEmbedding, RandomSource, sample_k_without_replacement
 # Unused here, but the benchmark's tracer patches them at this module's names.
 from .learner import (  # noqa: F401
-    apply_update, estimate_gradient_chosen_only, estimate_gradient_full, step)
-from .policy import sample_one  # noqa: F401
+    apply_update, estimate_gradient_chosen_only, estimate_gradient_full)
+from .policy import sample_one, score  # noqa: F401
 
 Reranker = Callable[[QueryEmbedding, Sequence[ItemId]], ItemId]
 Judge = Callable[[QueryEmbedding, ItemId], int]
-InitEmbedder = Callable[[ItemId], np.ndarray]
 
 
 def make_stub_reranker(
@@ -62,7 +61,7 @@ def step_with_rerank(
     update_mode: UpdateMode = UpdateMode.FULL,
     clip_propensity: float | None = None,
 ) -> RoundRecord:
-    """Sample K candidates without replacement, rerank, update as usual.
+    """`step` choosing by reranking K candidates sampled without replacement.
 
     The gradient keeps the single-draw propensity p[i_t] from the full
     softmax, exactly as the K-retrieval procedure prescribes, even though i_t
@@ -72,16 +71,16 @@ def step_with_rerank(
     """
     if k > len(catalog):
         raise KTooLarge(f"K={k} with I={len(catalog)} items")
-    p = score(q, catalog)
-    candidates = sample_k_without_replacement(p, k, rng)
-    chosen = reranker(q if isinstance(q, QueryEmbedding) else QueryEmbedding(q), candidates)
-    if chosen not in candidates:
-        raise InvalidConfig("reranker returned an item outside the candidate set")
-    success = bool(feedback_oracle(t, chosen))
-    return learn_from_feedback(
-        p, q, chosen, success, catalog, schedule.eta(t), update_mode, t,
-        getattr(q, "query_id", ""), clip_propensity,
-    )
+
+    def rerank(p, rng):
+        candidates = sample_k_without_replacement(p, k, rng)
+        chosen = reranker(q if isinstance(q, QueryEmbedding) else QueryEmbedding(q), candidates)
+        if chosen not in candidates:
+            raise InvalidConfig("reranker returned an item outside the candidate set")
+        return chosen
+
+    return step(q, catalog, rng, schedule, update_mode, t, feedback_oracle,
+                clip_propensity=clip_propensity, choose=rerank)
 
 
 @dataclass

@@ -4,6 +4,7 @@ names, so the break shows in the unit suite and not only in a benchmark run."""
 
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ def test_traced_steps_reach_every_update_layer():
     rerank = make_stub_reranker(1.0, lambda qid: "a", RandomSource(1))
     with tracer.Tracer() as tr:
         tracer.learner.step(q, catalog, RandomSource(0), schedule, UpdateMode.FULL, 1, oracle)
+        plain = len(tr.spans)
         tracer.variants.step_with_rerank(
             q, catalog, 2, rerank, RandomSource(0), schedule, 2, oracle,
             update_mode=UpdateMode.CHOSEN_ONLY,
@@ -55,6 +57,14 @@ def test_traced_steps_reach_every_update_layer():
     # The row count comes from `update_rows`' second positional argument: every
     # row for the full step, one for the chosen-only rerank step.
     assert [rec[5] for rec in tr.spans if rec[0] == "catalog.update_rows"] == [len(catalog), 1]
+    # Each round makes one span per layer, and its sampling span draws 1 or K uniforms.
+    for spans, uniforms in ((tr.spans[:plain], 1), (tr.spans[plain:], 2)):
+        counts = Counter(rec[0] for rec in spans)
+        for layer in ("policy.score", "learner.apply_update", "catalog.update_rows"):
+            assert counts[layer] == 1, layer
+        assert counts["learner.estimate_full"] + counts["learner.estimate_chosen"] == 1
+        sampling = [rec[5] for rec in spans if rec[0] in ("policy.sample_one", "policy.sample_k")]
+        assert sampling == [uniforms]
 
 
 def test_traced_oracle_evaluates_the_loss_once_per_candidate(monkeypatch):

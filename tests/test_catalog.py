@@ -7,7 +7,7 @@ import pytest
 from orag.catalog import (
     Catalog,
     ProjectionMode,
-    project_row,
+    _project_rows,
     read_snapshot,
     write_snapshot,
 )
@@ -71,31 +71,38 @@ def test_removed_id_is_retired_forever():
         cat.add_item("a", [0.0, 1.0])
 
 
+def _project(v, mode):
+    """`_project_rows` on a float64 copy of a row or an (n, d) block."""
+    v = np.array(v, dtype=np.float64)
+    _project_rows(np.atleast_2d(v), mode)
+    return v
+
+
 def test_project_row_examples():
     np.testing.assert_allclose(
-        project_row(np.array([3.0, 4.0]), ProjectionMode.UNIT_BALL), [0.6, 0.8]
+        _project(np.array([3.0, 4.0]), ProjectionMode.UNIT_BALL), [0.6, 0.8]
     )
     np.testing.assert_array_equal(
-        project_row(np.array([0.3, 0.4]), ProjectionMode.UNIT_BALL), [0.3, 0.4]
+        _project(np.array([0.3, 0.4]), ProjectionMode.UNIT_BALL), [0.3, 0.4]
     )
     np.testing.assert_array_equal(
-        project_row(np.array([3.0, 4.0]), ProjectionMode.NONE), [3.0, 4.0]
+        _project(np.array([3.0, 4.0]), ProjectionMode.NONE), [3.0, 4.0]
     )
 
 
 def test_project_row_rejects_non_finite():
     with pytest.raises(NonFiniteInput):
-        project_row(np.array([np.nan, 0.0]), ProjectionMode.UNIT_BALL)
+        _project(np.array([np.nan, 0.0]), ProjectionMode.UNIT_BALL)
 
 
 def test_project_row_idempotent():
     rng = np.random.default_rng(0)
     for _ in range(50):
         v = rng.normal(scale=3.0, size=4)
-        once = project_row(v, ProjectionMode.UNIT_BALL)
-        twice = project_row(once, ProjectionMode.UNIT_BALL)
+        once = _project(v, ProjectionMode.UNIT_BALL)
+        twice = _project(once, ProjectionMode.UNIT_BALL)
         np.testing.assert_allclose(twice, once, atol=1e-15)
-        np.testing.assert_array_equal(project_row(v, ProjectionMode.NONE), v)
+        np.testing.assert_array_equal(_project(v, ProjectionMode.NONE), v)
 
 
 def test_generation_increments_on_every_mutation():
@@ -230,9 +237,9 @@ def test_project_row_block_matches_per_row_reference():
     for d in (1, 5, 16, 64):
         block = rng.normal(scale=2.0 / np.sqrt(d), size=(200, d))
         expected = np.stack([reference(v) for v in block])
-        np.testing.assert_array_equal(project_row(block, ProjectionMode.UNIT_BALL), expected)
+        np.testing.assert_array_equal(_project(block, ProjectionMode.UNIT_BALL), expected)
         for v, e in zip(block, expected):
-            np.testing.assert_array_equal(project_row(v, ProjectionMode.UNIT_BALL), e)
+            np.testing.assert_array_equal(_project(v, ProjectionMode.UNIT_BALL), e)
 
 
 def test_float32_build_matches_per_row_reference():
@@ -591,7 +598,7 @@ def _reference_update(cat, ids, coeff, queries, eta):
     g = (coeff @ queries).astype(cat.dtype)
     new = dict(zip(cat.ids, cat.matrix()))
     for k, i in enumerate(ids):
-        new[i] = project_row(new[i] - eta * g[k], cat.projection).astype(cat.dtype)
+        new[i] = _project(new[i] - eta * g[k], cat.projection).astype(cat.dtype)
     return np.array([new[i] for i in cat.ids])
 
 

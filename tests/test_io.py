@@ -10,6 +10,7 @@ from orag.catalog import Catalog, read_snapshot, write_snapshot
 from orag.cli import cli_main
 from orag.errors import (
     DimensionMismatch,
+    InvalidConfig,
     IoError,
     ParseError,
     SchemaError,
@@ -25,7 +26,8 @@ from orag.io_utils import (
     write_event_log,
 )
 from orag.learner import RoundRecord, ScheduleKind, UpdateMode
-from orag.simulator import Environment, Variant
+from orag.policy import RandomSource
+from orag.simulator import Environment, EpisodeConfig, Variant, run_episode
 
 
 def _write_config(tmp_path, payload, name="cfg.json"):
@@ -307,6 +309,15 @@ def test_replay_stream_serves_the_labelled_queries_as_rounds(tmp_path):
             stream.query_at(t)
         with pytest.raises(UndefinedRound):
             stream.optimal_item(t)
+
+
+def test_a_dump_run_needs_an_rng(tmp_path):
+    # A dump holds no seed to derive the sampler's stream from.
+    env = ingest_embedding_dump(*_dump(tmp_path))
+    episode = EpisodeConfig(T=2, I=3, d=4)
+    with pytest.raises(InvalidConfig, match="rng"):
+        run_episode(env, episode)
+    assert len(run_episode(env, episode, rng=RandomSource(0)).rounds) == 2
 
 
 def test_ingest_dump_unknown_item(tmp_path):

@@ -21,6 +21,7 @@ from orag.metrics import (
     softmax_rows,
     total_loss,
     train_oracle,
+    truth_recall_ndcg,
 )
 from orag.policy import ProbabilityVector, score
 from orag.simulator import EpisodeConfig, make_environment, run_episode
@@ -264,6 +265,25 @@ def test_ranked_list_order_is_that_of_a_python_sort_on_ties():
         ids = [f"x{k}" for k in rng.permutation(n)]
         hand = _pv(ids, rng.choice([0.0, 0.1, 0.25], size=n))
         assert RankedList.from_probabilities(hand, {ids[0]}).order == _sorted_order(hand)
+
+
+def test_truth_recall_ndcg_matches_the_ranked_list():
+    # Three distinct probabilities over up to 40 items: the truth's tie group
+    # often straddles the cutoff. Ids are in no particular order.
+    rng = np.random.default_rng(12)
+    straddles = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        ids = [f"i{k:02d}" for k in rng.permutation(n)]
+        p = _pv(ids, rng.choice([0.05, 0.1, 0.2], size=n))
+        truth, k = ids[int(rng.integers(n))], int(rng.integers(1, n + 2))
+        ranked = RankedList.from_probabilities(p, {truth})
+        assert truth_recall_ndcg(p, truth, k) == (recall_at_k(ranked, k), ndcg_at_k(ranked, k))
+        tied = {i for i in ids if p[i] == p[truth]}
+        straddles += bool(tied & set(ranked.order[:k])) and bool(tied - set(ranked.order[:k]))
+    assert straddles > 50
+    with pytest.raises(ValueError):
+        truth_recall_ndcg(p, truth, 0)
 
 
 def test_rolling_accuracy_examples():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orag.catalog import Catalog, ProjectionMode, project_row, read_snapshot, write_snapshot
+from orag.catalog import Catalog, ProjectionMode, _project_rows, read_snapshot, write_snapshot
 from orag.errors import (
     DimensionMismatch,
     DuplicateId,
@@ -28,6 +28,13 @@ from orag.learner import (
 from orag.policy import score
 
 finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+def _project(v, mode):
+    """`_project_rows` on a float64 copy of a row or an (n, d) block."""
+    v = np.array(v, dtype=np.float64)
+    _project_rows(np.atleast_2d(v), mode)
+    return v
 
 
 def _instance(draw, max_i=6, max_d=4):
@@ -92,9 +99,9 @@ def test_expected_gradient_sums_to_zero_vector(data):
 @given(st.lists(finite, min_size=1, max_size=6))
 def test_projection_idempotent(entries):
     v = np.array(entries)
-    once = project_row(v, ProjectionMode.UNIT_BALL)
-    np.testing.assert_allclose(project_row(once, ProjectionMode.UNIT_BALL), once, atol=1e-15)
-    np.testing.assert_array_equal(project_row(v, ProjectionMode.NONE), v)
+    once = _project(v, ProjectionMode.UNIT_BALL)
+    np.testing.assert_allclose(_project(once, ProjectionMode.UNIT_BALL), once, atol=1e-15)
+    np.testing.assert_array_equal(_project(v, ProjectionMode.NONE), v)
     assert np.linalg.norm(once) <= 1.0 + 1e-12
 
 
@@ -153,7 +160,7 @@ def test_catalog_matches_reference_dict(data):
         slots.pop()
 
     def proj(v):
-        return project_row(np.asarray(v, dtype=dtype), projection).astype(dtype)
+        return _project(np.asarray(v, dtype=dtype), projection).astype(dtype)
 
     def state(c):
         return c.ids, c.matrix().tobytes(), c.generation

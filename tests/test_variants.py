@@ -89,6 +89,19 @@ def test_rerank_k_too_large():
         )
 
 
+@pytest.mark.parametrize("kind", list(ScheduleKind))
+def test_rerank_round_zero_is_refused_and_changes_nothing(kind):
+    # A rerank round is a `step`, so it takes step's rule: rounds start at t = 1.
+    cat, rng = _cat(5), RandomSource(7)
+    before = cat.matrix().tobytes(), cat.generation
+    reranker = make_stub_reranker(1.0, lambda qid: "i0", RandomSource(1))
+    with pytest.raises(ValueError, match="t starts at 1"):
+        step_with_rerank(QueryEmbedding(np.ones(3), "q"), cat, 2, reranker, rng,
+                         LearningRateSchedule(kind, 0.1), 0, lambda t, c: True)
+    assert (cat.matrix().tobytes(), cat.generation) == before
+    assert rng.uniform() == RandomSource(7).uniform()
+
+
 def test_reranker_escaping_candidate_set_is_rejected():
     cat = _cat(0, n=4)
     rogue = lambda q, candidates: "i3"  # not necessarily sampled

@@ -279,19 +279,19 @@ class Catalog:
             order[pos] = n
             self.generation += 1
 
-    def update_rows(self, ids: Sequence[ItemId], coeff, queries, eta: float) -> None:
+    def update_rows(self, ids: Sequence[ItemId], coeff, q, eta: float) -> None:
         """Apply theta_i <- project(theta_i - eta * g_i), where g for `ids[k]` is
-        `coeff[k] @ queries`, an (n, B) coefficient block over (B, dim) queries.
+        the rank-1 row `coeff[k] * q`: (n,) coefficients over one (dim,) query.
 
         The catalog's own `ids` steps the slot block where it sits, with no id
         lookups. All or nothing: a failed update leaves rows and `generation`
         as they were."""
         try:
-            coeff, queries = np.asarray(coeff, np.float64), np.asarray(queries, np.float64)
-            if coeff.shape != (len(ids), len(queries)) or queries.shape[1:] != (self.dim,):
+            coeff, q = np.asarray(coeff, np.float64), np.asarray(q, np.float64)
+            if coeff.shape != (len(ids),) or q.shape != (self.dim,):
                 raise ValueError
         except (TypeError, ValueError):
-            raise DimensionMismatch(f"need ({len(ids)}, B) and (B, {self.dim}) blocks") from None
+            raise DimensionMismatch(f"need ({len(ids)},) and ({self.dim},) arrays") from None
         n = len(ids)
         if ids is self._shared:  # every row: the coefficients go into slot order
             slots, by_slot = slice(0, n), np.empty_like(coeff)
@@ -307,7 +307,7 @@ class Catalog:
             elif len(set(slots)) != n:
                 raise DuplicateId(next(i for k, i in enumerate(ids) if i in ids[:k]))
         tmp = np.empty((n, self.dim), self.dtype)  # g in float64, rounded once to the catalog dtype
-        (np.multiply if len(queries) == 1 else np.matmul)(coeff, queries, out=tmp)
+        np.multiply.outer(coeff, q, out=tmp)
         tmp *= eta
         np.subtract(self._rows[slots], tmp, out=tmp)
         _project_rows(tmp, self.projection, "update makes a row non-finite")
@@ -334,8 +334,8 @@ class Catalog:
 
 
 def write_snapshot(catalog: Catalog, path: str) -> None:
-    """Write a bit-exact snapshot via a synced temp file and a rename; failure leaves no
-    temp file, and an OS error raises `IoError`."""
+    """Write a bit-exact snapshot via a synced temp file and a rename; failure leaves no temp
+    file. An OS error raises `IoError`, an id UTF-8 cannot encode `SnapshotFormatError`."""
     dtag = 0 if catalog.dtype == np.float64 else 1
     tmp = path + ".tmp"
     try:
@@ -352,6 +352,8 @@ def write_snapshot(catalog: Catalog, path: str) -> None:
         os.replace(tmp, path)
     except OSError as e:
         raise IoError(str(e)) from None
+    except UnicodeEncodeError as e:  # an id such as a lone surrogate
+        raise SnapshotFormatError(f"id {e.object!r} cannot be encoded as UTF-8") from None
     finally:
         if os.path.isfile(tmp):  # writing or renaming failed
             os.remove(tmp)

@@ -9,8 +9,8 @@ p_c = p[c] at decision time, query q):
 Both are unbiased for the full-information gradient (p_i - 1{i=i*}) * q
 when the chosen item is drawn from p. The full estimate is the rank-1 block
 outer(p - s * e_c / p_c, q); the chosen-only one is its row c. An estimate is
-a `GradientBatch` of those coefficients and q (B = 1 query), never an (I, d)
-block: what `Catalog.update_rows` takes for the (projected) step
+a `GradientBatch` of those coefficients and q, never an (I, d) block: what
+`Catalog.update_rows` takes for the (projected) step
 theta_i <- project(theta_i - eta_t * g_i). Every variant's round is `step`;
 they differ only in how `choose` picks the item under p.
 """
@@ -40,11 +40,11 @@ class Feedback:
 
 @dataclass
 class GradientBatch:
-    """Update directions: the row for `ids[k]` is `coeff[k] @ queries`, (n, B) over (B, d)."""
+    """Update directions: the row for `ids[k]` is `coeff[k] * q`, (n,) over one (d,) query."""
 
     ids: SortedIds | tuple[ItemId, ...]  # the full support: a `score` p's `SortedIds`
     coeff: np.ndarray
-    queries: np.ndarray
+    q: np.ndarray
     t: int = 0
 
 
@@ -114,7 +114,7 @@ def estimate_gradient_full(
     coeff = p.probs.copy()  # p - s * e_c / p_c
     if fb.success:
         coeff[k] -= 1.0 / prop
-    return GradientBatch(p.ids, coeff[:, None], _as_query(q)[None, :], t=t)
+    return GradientBatch(p.ids, coeff, _as_query(q), t=t)
 
 
 def estimate_gradient_chosen_only(
@@ -123,7 +123,7 @@ def estimate_gradient_chosen_only(
     """Cheaper estimate touching only the chosen item's row."""
     prop = _propensity(p, p.index_of(fb.chosen), fb, clip_propensity)
     coeff = 1.0 - (1.0 / prop if fb.success else 0.0)
-    return GradientBatch((fb.chosen,), np.array([[coeff]]), _as_query(q)[None, :], t=t)
+    return GradientBatch((fb.chosen,), np.array([coeff]), _as_query(q), t=t)
 
 
 def apply_update(catalog: Catalog, g: GradientBatch, eta: float) -> None:
@@ -131,7 +131,7 @@ def apply_update(catalog: Catalog, g: GradientBatch, eta: float) -> None:
     if eta <= 0:
         raise ValueError("eta must be positive")
     # Positional: the benchmark's tracer counts the rows in the second argument.
-    catalog.update_rows(g.ids, g.coeff, g.queries, eta)
+    catalog.update_rows(g.ids, g.coeff, g.q, eta)
 
 
 @dataclass
@@ -173,12 +173,6 @@ def step(
                 else estimate_gradient_chosen_only)
     eta = schedule.eta(t)
     apply_update(catalog, estimate(p, q, fb, t=t, clip_propensity=clip_propensity), eta)
-    return RoundRecord(
-        t=t,
-        query_id=query_id or getattr(q, "query_id", ""),
-        chosen=chosen,
-        success=fb.success,
-        propensity=fb.propensity,
-        eta=eta,
-        generation=catalog.generation,
-    )
+    return RoundRecord(t=t, query_id=query_id or getattr(q, "query_id", ""), chosen=chosen,
+                       success=fb.success, propensity=fb.propensity, eta=eta,
+                       generation=catalog.generation)

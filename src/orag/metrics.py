@@ -20,12 +20,12 @@ from .policy import ProbabilityVector, _as_query
 
 
 def cross_entropy_loss(p: ProbabilityVector, i_star: ItemId) -> float:
-    """-ln p[i_star]."""
+    """-ln p[i_star]; `math.inf` where p[i_star] is 0, as `regret_curve`'s losses are."""
     try:
         prob = p[i_star]
     except KeyError:
         raise UnknownId(i_star) from None
-    return -math.log(prob)
+    return math.inf if prob == 0 else -math.log(prob)
 
 
 def softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -91,20 +91,22 @@ def score(q, catalog: Catalog) -> ProbabilityVector:
     return ProbabilityVector(catalog.ids, logits)
 
 
+def _inverse_cdf(w: np.ndarray, u: float) -> tuple[np.ndarray, int]:
+    """`w`'s CDF, summed left to right, and the index of u * total's bin, at most the last."""
+    cdf = np.add.accumulate(w)  # np.cumsum's ufunc, without its wrapper
+    return cdf, min(int(cdf.searchsorted(u * cdf[-1], side="right")), len(w) - 1)
+
+
 def sample_one(p: ProbabilityVector, rng: RandomSource) -> ItemId:
-    """Draw one item by inverse CDF; consumes exactly one uniform."""
-    u = rng.uniform()
-    cdf = np.add.accumulate(p.probs)  # np.cumsum's ufunc, without its wrapper
-    idx = int(cdf.searchsorted(u * cdf[-1], side="right"))
-    return p.ids[min(idx, len(p.ids) - 1)]
+    """Draw one item by inverse CDF, K-sampling's first draw; consumes exactly one uniform."""
+    return p.ids[_inverse_cdf(p.probs, rng.uniform())[1]]
 
 
 def _exact_pick(w: np.ndarray, drawn: list[int], u: float) -> int:
     """Inverse CDF over `w` with the `drawn` weights set to zero, summed left to right."""
     live = np.array(w)
     live[drawn] = 0.0
-    cdf = np.add.accumulate(live)
-    return int(cdf.searchsorted(u * cdf[-1], side="right"))
+    return _inverse_cdf(live, u)[1]
 
 
 def sample_k_without_replacement(
@@ -112,15 +114,17 @@ def sample_k_without_replacement(
 ) -> list[ItemId]:
     """Sequential renormalized draws; output order equals draw order.
 
-    A draw picks what `_exact_pick` picks. It searches the first draw's CDF
-    less the weight drawn at or before each position, and keeps that pick when
-    it clears the target by an error bound on both sides.
+    The first draw is `sample_one`'s. A later one picks what `_exact_pick` picks: it
+    searches the first draw's CDF less the weight drawn at or before each position, and
+    keeps that pick when it clears the target by an error bound on both sides.
     """
     n = len(p.ids)
     if k < 1 or k > n:
         raise KTooLarge(f"K={k} with I={n} items")
     w = p.probs
-    cdf = np.add.accumulate(w)
+    cdf, j = _inverse_cdf(w, rng.uniform())
+    if k == 1:  # no later draw to certify
+        return [p.ids[j]]
     # tol bounds the summation error of this CDF and of the exact one
     # (gamma_n·total each), of `below`, and the rounding of u·total, in
     # u·total's dtype. The bound needs a monotone CDF: no negative weight.
@@ -130,22 +134,21 @@ def sample_k_without_replacement(
     # -cut[c], minus the undrawn weight before the (c+1)-th lowest; one assignment shifts both.
     drawn, bc = [], np.zeros((k, 2), cdf.dtype)
     below, ncut = bc[:, 0], bc[:, 1]
-    last, picks = n - 1, []  # last live item: the pick when u * total rounds to total
-    while True:
-        u, r = rng.uniform(), len(drawn)
-        t = u * (cdf[-1] - below[r])
-        # The drawn positions whose cut is at most t lie before the pick: pass t plus their weight.
-        j = int(cdf.searchsorted(t + below[bisect.bisect_right(ncut, t, 0, r, key=neg)], "right"))
-        if r and not (certify and j < n and cdf[j] - below[bisect.bisect_right(drawn, j)] - t > tol
-                      and (j == 0 or t - cdf[j - 1] + below[bisect.bisect_left(drawn, j)] > tol)):
-            j = _exact_pick(w, drawn, u)
-        j = min(j, last)
-        picks.append(j)
-        if len(picks) == k:
-            return [p.ids[i] for i in picks]
-        i = bisect.bisect_left(drawn, j)
+    last, picks = n - 1, [j]  # last live item: the pick when u * total rounds to total
+    while len(picks) < k:
+        r, i = len(drawn), bisect.bisect_left(drawn, j)
         drawn.insert(i, j)
         bc[i + 1 : r + 2] = bc[i : r + 1] + w[j]  # -cut[r + 1] is not read
         ncut[i] = below[i + 1] - cdf[j]
         while i >= 0 and drawn[i] == last:  # the drawn tail is contiguous; step below it
             i, last = i - 1, last - 1
+        u, r = rng.uniform(), len(drawn)
+        t = u * (cdf[-1] - below[r])
+        # The drawn positions whose cut is at most t lie before the pick: pass t plus their weight.
+        j = int(cdf.searchsorted(t + below[bisect.bisect_right(ncut, t, 0, r, key=neg)], "right"))
+        if not (certify and j < n and cdf[j] - below[bisect.bisect_right(drawn, j)] - t > tol
+                and (j == 0 or t - cdf[j - 1] + below[bisect.bisect_left(drawn, j)] > tol)):
+            j = _exact_pick(w, drawn, u)
+        j = min(j, last)
+        picks.append(j)
+    return [p.ids[i] for i in picks]

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import Catalog, ItemId
-from .errors import InvalidConfig, KTooLarge
+from .errors import InvalidConfig
 from .learner import LearningRateSchedule, RoundRecord, UpdateMode, step
 from .policy import QueryEmbedding, RandomSource, sample_k_without_replacement
 # Unused here, but the benchmark's tracer patches them at this module's names.
@@ -67,10 +67,8 @@ def step_with_rerank(
     softmax, exactly as the K-retrieval procedure prescribes, even though i_t
     emerges from K-sampling plus reranking. A reranked choice can carry an
     arbitrarily small single-draw propensity, so `clip_propensity` is worth
-    enabling here to bound the importance weights.
+    enabling here to bound the importance weights. K > I raises the sampler's `KTooLarge`.
     """
-    if k > len(catalog):
-        raise KTooLarge(f"K={k} with I={len(catalog)} items")
 
     def rerank(p, rng):
         candidates = sample_k_without_replacement(p, k, rng)

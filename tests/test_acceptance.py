@@ -74,7 +74,7 @@ def test_criterion_01_unbiasedness_oracle():
                 g = estimator(p, q, fb)
                 for i in p.ids:
                     if i in g.ids:
-                        accum[i] += p[chosen] * (g.coeff[g.ids.index(i)] @ g.queries)
+                        accum[i] += p[chosen] * (g.coeff[g.ids.index(i)] * g.q)
             for i in p.ids:
                 expected = (p[i] - (1.0 if i == i_star else 0.0)) * q
                 worst = max(worst, float(np.max(np.abs(accum[i] - expected))))

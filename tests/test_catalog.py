@@ -110,7 +110,7 @@ def test_generation_increments_on_every_mutation():
     assert cat.generation == 0  # construction is not a mutation
     cat.add_item("b", [0.0, 1.0])
     assert cat.generation == 1
-    cat.update_rows(["a"], np.zeros((1, 1)), np.zeros((1, 2)), eta=0.1)
+    cat.update_rows(["a"], np.zeros(1), np.zeros(2), eta=0.1)
     assert cat.generation == 2
     cat.remove_item("b")
     assert cat.generation == 3
@@ -132,20 +132,21 @@ def test_unit_ball_norm_invariant_under_random_ops():
         cat.add_item(f"i{k}", rng.normal(scale=5.0, size=3))
     for _ in range(30):
         deltas = {i: rng.normal(scale=2.0, size=3) for i in cat.ids}
-        cat.update_rows(list(deltas), np.eye(len(deltas)), list(deltas.values()),
-                        eta=rng.uniform(0.01, 1.0))
+        eta = rng.uniform(0.01, 1.0)
+        for i, g in deltas.items():
+            cat.update_rows([i], np.ones(1), g, eta=eta)
         assert cat.max_row_norm() <= 1.0 + 1e-12
 
 
 def test_update_rows_arithmetic():
     cat = Catalog(2, [("a", [0.0, 0.0])])
-    cat.update_rows(["a"], np.ones((1, 1)), np.array([[1.0, 0.0]]), eta=0.1)
+    cat.update_rows(["a"], np.ones(1), np.array([1.0, 0.0]), eta=0.1)
     np.testing.assert_allclose(cat.row("a"), [-0.1, 0.0])
 
 
 def test_update_rows_projects_after_step():
     cat = Catalog(2, [("a", [1.0, 0.0])], projection=ProjectionMode.UNIT_BALL)
-    cat.update_rows(["a"], np.ones((1, 1)), np.array([[-10.0, 0.0]]), eta=0.2)
+    cat.update_rows(["a"], np.ones(1), np.array([-10.0, 0.0]), eta=0.2)
     # raw step lands at [3, 0]; the unit ball pulls it back
     np.testing.assert_allclose(cat.row("a"), [1.0, 0.0])
 
@@ -153,13 +154,13 @@ def test_update_rows_projects_after_step():
 def test_update_rows_unknown_id():
     cat = Catalog(2, [("a", [0.0, 0.0])])
     with pytest.raises(UnknownId):
-        cat.update_rows(["zzz"], np.zeros((1, 1)), np.zeros((1, 2)), eta=0.1)
+        cat.update_rows(["zzz"], np.zeros(1), np.zeros(2), eta=0.1)
 
 
 def test_zero_gradient_leaves_rows_unchanged_but_bumps_generation():
     cat = Catalog(2, [("a", [0.3, 0.7])])
     gen = cat.generation
-    cat.update_rows(["a"], np.zeros((1, 1)), np.zeros((1, 2)), eta=1.0)
+    cat.update_rows(["a"], np.zeros(1), np.zeros(2), eta=1.0)
     np.testing.assert_array_equal(cat.row("a"), [0.3, 0.7])
     assert cat.generation == gen + 1
 
@@ -167,7 +168,7 @@ def test_zero_gradient_leaves_rows_unchanged_but_bumps_generation():
 def test_copy_is_independent():
     cat = Catalog(2, [("a", [1.0, 0.0])])
     dup = cat.copy()
-    dup.update_rows(["a"], np.ones((1, 1)), np.array([[1.0, 1.0]]), eta=0.5)
+    dup.update_rows(["a"], np.ones(1), np.array([1.0, 1.0]), eta=0.5)
     np.testing.assert_array_equal(cat.row("a"), [1.0, 0.0])
     assert dup.generation == cat.generation + 1
 
@@ -182,7 +183,7 @@ def test_update_rows_unknown_id_writes_nothing():
     rows, gen = cat.matrix().copy(), cat.generation
     g = np.array([1.0, 0.0])
     with pytest.raises(UnknownId):
-        cat.update_rows(["a", "missing"], np.eye(2), [g, g], eta=0.1)
+        cat.update_rows(["a", "missing"], np.ones(2), g, eta=0.1)
     _assert_untouched(cat, rows, gen)
 
 
@@ -190,7 +191,7 @@ def test_update_rows_overflow_writes_nothing():
     cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [1e308, 0.0])])
     rows, gen = cat.matrix().copy(), cat.generation
     with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
-        cat.update_rows(["a", "b"], np.eye(2), np.array([[1.0, 0.0], [-1e308, 0.0]]), eta=1.0)
+        cat.update_rows(["a", "b"], np.array([1.0, -1e308]), np.array([1.0, 0.0]), eta=1.0)
     _assert_untouched(cat, rows, gen)
 
 
@@ -198,16 +199,16 @@ def test_update_rows_wrong_width_writes_nothing():
     cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [0.5, 0.5])])
     rows, gen = cat.matrix().copy(), cat.generation
     with pytest.raises(DimensionMismatch):
-        cat.update_rows(["a", "b"], np.eye(2), [np.ones(2), np.ones(3)], eta=0.1)
+        cat.update_rows(["a", "b"], np.ones(2), np.ones(3), eta=0.1)
     _assert_untouched(cat, rows, gen)
 
 
 def test_update_rows_row_count_mismatch_writes_nothing():
-    # A (1, d) block would otherwise broadcast over both rows.
+    # One coefficient would otherwise broadcast over both rows.
     cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [0.5, 0.5])])
     rows, gen = cat.matrix().copy(), cat.generation
     with pytest.raises(DimensionMismatch):
-        cat.update_rows(["a", "b"], np.ones((1, 1)), np.ones((1, 2)), eta=0.1)
+        cat.update_rows(["a", "b"], np.ones(1), np.ones(2), eta=0.1)
     _assert_untouched(cat, rows, gen)
 
 
@@ -215,13 +216,25 @@ def test_update_rows_repeated_id_writes_nothing():
     cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [0.5, 0.5])])
     rows, gen = cat.matrix().copy(), cat.generation
     with pytest.raises(DuplicateId):
-        cat.update_rows(["a", "b", "a"], np.eye(3), np.ones((3, 2)), eta=0.1)
+        cat.update_rows(["a", "b", "a"], np.ones(3), np.ones(2), eta=0.1)
     _assert_untouched(cat, rows, gen)
+
+
+def test_update_rows_takes_only_the_rank_1_form():
+    # An (n, 1) coefficient block or a (1, d) query is not the rank-1 form,
+    # even where broadcasting would give the same rows.
+    cat = Catalog(2, [("a", [0.0, 0.0]), ("b", [0.5, 0.5])])
+    rows, gen = cat.matrix().copy(), cat.generation
+    for coeff, q in [(np.ones((2, 1)), np.ones(2)), (np.ones(2), np.ones((1, 2))),
+                     (np.ones((2, 1)), np.ones((1, 2))), (np.eye(2), np.ones((2, 2)))]:
+        with pytest.raises(DimensionMismatch):
+            cat.update_rows(["a", "b"], coeff, q, eta=0.1)
+        _assert_untouched(cat, rows, gen)
 
 
 def test_update_rows_empty_mapping_only_bumps_generation():
     cat = Catalog(2, [("a", [0.3, 0.7])])
-    cat.update_rows([], np.zeros((0, 1)), np.zeros((1, 2)), eta=0.1)
+    cat.update_rows([], np.zeros(0), np.zeros(2), eta=0.1)
     np.testing.assert_array_equal(cat.row("a"), [0.3, 0.7])
     assert cat.generation == 1
 
@@ -467,6 +480,14 @@ def test_snapshot_failed_write_leaves_no_temp_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+def test_snapshot_of_an_id_utf8_cannot_encode_is_a_format_error(tmp_path):
+    # A lone surrogate is a valid str but has no UTF-8 bytes.
+    cat = Catalog(2, [("a", [1.0, 2.0]), ("b\ud800", [0.0, 1.0])])
+    with pytest.raises(SnapshotFormatError, match=r"'b\\ud800'"):
+        write_snapshot(cat, str(tmp_path / "cat.orag"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_snapshot_into_a_missing_directory_is_an_io_error(tmp_path):
     with pytest.raises(IoError):
         write_snapshot(Catalog(2, [("a", [1.0, 2.0])]), str(tmp_path / "absent" / "cat.orag"))
@@ -545,7 +566,7 @@ def test_snapshot_read_back_is_writable(tmp_path):
     path = str(tmp_path / "c.orag")
     write_snapshot(cat, path)
     back = read_snapshot(path)
-    back.update_rows([back.ids[0]], np.ones((1, 1)), np.ones((1, 3)), 0.5)
+    back.update_rows([back.ids[0]], np.ones(1), np.ones(3), 0.5)
     assert back.row(back.ids[0]).tolist() == (cat.row(cat.ids[0]) - 0.5).tolist()
 
 
@@ -592,10 +613,10 @@ def test_one_retire_and_one_insert_copy_no_index():
         assert peak < 16 * 1024  # the id index alone is 80 KB
 
 
-def _reference_update(cat, ids, coeff, queries, eta):
+def _reference_update(cat, ids, coeff, q, eta):
     """The id-ordered matrix after project(row - eta * g) row by row, with
-    g = coeff @ queries rounded to the catalog dtype."""
-    g = (coeff @ queries).astype(cat.dtype)
+    g = coeff[k] * q rounded to the catalog dtype."""
+    g = (coeff[:, None] * q[None, :]).astype(cat.dtype)
     new = dict(zip(cat.ids, cat.matrix()))
     for k, i in enumerate(ids):
         new[i] = _project(new[i] - eta * g[k], cat.projection).astype(cat.dtype)
@@ -611,12 +632,10 @@ def test_update_rows_matches_row_by_row_reference(dtype, projection):
     for dim in (7, 64):
         cat = _churned(300, dim, dtype, projection=projection)
         sub = [cat.ids[k] for k in rng.choice(len(cat), 40, replace=False)]
-        cases = [(cat.ids, 1), (list(cat.ids), 1), (sub, 1), (sub, 3), ([cat.ids[17]], 1),
-                 ([cat.ids[17]], 3)]
-        for ids, b in cases:
-            coeff, queries = rng.normal(size=(len(ids), b)), rng.normal(size=(b, dim))
-            expected, gen = _reference_update(cat, ids, coeff, queries, 0.3), cat.generation
-            cat.update_rows(ids, coeff, queries, 0.3)
+        for ids in (cat.ids, list(cat.ids), sub, [cat.ids[17]]):
+            coeff, q = rng.normal(size=len(ids)), rng.normal(size=dim)
+            expected, gen = _reference_update(cat, ids, coeff, q, 0.3), cat.generation
+            cat.update_rows(ids, coeff, q, 0.3)
             assert cat.matrix().tobytes() == expected.tobytes()
             assert cat.generation == gen + 1
 
@@ -629,10 +648,10 @@ def test_full_update_overflow_writes_nothing(dtype):
         cat = _churned(300, dim, dtype)
         rows, gen = cat.matrix().copy(), cat.generation
         for k in range(len(cat)):
-            coeff = np.ones((len(cat), 1))
+            coeff = np.ones(len(cat))
             coeff[k] = 1e308
             with pytest.raises(NonFiniteInput, match="update makes"), np.errstate(over="ignore"):
-                cat.update_rows(cat.ids, coeff, np.full((1, dim), 10.0), eta=1.0)
+                cat.update_rows(cat.ids, coeff, np.full(dim, 10.0), eta=1.0)
             assert cat.matrix().tobytes() == rows.tobytes()
             assert cat.generation == gen
 
@@ -643,12 +662,12 @@ def test_full_update_makes_one_catalog_sized_block(projection, dtype):
     import tracemalloc
 
     cat = _churned(10_000, 64, dtype=dtype, projection=projection)
-    coeff, queries = np.full((len(cat), 1), 1e-3), np.ones((1, 64))
-    cat.update_rows(cat.ids, coeff, queries, 0.1)  # warm-up
+    coeff, q = np.full(len(cat), 1e-3), np.ones(64)
+    cat.update_rows(cat.ids, coeff, q, 0.1)  # warm-up
     nbytes = cat.matrix().nbytes
     tracemalloc.start()
     try:
-        cat.update_rows(cat.ids, coeff, queries, 0.1)
+        cat.update_rows(cat.ids, coeff, q, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -673,7 +692,7 @@ def test_held_ids_keep_the_id_set_they_were_read_at():
     cat = Catalog(1, [(i, [0.0]) for i in "bdf"])
     held = cat.ids
     assert cat.ids is held  # one object per id set
-    cat.update_rows(["b"], [[1.0]], [[1.0]], 0.5)  # rows change, the id set does not
+    cat.update_rows(["b"], [1.0], [1.0], 0.5)  # rows change, the id set does not
     cat.apply_changes((), ())
     assert cat.ids is held
     cat.apply_changes(["d"], [("a", [1.0]), ("e", [2.0])])

@@ -31,31 +31,31 @@ def test_full_gradient_success_half_half():
     p = _pv(("item1", "item2"), [0.5, 0.5])
     fb = Feedback(chosen="item1", success=True, propensity=0.5)
     g = estimate_gradient_full(p, np.array([1.0, 0.0]), fb)
-    np.testing.assert_allclose(g.coeff[g.ids.index("item1")] @ g.queries, [-1.5, 0.0])
-    np.testing.assert_allclose(g.coeff[g.ids.index("item2")] @ g.queries, [0.5, 0.0])
+    np.testing.assert_allclose(g.coeff[g.ids.index("item1")] * g.q, [-1.5, 0.0])
+    np.testing.assert_allclose(g.coeff[g.ids.index("item2")] * g.q, [0.5, 0.0])
 
 
 def test_full_gradient_failure_drops_indicator_term():
     p = _pv(("item1", "item2"), [0.5, 0.5])
     fb = Feedback(chosen="item1", success=False, propensity=0.5)
     g = estimate_gradient_full(p, np.array([1.0, 0.0]), fb)
-    np.testing.assert_allclose(g.coeff[g.ids.index("item1")] @ g.queries, [0.5, 0.0])
-    np.testing.assert_allclose(g.coeff[g.ids.index("item2")] @ g.queries, [0.5, 0.0])
+    np.testing.assert_allclose(g.coeff[g.ids.index("item1")] * g.q, [0.5, 0.0])
+    np.testing.assert_allclose(g.coeff[g.ids.index("item2")] * g.q, [0.5, 0.0])
 
 
 def test_full_gradient_vanishes_at_certainty():
     p = _pv(("a", "b"), [1.0, 0.0])
     fb = Feedback(chosen="a", success=True, propensity=1.0)
     g = estimate_gradient_full(p, np.array([3.0, -2.0]), fb)
-    np.testing.assert_allclose(g.coeff[g.ids.index("a")] @ g.queries, [0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(g.coeff[g.ids.index("b")] @ g.queries, [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(g.coeff[g.ids.index("a")] * g.q, [0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(g.coeff[g.ids.index("b")] * g.q, [0.0, 0.0], atol=1e-15)
 
 
 def test_chosen_only_gradient_substitution():
     p = _pv(("a", "b", "c", "d"), [0.25, 0.25, 0.25, 0.25])
     fb = Feedback(chosen="a", success=True, propensity=0.25)
     g = estimate_gradient_chosen_only(p, np.array([2.0]), fb)
-    np.testing.assert_allclose(g.coeff[g.ids.index("a")] @ g.queries, [-6.0])
+    np.testing.assert_allclose(g.coeff[g.ids.index("a")] * g.q, [-6.0])
     assert "b" not in g.ids
 
 
@@ -63,14 +63,14 @@ def test_chosen_only_failure_is_plain_query():
     p = _pv(("a", "b"), [0.7, 0.3])
     fb = Feedback(chosen="b", success=False, propensity=0.3)
     g = estimate_gradient_chosen_only(p, np.array([1.0, 2.0]), fb)
-    np.testing.assert_allclose(g.coeff[g.ids.index("b")] @ g.queries, [1.0, 2.0])
+    np.testing.assert_allclose(g.coeff[g.ids.index("b")] * g.q, [1.0, 2.0])
 
 
 def test_chosen_only_vanishes_at_certainty():
     p = _pv(("a",), [1.0])
     fb = Feedback(chosen="a", success=True, propensity=1.0)
     g = estimate_gradient_chosen_only(p, np.array([5.0]), fb)
-    np.testing.assert_allclose(g.coeff[g.ids.index("a")] @ g.queries, [0.0])
+    np.testing.assert_allclose(g.coeff[g.ids.index("a")] * g.q, [0.0])
 
 
 def test_propensity_must_match_probability_vector():
@@ -85,26 +85,26 @@ def test_propensity_clipping_bounds_the_weight():
     p = _pv(("a", "b"), [1e-8, 1.0 - 1e-8])
     fb = Feedback(chosen="a", success=True, propensity=1e-8)
     clipped = estimate_gradient_chosen_only(p, np.array([1.0]), fb, clip_propensity=0.01)
-    np.testing.assert_allclose(clipped.coeff[clipped.ids.index("a")] @ clipped.queries,
+    np.testing.assert_allclose(clipped.coeff[clipped.ids.index("a")] * clipped.q,
                                [1.0 - 100.0])
 
 
 def test_apply_update_arithmetic():
     cat = Catalog(2, [("a", [0.0, 0.0])])
-    apply_update(cat, GradientBatch(("a",), np.ones((1, 1)), np.array([[1.0, 0.0]])), eta=0.1)
+    apply_update(cat, GradientBatch(("a",), np.ones(1), np.array([1.0, 0.0])), eta=0.1)
     np.testing.assert_allclose(cat.row("a"), [-0.1, 0.0])
 
 
 def test_apply_update_projection():
     cat = Catalog(2, [("a", [1.0, 0.0])], projection=ProjectionMode.UNIT_BALL)
-    apply_update(cat, GradientBatch(("a",), np.ones((1, 1)), np.array([[-10.0, 0.0]])), eta=0.2)
+    apply_update(cat, GradientBatch(("a",), np.ones(1), np.array([-10.0, 0.0])), eta=0.2)
     np.testing.assert_allclose(cat.row("a"), [1.0, 0.0])
 
 
 def test_apply_update_rejects_nonpositive_eta():
     cat = Catalog(1, [("a", [0.0])])
     with pytest.raises(ValueError):
-        apply_update(cat, GradientBatch(("a",), np.zeros((1, 1)), np.zeros((1, 1))), eta=0.0)
+        apply_update(cat, GradientBatch(("a",), np.zeros(1), np.zeros(1)), eta=0.0)
 
 
 def test_schedules():
@@ -126,6 +126,39 @@ def test_horizon_tuned_eta_formula():
         horizon_tuned_eta(4.0, 1.5, 1.0, 10)
     with pytest.raises(ValueError):
         horizon_tuned_eta(-1.0, 0.5, 1.0, 10)
+
+
+def test_horizon_tuned_eta_minimizes_the_regret_bound():
+    """Derivation. Constant-step online gradient descent from theta_1, with
+    theta_bar >= ||theta_1 - theta*||_F^2, has expected regret at most
+
+        B(eta) = theta_bar / (2 eta) + (eta / 2) * sum_t E||g_t||_F^2.
+
+    For the full-support estimate g = outer(p - s e_c / p_c, q), with c drawn
+    from p and s = 1{c = i*}, E||g||^2 = ||q||^2 (sum_i p_i^2 + 1/p* - 2 p*)
+    <= q_bar (1 + 1/p* - 2 p*) = q_bar (1 - p*)(1 + 2 p*) / p*, which falls as
+    p* rises, so G = q_bar (1 - p_low)(1 + 2 p_low) / p_low bounds each term:
+
+        B(eta) = theta_bar / (2 eta) + eta T G / 2.
+
+    B is convex on eta > 0 and B'(eta) = -theta_bar / (2 eta^2) + T G / 2 is 0
+    at eta* = sqrt(theta_bar / (T G)), `horizon_tuned_eta`'s formula. There
+    both terms equal sqrt(theta_bar T G) / 2, so B(eta*) = sqrt(theta_bar T G).
+    """
+    for theta_bar in (0.1, 1.0, 4.0, 33.9):
+        for p_low in (1e-4, 0.0071, 0.2, 0.5, 0.9):
+            for q_bar in (0.5, 1.0, 1.5):
+                for horizon in (1, 250, 2000, 10**6):
+                    g = q_bar * (1 - p_low) * (1 + 2 * p_low) / p_low
+
+                    def bound(eta):
+                        return theta_bar / (2 * eta) + eta * horizon * g / 2
+
+                    eta = horizon_tuned_eta(theta_bar, p_low, q_bar, horizon)
+                    assert bound(eta) <= bound(eta * (1 - 1e-3))
+                    assert bound(eta) <= bound(eta * (1 + 1e-3))
+                    assert bound(eta) == pytest.approx(math.sqrt(theta_bar * horizon * g),
+                                                       rel=1e-12)
 
 
 def test_step_single_item_catalog_never_moves():
@@ -251,7 +284,7 @@ def test_a_full_update_from_a_score_p_looks_up_no_id():
     g = estimate_gradient_full(p, q, Feedback(chosen, True, p[chosen]))
     apply_update(cat, g, 0.1)
     assert _CountingSlots.lookups == 0
-    ref.update_rows(tuple(g.ids), g.coeff, g.queries, 0.1)  # by id lookups
+    ref.update_rows(tuple(g.ids), g.coeff, g.q, 0.1)  # by id lookups
     assert cat.matrix().tobytes() == ref.matrix().tobytes()
 
 

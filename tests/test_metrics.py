@@ -45,6 +45,11 @@ def test_cross_entropy_point_one():
     assert abs(cross_entropy_loss(p, "a") - 2.302585092994046) < 1e-12
 
 
+def test_cross_entropy_of_a_zero_probability_target_is_infinite():
+    # -ln 0, the value `regret_curve`'s oracle losses take, not a bare ValueError.
+    assert cross_entropy_loss(_pv(("a", "b"), [1.0, 0.0]), "b") == math.inf
+
+
 def test_cross_entropy_unknown_target():
     with pytest.raises(UnknownId):
         cross_entropy_loss(_pv(("a",), [1.0]), "zzz")

@@ -136,12 +136,22 @@ def test_sample_k_full_is_permutation():
 
 
 def test_sample_k_one_matches_sample_one():
+    # Seeded draws, then uniforms on a pick's rounding boundary and at both ends.
     cat = _cat([("a", [0.4]), ("b", [-0.2]), ("c", [0.9])])
     p = score(np.array([1.5]), cat)
     for seed in range(30):
         single = sample_one(p, RandomSource(seed))
         (first,) = sample_k_without_replacement(p, 1, RandomSource(seed))
         assert single == first
+    gen = np.random.default_rng(15)
+    for trial in range(200):
+        n, dtype = int(gen.integers(1, 300)), (np.float64, np.float32)[trial % 2]
+        probs = gen.dirichlet(np.full(n, float(gen.choice([0.05, 1.0])))).astype(dtype)
+        p = ProbabilityVector(tuple(f"i{j:03d}" for j in range(n)), probs)
+        for u in _boundary_uniforms(probs, 1, gen) + [0.0, 1.0 - 2.0**-53]:
+            a, b = _Counting(us=[u]), _Counting(us=[u])
+            assert [sample_one(p, a)] == sample_k_without_replacement(p, 1, b)
+            assert a.calls == b.calls == 1
 
 
 def test_sample_k_first_slot_marginal():

@@ -61,7 +61,7 @@ def test_full_estimator_is_unbiased(data):
         fb = Feedback(chosen, chosen == i_star, p[chosen])
         g = estimate_gradient_full(p, q, fb)
         for i in p.ids:
-            accum[i] += p[chosen] * (g.coeff[g.ids.index(i)] @ g.queries)
+            accum[i] += p[chosen] * (g.coeff[g.ids.index(i)] * g.q)
     for i in p.ids:
         np.testing.assert_allclose(accum[i], expected[i], atol=1e-10)
 
@@ -75,7 +75,7 @@ def test_chosen_only_estimator_is_unbiased(data):
     for chosen in p.ids:
         fb = Feedback(chosen, chosen == i_star, p[chosen])
         g = estimate_gradient_chosen_only(p, q, fb)
-        accum[chosen] += p[chosen] * (g.coeff[g.ids.index(chosen)] @ g.queries)
+        accum[chosen] += p[chosen] * (g.coeff[g.ids.index(chosen)] * g.q)
     for i in p.ids:
         expected = (p[i] - (1.0 if i == i_star else 0.0)) * q
         np.testing.assert_allclose(accum[i], expected, atol=1e-10)
@@ -91,7 +91,7 @@ def test_expected_gradient_sums_to_zero_vector(data):
         fb = Feedback(chosen, chosen == i_star, p[chosen])
         g = estimate_gradient_full(p, q, fb)
         for i in p.ids:
-            total += p[chosen] * (g.coeff[g.ids.index(i)] @ g.queries)
+            total += p[chosen] * (g.coeff[g.ids.index(i)] * g.q)
     np.testing.assert_allclose(total, 0.0, atol=1e-10)
 
 
@@ -229,12 +229,11 @@ def test_catalog_matches_reference_dict(data):
                 mutated = len(gone) + len(added)
         elif op == "update":
             chosen = data.draw(st.lists(st.sampled_from(sorted(ref)), unique=True)) if ref else []
-            deltas = {i: rng.normal(size=d) for i in chosen}
+            coeff, g = rng.normal(size=len(chosen)), rng.normal(size=d)
             eta = float(rng.uniform(0.01, 2.0))
-            queries = np.reshape(list(deltas.values()), (-1, d))
-            cat.update_rows(list(deltas), np.eye(len(deltas)), queries, eta)
-            for i, g in deltas.items():
-                ref[i] = proj(ref[i] - eta * g.astype(dtype))
+            cat.update_rows(chosen, coeff, g, eta)
+            for i, c in zip(chosen, coeff):
+                ref[i] = proj(ref[i] - eta * (c * g).astype(dtype))
         else:
             dup = cat.copy()
             assert state(dup) == before

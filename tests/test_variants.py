@@ -5,6 +5,7 @@ from orag.catalog import Catalog
 from orag.errors import (
     DimensionMismatch,
     DuplicateId,
+    EmptyCatalog,
     IdRetired,
     InvalidConfig,
     KTooLarge,
@@ -80,13 +81,20 @@ def test_oracle_reranker_fixed_query_loss_shrinks():
 
 
 def test_rerank_k_too_large():
-    cat = _cat(0, n=3)
+    # The sampler's check is the only one: it draws no uniform and writes no row.
+    cat, rng = _cat(0, n=3), RandomSource(3)
+    before = cat.matrix().tobytes(), cat.generation
     reranker = make_stub_reranker(1.0, lambda qid: "i0", RandomSource(0))
-    with pytest.raises(KTooLarge):
+    with pytest.raises(KTooLarge, match="K=4 with I=3 items"):
         step_with_rerank(
-            QueryEmbedding(np.zeros(3)), cat, 4, reranker, RandomSource(0),
+            QueryEmbedding(np.zeros(3)), cat, 4, reranker, rng,
             CONST(0.1), 1, lambda t, c: True,
         )
+    assert (cat.matrix().tobytes(), cat.generation) == before
+    assert rng.uniform() == RandomSource(3).uniform()
+    with pytest.raises(EmptyCatalog):  # `score` comes first
+        step_with_rerank(QueryEmbedding(np.zeros(3)), Catalog(3), 1, reranker, rng,
+                         CONST(0.1), 1, lambda t, c: True)
 
 
 @pytest.mark.parametrize("kind", list(ScheduleKind))
@@ -167,6 +175,33 @@ def test_delta_bumps_generation_once_per_item():
                          effective_at=1)
     apply_delta(cat, delta, t=1)
     assert cat.generation == 3 and cat.ids == ("i1", "i2", "i3", "i4", "x", "y")
+
+
+def test_a_churn_round_makes_no_catalog_sized_block():
+    import tracemalloc
+
+    # The churn workload's round at I = 10^4, d = 64: one retire and one
+    # insert, then a K = 10 reranked step with a chosen-only update.
+    rng = np.random.default_rng(8)
+    n, d = 10_000, 64
+    cat = Catalog.from_rows(d, [f"i{k:05d}" for k in rng.permutation(n)], rng.normal(size=(n, d)))
+    q, row = QueryEmbedding(rng.normal(size=d), "q"), rng.normal(size=d)
+    reranker = make_stub_reranker(0.9, lambda qid: cat.ids[0], RandomSource(1))
+    sampler = RandomSource(2)
+
+    def round_(t):
+        apply_delta(cat, CatalogDelta([(f"fresh-{t}", row)], [cat.ids[t * 997 % len(cat)]], t), t)
+        step_with_rerank(q, cat, 10, reranker, sampler, CONST(0.01), t,
+                         lambda tt, ch: ch == cat.ids[0], UpdateMode.CHOSEN_ONLY)
+
+    round_(1)  # warm-up
+    tracemalloc.start()
+    try:
+        round_(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cat.matrix().nbytes / 4
 
 
 def test_removing_dominant_item_renormalizes():

@@ -336,13 +336,17 @@ class Catalog:
 def write_snapshot(catalog: Catalog, path: str) -> None:
     """Write a bit-exact snapshot via a synced temp file and a rename; failure leaves no temp
     file. An OS error raises `IoError`, an id UTF-8 cannot encode `SnapshotFormatError`."""
+    try:
+        raw_ids = [i.encode() for i in catalog.ids]
+    except UnicodeEncodeError as e:  # an id such as a lone surrogate
+        raise SnapshotFormatError(f"id {e.object!r} cannot be encoded as UTF-8") from None
     dtag = 0 if catalog.dtype == np.float64 else 1
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(SNAPSHOT_MAGIC)
             f.write(struct.pack("<IQQB", SNAPSHOT_VERSION, len(catalog), catalog.dim, dtag))
-            for raw in map(str.encode, catalog.ids):
+            for raw in raw_ids:
                 f.write(struct.pack("<I", len(raw)) + raw)
             for chunk in row_chunks(len(catalog), catalog.dim):
                 rows = catalog._rows[catalog._order[chunk]]
@@ -352,8 +356,6 @@ def write_snapshot(catalog: Catalog, path: str) -> None:
         os.replace(tmp, path)
     except OSError as e:
         raise IoError(str(e)) from None
-    except UnicodeEncodeError as e:  # an id such as a lone surrogate
-        raise SnapshotFormatError(f"id {e.object!r} cannot be encoded as UTF-8") from None
     finally:
         if os.path.isfile(tmp):  # writing or renaming failed
             os.remove(tmp)

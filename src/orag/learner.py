@@ -173,6 +173,12 @@ def step(
                 else estimate_gradient_chosen_only)
     eta = schedule.eta(t)
     apply_update(catalog, estimate(p, q, fb, t=t, clip_propensity=clip_propensity), eta)
-    return RoundRecord(t=t, query_id=query_id or getattr(q, "query_id", ""), chosen=chosen,
-                       success=fb.success, propensity=fb.propensity, eta=eta,
-                       generation=catalog.generation)
+    return RoundRecord(
+        t=t,
+        query_id=query_id or getattr(q, "query_id", ""),
+        chosen=chosen,
+        success=fb.success,
+        propensity=fb.propensity,
+        eta=eta,
+        generation=catalog.generation,
+    )

@@ -123,8 +123,6 @@ def sample_k_without_replacement(
         raise KTooLarge(f"K={k} with I={n} items")
     w = p.probs
     cdf, j = _inverse_cdf(w, rng.uniform())
-    if k == 1:  # no later draw to certify
-        return [p.ids[j]]
     # tol bounds the summation error of this CDF and of the exact one
     # (gamma_n·total each), of `below`, and the rounding of u·total, in
     # u·total's dtype. The bound needs a monotone CDF: no negative weight.

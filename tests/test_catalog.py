@@ -488,6 +488,14 @@ def test_snapshot_of_an_id_utf8_cannot_encode_is_a_format_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_snapshot_path_utf8_cannot_encode_is_not_blamed_on_an_id(tmp_path):
+    # The ids are checked before the file is opened; the path's own error is open's.
+    with pytest.raises(UnicodeEncodeError) as err:
+        write_snapshot(Catalog(2, [("a", [1.0, 2.0])]), str(tmp_path / "cat\ud800.orag"))
+    assert not isinstance(err.value, SnapshotFormatError)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_snapshot_into_a_missing_directory_is_an_io_error(tmp_path):
     with pytest.raises(IoError):
         write_snapshot(Catalog(2, [("a", [1.0, 2.0])]), str(tmp_path / "absent" / "cat.orag"))

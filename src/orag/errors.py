@@ -45,6 +45,10 @@ class EmptyEvents(OragError):
     pass
 
 
+class InvalidProbability(OragError):
+    pass
+
+
 class MissingGroundTruth(OragError):
     pass
 

@@ -11,6 +11,7 @@ import numpy as np
 from .catalog import Catalog, ItemId, ProjectionMode, _project_rows
 from .errors import (
     EmptyEvents,
+    InvalidProbability,
     MissingGroundTruth,
     NoRelevantItems,
     UnknownId,
@@ -25,17 +26,20 @@ def cross_entropy_loss(p: ProbabilityVector, i_star: ItemId) -> float:
         prob = p[i_star]
     except KeyError:
         raise UnknownId(i_star) from None
+    if not prob >= 0:  # negative or NaN: only a hand-built vector holds one
+        raise InvalidProbability(f"p[{i_star!r}] is {prob}, not a probability")
     return math.inf if prob == 0 else -math.log(prob)
 
 
-def softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax with max subtraction, for (T, I) logit matrices.
+def softmax_columns(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax with max subtraction down each column of an (I, T) logit block, so each
+    reduction and broadcast runs over I contiguous T-long rows, not T rows of I.
 
     The result goes to `out` when given (it may be `logits` itself), else to a
     new array; `logits` is changed only through `out`."""
-    z = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    z = np.subtract(logits, np.maximum.reduce(logits, axis=0), out=out)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= np.add.reduce(z, axis=0)
     return z
 
 
@@ -54,11 +58,11 @@ def _event_arrays(
 def total_loss(
     theta: np.ndarray, queries: np.ndarray, labels: np.ndarray, out: np.ndarray | None = None
 ) -> float:
-    """Summed cross-entropy of `labels` under the softmax of `queries @ theta.T`;
-    a (T, I) `out` is left holding those probabilities."""
-    p = np.matmul(queries, theta.T, out=out)
-    softmax_rows(p, out=p)
-    return float(-np.sum(np.log(p[np.arange(len(labels)), labels])))
+    """Summed cross-entropy of `labels` under the column softmax of the item-major
+    (I, T) scores `theta @ queries.T`; an (I, T) `out` is left holding it."""
+    p = np.matmul(theta, queries.T, out=out)
+    softmax_columns(p, out=p)
+    return float(-np.sum(np.log(p[labels, np.arange(len(labels))])))
 
 
 @dataclass
@@ -66,6 +70,7 @@ class OracleFit:
     catalog: Catalog
     loss: float
     passes: int
+    converged: bool  # stopped on `tol` or on a step that cannot descend, not on the budget
 
 
 def train_oracle(
@@ -80,23 +85,25 @@ def train_oracle(
     Deterministic multi-pass descent on the summed cross-entropy with exact
     gradients (p_i - 1{i=i*}) q per event. Backtracks (halves the step) when a
     pass would increase the loss, so the final loss never exceeds the initial
-    one; stops once the pass-over-pass improvement drops below `tol` or the
-    pass budget is exhausted. Each candidate's softmax is computed once: the
-    accepted one's probabilities give the next pass's gradient. A UNIT_BALL
-    `init.projection` projects each candidate before it is scored.
+    one; stops once the pass-over-pass improvement drops below `tol` or no
+    step descends (`converged`), or once the pass budget is exhausted. Each
+    candidate's softmax is computed once, item-major: the accepted one's (I, T)
+    probabilities give the next pass's gradient. A UNIT_BALL `init.projection`
+    projects each candidate before it is scored.
     """
     if len(events) == 0:
         raise EmptyEvents("oracle needs at least one event")
     queries, labels = _event_arrays(events, init)
     theta = init.matrix().astype(np.float64, copy=False)
-    rows = np.arange(len(labels))
-    p, cand_p = np.empty((2, len(labels), len(init)))  # current and candidate softmax
+    cols = np.arange(len(labels))
+    p, cand_p = np.empty((2, len(init), len(labels)))  # current and candidate softmax
     loss = total_loss(theta, queries, labels, out=p)
     step = lr
     used = 0
+    converged = True
     for it in range(passes):
-        p[rows, labels] -= 1.0  # p - onehot: subtracting 0.0 elsewhere is exact
-        grad = p.T @ queries
+        p[labels, cols] -= 1.0  # p - onehot: subtracting 0.0 elsewhere is exact
+        grad = p @ queries
         while True:
             cand = theta - step * grad
             if init.projection is ProjectionMode.UNIT_BALL:
@@ -113,8 +120,10 @@ def train_oracle(
         step *= 1.05  # cautious growth; backtracking undoes overshoot
         if improved < tol:
             break
+    else:
+        converged = False
     fitted = Catalog.from_rows(init.dim, init.ids, theta, projection=init.projection)
-    return OracleFit(catalog=fitted, loss=loss, passes=used)
+    return OracleFit(catalog=fitted, loss=loss, passes=used, converged=converged)
 
 
 @dataclass
@@ -147,9 +156,9 @@ def regret_curve(episode_log, oracle: Catalog) -> RegretLedger:
     queries, labels = _event_arrays(
         list(zip(episode_log.queries, episode_log.true_items)), oracle
     )
-    p = queries @ oracle.matrix().astype(np.float64, copy=False).T
-    softmax_rows(p, out=p)
-    oracle_losses = -np.log(p[np.arange(len(labels)), labels])
+    p = oracle.matrix().astype(np.float64, copy=False) @ queries.T
+    softmax_columns(p, out=p)
+    oracle_losses = -np.log(p[labels, np.arange(len(labels))])
     gap = online - oracle_losses
     gap[missing] = 0.0
     return RegretLedger(

@@ -99,6 +99,8 @@ def _inverse_cdf(w: np.ndarray, u: float) -> tuple[np.ndarray, int]:
 
 def sample_one(p: ProbabilityVector, rng: RandomSource) -> ItemId:
     """Draw one item by inverse CDF, K-sampling's first draw; consumes exactly one uniform."""
+    if not len(p.probs):  # a hand-built vector can be empty; raise before drawing
+        raise EmptyCatalog("cannot sample from an empty probability vector")
     return p.ids[_inverse_cdf(p.probs, rng.uniform())[1]]
 
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import orag.metrics as metrics_module
 from orag.catalog import Catalog, ProjectionMode
 from orag.errors import (
     EmptyEvents,
+    InvalidProbability,
     MissingGroundTruth,
     NoRelevantItems,
     UnknownId,
@@ -18,7 +20,7 @@ from orag.metrics import (
     recall_at_k,
     regret_curve,
     rolling_accuracy,
-    softmax_rows,
+    softmax_columns,
     total_loss,
     train_oracle,
     truth_recall_ndcg,
@@ -48,6 +50,13 @@ def test_cross_entropy_point_one():
 def test_cross_entropy_of_a_zero_probability_target_is_infinite():
     # -ln 0, the value `regret_curve`'s oracle losses take, not a bare ValueError.
     assert cross_entropy_loss(_pv(("a", "b"), [1.0, 0.0]), "b") == math.inf
+
+
+@pytest.mark.parametrize("bad", [-0.25, float("nan")])
+def test_cross_entropy_of_a_negative_or_nan_entry_is_a_named_error(bad):
+    # A hand-built vector can hold one; `score` never does.
+    with pytest.raises(InvalidProbability, match="not a probability"):
+        cross_entropy_loss(_pv(("a", "b"), [bad, 1.0]), "a")
 
 
 def test_cross_entropy_unknown_target():
@@ -307,38 +316,45 @@ def test_rolling_accuracy_window_bounds():
         rolling_accuracy([True], 0)
 
 
-def test_softmax_rows_normalizes():
-    z = np.random.default_rng(7).normal(scale=50.0, size=(6, 4))
-    p = softmax_rows(z)
-    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+def test_softmax_columns_normalizes():
+    z = np.random.default_rng(7).normal(scale=50.0, size=(4, 6))
+    p = softmax_columns(z)
+    np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-12)
     assert np.all(p > 0.0)
 
 
-def _reference_softmax_rows(logits):
+def _reference_softmax_columns(logits):
+    z = logits - logits.max(axis=0, keepdims=True)
+    w = np.exp(z)
+    return w / w.sum(axis=0, keepdims=True)
+
+
+def _reference_total_loss(theta, queries, labels):
+    p = _reference_softmax_columns(theta @ queries.T)
+    return float(-np.sum(np.log(p[labels, np.arange(len(labels))])))
+
+
+def _event_major_softmax(logits):
+    """The (T, I) softmax, one row per event, that `total_loss` took before."""
     z = logits - logits.max(axis=1, keepdims=True)
     w = np.exp(z)
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _reference_total_loss(theta, queries, labels):
-    p = _reference_softmax_rows(queries @ theta.T)
-    return float(-np.sum(np.log(p[np.arange(len(labels)), labels])))
-
-
 def _reference_train_oracle(events, init, passes, lr, tol):
-    """`train_oracle` with a one-hot matrix and a second softmax per pass, which
-    the one-softmax trainer must match bit for bit."""
+    """`train_oracle` with an (I, T) one-hot matrix and a second softmax per pass,
+    which the one-softmax trainer must match bit for bit."""
     queries = np.stack([q for q, _ in events])
     labels = np.array([init.ids.index(i) for _, i in events])
     theta = init.matrix().astype(np.float64, copy=False)
-    onehot = np.zeros((len(labels), len(init)))
-    onehot[np.arange(len(labels)), labels] = 1.0
+    onehot = np.zeros((len(init), len(labels)))
+    onehot[labels, np.arange(len(labels))] = 1.0
     loss = _reference_total_loss(theta, queries, labels)
     step = lr
     used = 0
     for it in range(passes):
-        p = _reference_softmax_rows(queries @ theta.T)
-        grad = (p - onehot).T @ queries
+        p = _reference_softmax_columns(theta @ queries.T)
+        grad = (p - onehot) @ queries
         while True:
             cand = theta - step * grad
             cand_loss = _reference_total_loss(cand, queries, labels)
@@ -378,13 +394,72 @@ def test_train_oracle_matches_two_softmax_reference_bytewise():
     assert early_stops and infinite
 
 
-def test_softmax_rows_writes_only_to_out():
-    z = np.random.default_rng(9).normal(scale=20.0, size=(5, 7))
+def test_total_loss_matches_the_event_major_formula():
+    # The item-major block comes from another matmul layout and sums each softmax
+    # in another order, so its bits move. On these 60 cases of moderate logits
+    # (|z| < 15), 54% of the probabilities moved, by at most 3.5e-15 relative,
+    # and 1 of the 60 summed losses moved, by 2.1e-16.
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        n_items, d, T = int(rng.integers(1, 60)), int(rng.integers(1, 20)), int(rng.integers(1, 400))
+        theta = rng.normal(size=(n_items, d))
+        queries = rng.normal(scale=2.0 / math.sqrt(d), size=(T, d))
+        labels = rng.integers(n_items, size=T)
+        p = np.empty((n_items, T))
+        loss = total_loss(theta, queries, labels, out=p)
+        old_p = _event_major_softmax(queries @ theta.T)
+        np.testing.assert_allclose(p.T, old_p, rtol=1e-12)
+        old_loss = float(-np.sum(np.log(old_p[np.arange(T), labels])))
+        np.testing.assert_allclose(loss, old_loss, rtol=1e-12)
+
+
+def test_total_loss_as_the_benchmark_calls_it_is_the_trainers_first_loss(monkeypatch):
+    # The benchmark's check_job passes the start catalog's matrix and (T, d)
+    # queries with no `out`, and compares the fit against the float it returns.
+    rng = np.random.default_rng(13)
+    n_items, d, T = 50, 16, 300
+    init = Catalog.from_rows(d, [f"i{k:02d}" for k in range(n_items)],
+                             rng.normal(scale=0.5, size=(n_items, d)))
+    events = [(rng.normal(size=d), f"i{int(rng.integers(n_items)):02d}") for _ in range(T)]
+    losses = []
+    original = metrics_module.total_loss
+
+    def recorded(*args, **kwargs):
+        losses.append(original(*args, **kwargs))
+        return losses[-1]
+
+    monkeypatch.setattr(metrics_module, "total_loss", recorded)
+    train_oracle(events, init, passes=3)
+    monkeypatch.undo()
+    index = {i: k for k, i in enumerate(init.ids)}
+    queries = np.stack([q for q, _ in events])
+    labels = np.array([index[i] for _, i in events])
+    direct = total_loss(init.matrix(), queries, labels)
+    assert type(direct) is float
+    assert direct == losses[0]
+
+
+def test_train_oracle_reports_whether_it_converged():
+    rng = np.random.default_rng(14)
+    init = Catalog(3, [(f"i{k}", rng.normal(size=3)) for k in range(4)])
+    events = [(rng.normal(size=3), f"i{int(rng.integers(4))}") for _ in range(30)]
+    budget = train_oracle(events, init, passes=2)
+    assert (budget.passes, budget.converged) == (2, False)
+    stopped = train_oracle(events, init, passes=10_000, tol=1e-6)
+    assert stopped.passes < 10_000 and stopped.converged
+    # A gradient of exactly 0: the first candidate equals the start and improves by 0.
+    flat = train_oracle([(np.array([1.0]), "a"), (np.array([1.0]), "b")],
+                        Catalog(1, [("a", [0.0]), ("b", [0.0])]), passes=50)
+    assert (flat.passes, flat.converged) == (1, True)
+
+
+def test_softmax_columns_writes_only_to_out():
+    z = np.random.default_rng(9).normal(scale=20.0, size=(7, 5))
     before = z.copy()
-    p = softmax_rows(z)
+    p = softmax_columns(z)
     assert z.tobytes() == before.tobytes()
-    assert p.tobytes() == _reference_softmax_rows(before).tobytes()
-    assert softmax_rows(z, out=z) is z
+    assert p.tobytes() == _reference_softmax_columns(before).tobytes()
+    assert softmax_columns(z, out=z) is z
     assert z.tobytes() == p.tobytes()
 
 

@@ -109,6 +109,14 @@ def test_sample_one_degenerate():
     assert all(sample_one(p, rng) == "only" for _ in range(20))
 
 
+def test_sample_one_of_an_empty_vector_raises_before_drawing():
+    # A hand-built vector can be empty; `score` refuses an empty catalog first.
+    rng = RandomSource(5)
+    with pytest.raises(EmptyCatalog):
+        sample_one(ProbabilityVector((), np.array([])), rng)
+    assert rng.uniform() == RandomSource(5).uniform()
+
+
 def test_sample_one_frequency_half_half():
     cat = _cat([("a", [0.0]), ("b", [0.0])])
     p = score(np.array([1.0]), cat)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
 
@@ -126,6 +127,10 @@ def cli_main(argv: list[str] | None = None) -> int:
                 zip((rec.t for rec in log.rounds), ledger.online_loss, ledger.oracle_loss,
                     ledger.cumulative_regret),
             )
+            with open(os.path.join(out, "oracle.json"), "w", encoding="utf-8") as f:
+                json.dump({"passes": fit.passes, "converged": fit.converged,
+                           "grad_norm": fit.grad_norm}, f, sort_keys=True)
+                f.write("\n")
         elif args.command == "metrics":
             rows = []
             for rec, q, truth in zip(log.rounds, log.queries, log.true_items):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import enum
+import itertools
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional, get_args, get_type_hints
@@ -155,21 +157,53 @@ def load_config(path: str, seed: int | None = None) -> RunConfig:
 
 _EVENT_CHECKS, _EVENT_REQUIRED = _field_checks(RoundRecord)
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(row, sort_keys=True)
+_encode_str = json.encoder.encode_basestring_ascii  # the encoder's own string escaping
+
+
+def _line_template(generation: bool, hop: bool, loss: bool) -> str:
+    """The %-template of one line with these optional keys, keys in sorted order."""
+    optional = [k for k, present in zip(("generation", "hop", "loss"), (generation, hop, loss))
+                if present]
+    keys = ["chosen", "eta", *optional, "propensity", "query_id", "success", "t"]
+    return "{" + ", ".join(f'"{k}": %s' for k in keys) + "}\n"
+
+
+_LINE_TEMPLATES = {key: _line_template(*key) for key in itertools.product((False, True), repeat=3)}
+
+
+# `json.dumps(v)`'s text for one field's value: the field's usual exact type is
+# formatted here as the encoder formats it, any other value (a NaN or infinite
+# float, a numpy scalar, ...) by `_EVENT_ENCODER` itself, which may reject it.
+def _json_float(v) -> str:
+    return float.__repr__(v) if type(v) is float and math.isfinite(v) else _EVENT_ENCODER.encode(v)
+
+
+def _json_int(v) -> str:
+    return int.__repr__(v) if type(v) is int else _EVENT_ENCODER.encode(v)
+
+
+def _json_str(v) -> str:
+    return _encode_str(v) if type(v) is str else _EVENT_ENCODER.encode(v)
 
 
 def write_event_log(records: list[RoundRecord], path: str) -> None:
-    """One JSON object per line with a fixed key set; deterministic bytes."""
+    """One JSON object per line, keys sorted, `loss`, `generation` and `hop` left out
+    when `None`: each line is `json.dumps(row, sort_keys=True)`'s bytes, formatted
+    from a template for its key set."""
     lines = []
     for r in records:
-        row = {"t": r.t, "query_id": r.query_id, "chosen": r.chosen,
-               "success": bool(r.success), "propensity": r.propensity, "eta": r.eta}
-        if r.loss is not None:
-            row["loss"] = r.loss
-        if r.generation is not None:
-            row["generation"] = r.generation
-        if r.hop is not None:
-            row["hop"] = r.hop
-        lines.append(_EVENT_ENCODER.encode(row) + "\n")
+        generation, hop, loss = r.generation, r.hop, r.loss
+        optional = []
+        if generation is not None:
+            optional.append(_json_int(generation))
+        if hop is not None:
+            optional.append(_json_int(hop))
+        if loss is not None:
+            optional.append(_json_float(loss))
+        template = _LINE_TEMPLATES[generation is not None, hop is not None, loss is not None]
+        lines.append(template % (_json_str(r.chosen), _json_float(r.eta), *optional,
+                                 _json_float(r.propensity), _json_str(r.query_id),
+                                 "true" if r.success else "false", _json_int(r.t)))
     try:
         with open(path, "w", encoding="utf-8") as f:
             f.write("".join(lines))

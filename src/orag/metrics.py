@@ -26,7 +26,7 @@ def cross_entropy_loss(p: ProbabilityVector, i_star: ItemId) -> float:
         prob = p[i_star]
     except KeyError:
         raise UnknownId(i_star) from None
-    if not prob >= 0:  # negative or NaN: only a hand-built vector holds one
+    if not 0 <= prob <= 1:  # negative, above 1, infinite or NaN: only a hand-built vector
         raise InvalidProbability(f"p[{i_star!r}] is {prob}, not a probability")
     return math.inf if prob == 0 else -math.log(prob)
 
@@ -43,26 +43,65 @@ def softmax_columns(logits: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return z
 
 
-def _event_arrays(
-    events: Sequence[tuple[np.ndarray, ItemId]], catalog: Catalog
-) -> tuple[np.ndarray, np.ndarray]:
-    queries = np.stack([_as_query(q) for q, _ in events])
+def _labels(items: Sequence[ItemId], catalog: Catalog) -> np.ndarray:
+    """Each item's row in `catalog.ids` order; an id not in it is `UnknownId`."""
     index = {i: k for k, i in enumerate(catalog.ids)}
     try:
-        labels = np.array([index[i_star] for _, i_star in events])
+        return np.fromiter(map(index.__getitem__, items), np.intp, len(items))
     except KeyError as e:
         raise UnknownId(str(e)) from None
-    return queries, labels
+
+
+# While every column sum s_t of exp(z - c) lies here, the largest term of each
+# column is a normal float and no term overflowed, so the shift c is kept.
+_SUM_RANGE = (1e-300, 1e300)
+
+
+def _shift_to_column_max(theta: np.ndarray, qc: np.ndarray, out: np.ndarray) -> None:
+    """Set the last row of the (d+1, T) block `qc` to -c, c the exact column max of
+    `theta @ qc` with that row 0; `out` (I, T) is the scratch."""
+    qc[-1] = 0.0
+    np.matmul(theta, qc, out=out)
+    np.negative(np.maximum.reduce(out, axis=0), out=qc[-1])
+
+
+def _exp_in_place(x: np.ndarray, flat: np.ndarray,
+                  sums: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(x at `flat`, column sums of exp(x)) for an (I, T) block x, left holding exp(x)."""
+    x_true = x.take(flat)
+    with np.errstate(over="ignore", under="ignore"):  # a stale shift: the sums show it
+        np.exp(x, out=x)
+    return x_true, np.add.reduce(x, axis=0, out=sums)
 
 
 def total_loss(
-    theta: np.ndarray, queries: np.ndarray, labels: np.ndarray, out: np.ndarray | None = None
+    theta: np.ndarray, queries: np.ndarray, labels: np.ndarray, out: np.ndarray | None = None,
+    *, shifted: bool = False, sums: np.ndarray | None = None,
 ) -> float:
     """Summed cross-entropy of `labels` under the column softmax of the item-major
-    (I, T) scores `theta @ queries.T`; an (I, T) `out` is left holding it."""
-    p = np.matmul(theta, queries.T, out=out)
-    softmax_columns(p, out=p)
-    return float(-np.sum(np.log(p[labels, np.arange(len(labels))])))
+    (I, T) scores z = `theta @ queries.T`, as sum_t log s_t - sum_t (z[y_t, t] - c_t)
+    with s_t = sum_i exp(z[i, t] - c_t): finite even where a probability underflows.
+
+    An (I, T) `out` is left holding exp(z - c), not probabilities, and a (T,) `sums`
+    the column sums s. c is each column's exact max. With `shifted`, the caller has
+    put a shift in the matmul: `theta` ends in a column of ones and `queries` in
+    the column -c. That c is kept unless a column sum leaves `_SUM_RANGE`; then it
+    is replaced, in place, by this `theta`'s exact column max, and the block redone.
+    """
+    labels = np.asarray(labels)
+    if out is None:
+        out = np.empty((len(theta), len(labels)))
+    flat = labels * out.shape[1] + np.arange(out.shape[1])  # (y_t, t) in the flat block
+    np.matmul(theta, queries.T, out=out)
+    if not shifted:
+        out -= np.maximum.reduce(out, axis=0)
+    z_true, s = _exp_in_place(out, flat, sums)
+    lo, hi = _SUM_RANGE
+    if shifted and not (lo <= s.min(initial=hi) and s.max(initial=lo) <= hi):
+        _shift_to_column_max(theta, queries.T, out)
+        np.matmul(theta, queries.T, out=out)
+        z_true, s = _exp_in_place(out, flat, sums)
+    return float(np.sum(np.log(s)) - np.sum(z_true))
 
 
 @dataclass
@@ -71,6 +110,7 @@ class OracleFit:
     loss: float
     passes: int
     converged: bool  # stopped on `tol` or on a step that cannot descend, not on the budget
+    grad_norm: float  # Frobenius norm of the last accepted pass's gradient; NaN if none
 
 
 def train_oracle(
@@ -87,28 +127,47 @@ def train_oracle(
     pass would increase the loss, so the final loss never exceeds the initial
     one; stops once the pass-over-pass improvement drops below `tol` or no
     step descends (`converged`), or once the pass budget is exhausted. Each
-    candidate's softmax is computed once, item-major: the accepted one's (I, T)
-    probabilities give the next pass's gradient. A UNIT_BALL `init.projection`
-    projects each candidate before it is scored.
+    candidate is scored once, item-major, as one (I, T) block exp(z - c) whose
+    shift c rides in the matmul (see `total_loss`); the accepted one's block E and
+    column sums s give the next pass's gradient E @ (Q / s) - S, with
+    S = sum_t e_{y_t} q_t^T taken once. A UNIT_BALL `init.projection` projects each
+    candidate before it is scored.
     """
     if len(events) == 0:
         raise EmptyEvents("oracle needs at least one event")
-    queries, labels = _event_arrays(events, init)
-    theta = init.matrix().astype(np.float64, copy=False)
-    cols = np.arange(len(labels))
-    p, cand_p = np.empty((2, len(init), len(labels)))  # current and candidate softmax
-    loss = total_loss(theta, queries, labels, out=p)
+    queries, items = zip(*events)
+    labels = _labels(items, init)
+    n, d, T = len(init), init.dim, len(labels)
+    e, cand_e = np.empty((2, n, T))  # exp(z - c) of the current and the candidate rows
+    s, cand_s = np.empty((2, T))  # their column sums
+    start = init.matrix().astype(np.float64, copy=False)
+    queries = np.array([_as_query(q) for q in queries])
+    loss = total_loss(start, queries, labels, out=e, sums=s)
+    # [theta | 1] and [Q^T; -c], c the start's exact column max: each candidate's
+    # matmul arrives shifted.
+    theta = np.ones((n, d + 1))
+    theta[:, :d] = start
+    qc = np.empty((d + 1, T))
+    qc[:d] = queries.T
+    del queries  # the (T, d) stack: qc holds the queries from here on
+    _shift_to_column_max(theta, qc, cand_e)
+    label_sums = np.zeros((n, d))  # S
+    np.add.at(label_sums, labels, qc[:d].T)
+    scaled = np.empty((d, T))  # (Q / s)^T
     step = lr
     used = 0
     converged = True
+    accepted = None
     for it in range(passes):
-        p[labels, cols] -= 1.0  # p - onehot: subtracting 0.0 elsewhere is exact
-        grad = p @ queries
+        np.divide(qc[:d], s, out=scaled)
+        grad = e @ scaled.T
+        grad -= label_sums
         while True:
-            cand = theta - step * grad
+            cand = theta.copy()
+            cand[:, :d] -= step * grad
             if init.projection is ProjectionMode.UNIT_BALL:
-                _project_rows(cand, init.projection)
-            cand_loss = total_loss(cand, queries, labels, out=cand_p)
+                _project_rows(cand[:, :d], init.projection)
+            cand_loss = total_loss(cand, qc.T, labels, out=cand_e, shifted=True, sums=cand_s)
             if cand_loss <= loss or step < 1e-16:
                 break
             step *= 0.5
@@ -116,14 +175,17 @@ def train_oracle(
         if cand_loss > loss:
             break
         improved = loss - cand_loss
-        theta, loss, p, cand_p = cand, cand_loss, cand_p, p
+        theta, loss, accepted = cand, cand_loss, grad
+        e, cand_e, s, cand_s = cand_e, e, cand_s, s
         step *= 1.05  # cautious growth; backtracking undoes overshoot
         if improved < tol:
             break
     else:
         converged = False
-    fitted = Catalog.from_rows(init.dim, init.ids, theta, projection=init.projection)
-    return OracleFit(catalog=fitted, loss=loss, passes=used, converged=converged)
+    fitted = Catalog.from_rows(d, init.ids, theta[:, :d], projection=init.projection)
+    grad_norm = math.nan if accepted is None else float(np.linalg.norm(accepted))
+    return OracleFit(catalog=fitted, loss=loss, passes=used, converged=converged,
+                     grad_norm=grad_norm)
 
 
 @dataclass
@@ -153,9 +215,8 @@ def regret_curve(episode_log, oracle: Catalog) -> RegretLedger:
     missing = np.isnan(online)
     if missing.all():  # run with record_losses=False: no regret to sum
         raise MissingGroundTruth("episode log has no online losses")
-    queries, labels = _event_arrays(
-        list(zip(episode_log.queries, episode_log.true_items)), oracle
-    )
+    queries = np.asarray(episode_log.queries, dtype=np.float64)
+    labels = _labels(episode_log.true_items, oracle)
     p = oracle.matrix().astype(np.float64, copy=False) @ queries.T
     softmax_columns(p, out=p)
     oracle_losses = -np.log(p[labels, np.arange(len(labels))])

@@ -110,6 +110,39 @@ def test_regret_csv_matches_library_value(tmp_path):
     assert float(rows[-1]["cum_regret"]) == ledger.final_regret
 
 
+def test_regret_writes_the_oracle_fit_beside_its_csv(tmp_path):
+    payload = {"I": 8, "d": 4, "T": 200, "seed": 3, "schedule": "constant", "c": 0.05,
+               "sigma_init": 0.8}
+    cfg_path = _cfg(tmp_path, payload, name="regret.json")
+    out = tmp_path / "regret"
+    assert cli_main(["regret", "--config", cfg_path, "--out", str(out), "--passes", "40"]) == 0
+    assert sorted(os.listdir(out)) == ["oracle.json", "regret.csv"]
+    report = json.loads((out / "oracle.json").read_text())
+
+    cfg = load_config(cfg_path)
+    env, log = run_from_config(cfg)
+    init = initial_catalog(env, cfg.sigma_init, projection=cfg.projection)
+    events = list(zip(log.queries, log.true_items))
+    fit = train_oracle(events, init, passes=40)
+    assert report == {"passes": 40, "converged": False, "grad_norm": fit.grad_norm}
+    # regret.csv keeps its columns and its bytes.
+    ledger = regret_curve(log, fit.catalog)
+    expected = "t,online_loss,oracle_loss,cum_regret\r\n" + "".join(
+        f"{rec.t},{a!r},{b!r},{c!r}\r\n" for rec, a, b, c in zip(
+            log.rounds, ledger.online_loss.tolist(), ledger.oracle_loss.tolist(),
+            ledger.cumulative_regret.tolist()))
+    assert (out / "regret.csv").read_bytes() == expected.encode()
+    # grad_norm is the norm of the 40th pass's gradient, (P - Y) @ Q at the 39-pass
+    # fit: every pass was accepted, as the budget ran out.
+    theta = train_oracle(events, init, passes=39).catalog.matrix()
+    queries = np.stack([q for q, _ in events])
+    z = theta @ queries.T
+    p = np.exp(z - z.max(axis=0))
+    p /= p.sum(axis=0)
+    p[[init.ids.index(i) for _, i in events], np.arange(len(events))] -= 1.0
+    np.testing.assert_allclose(fit.grad_norm, np.linalg.norm(p @ queries), rtol=1e-9)
+
+
 def test_regret_csv_of_the_dynamic_variant_is_finite(tmp_path):
     # Half the items are withheld until mid-stream; their rounds have no online loss.
     payload = {"I": 20, "d": 4, "T": 200, "seed": 3, "variant": "dynamic"}

@@ -28,6 +28,10 @@ from orag.metrics import (
 from orag.policy import ProbabilityVector, score
 from orag.simulator import EpisodeConfig, make_environment, run_episode
 
+# The trainer takes exp of stale shifts on purpose, under its own `np.errstate`;
+# any other floating-point warning here is a fault.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _pv(ids, probs):
     return ProbabilityVector(tuple(ids), np.asarray(probs, dtype=float))
@@ -57,6 +61,13 @@ def test_cross_entropy_of_a_negative_or_nan_entry_is_a_named_error(bad):
     # A hand-built vector can hold one; `score` never does.
     with pytest.raises(InvalidProbability, match="not a probability"):
         cross_entropy_loss(_pv(("a", "b"), [bad, 1.0]), "a")
+
+
+@pytest.mark.parametrize("bad", [2.0, float("inf")])
+def test_cross_entropy_of_an_entry_above_one_is_a_named_error(bad):
+    # -ln of either would be a negative loss: -0.693 and -inf.
+    with pytest.raises(InvalidProbability, match="not a probability"):
+        cross_entropy_loss(_pv(("a",), [bad]), "a")
 
 
 def test_cross_entropy_unknown_target():
@@ -329,11 +340,6 @@ def _reference_softmax_columns(logits):
     return w / w.sum(axis=0, keepdims=True)
 
 
-def _reference_total_loss(theta, queries, labels):
-    p = _reference_softmax_columns(theta @ queries.T)
-    return float(-np.sum(np.log(p[labels, np.arange(len(labels))])))
-
-
 def _event_major_softmax(logits):
     """The (T, I) softmax, one row per event, that `total_loss` took before."""
     z = logits - logits.max(axis=1, keepdims=True)
@@ -342,73 +348,135 @@ def _event_major_softmax(logits):
 
 
 def _reference_train_oracle(events, init, passes, lr, tol):
-    """`train_oracle` with an (I, T) one-hot matrix and a second softmax per pass,
-    which the one-softmax trainer must match bit for bit."""
+    """`train_oracle` spelled out, which it must match bit for bit: the start scored
+    as exp(z - max z) and each candidate as exp([theta | 1] @ [Q^T; -c]), the shift c
+    the start's exact column max, refreshed from a candidate's own when one of its
+    column sums s leaves [1e-300, 1e300]; the loss sum log s - sum (z[y] - c); the
+    gradient E @ (Q / s) - S, with S summed one event at a time.
+
+    Returns (theta, loss, passes, backtracks, refreshes)."""
     queries = np.stack([q for q, _ in events])
     labels = np.array([init.ids.index(i) for _, i in events])
-    theta = init.matrix().astype(np.float64, copy=False)
-    onehot = np.zeros((len(init), len(labels)))
-    onehot[labels, np.arange(len(labels))] = 1.0
-    loss = _reference_total_loss(theta, queries, labels)
+    n_items, T = len(init), len(labels)
+    qt = np.ascontiguousarray(queries.T)
+    label_sums = np.zeros((n_items, init.dim))
+    for q, y in zip(queries, labels):
+        label_sums[y] += q
+
+    def scores(theta, c):
+        return np.hstack([theta, np.ones((n_items, 1))]) @ np.vstack([qt, -c])
+
+    theta = init.matrix()
+    c = scores(theta, np.zeros(T)).max(axis=0)
+    refreshes = 0
+
+    def loss_of(theta):
+        nonlocal c, refreshes
+        z = scores(theta, c)
+        with np.errstate(over="ignore"):  # a stale c: the sums below catch it
+            e = np.exp(z)
+        s = e.sum(axis=0)
+        if not np.all((s >= 1e-300) & (s <= 1e300)):
+            refreshes += 1
+            c = scores(theta, np.zeros(T)).max(axis=0)
+            z = scores(theta, c)
+            e = np.exp(z)
+            s = e.sum(axis=0)
+        return float(np.sum(np.log(s)) - np.sum(z[labels, np.arange(T)])), e, s
+
+    z = theta @ queries.T
+    z -= z.max(axis=0)
+    e = np.exp(z)
+    s = e.sum(axis=0)
+    loss = float(np.sum(np.log(s)) - np.sum(z[labels, np.arange(T)]))
     step = lr
-    used = 0
+    used = backtracks = 0
     for it in range(passes):
-        p = _reference_softmax_columns(theta @ queries.T)
-        grad = (p - onehot) @ queries
+        grad = e @ (qt / s).T - label_sums
         while True:
             cand = theta - step * grad
-            cand_loss = _reference_total_loss(cand, queries, labels)
+            cand_loss, cand_e, cand_s = loss_of(cand)
             if cand_loss <= loss or step < 1e-16:
                 break
             step *= 0.5
+            backtracks += 1
         used = it + 1
         if cand_loss > loss:
             break
         improved = loss - cand_loss
-        theta, loss = cand, cand_loss
+        theta, loss, e, s = cand, cand_loss, cand_e, cand_s
         step *= 1.05
         if improved < tol:
             break
-    return theta, loss, used
+    return theta, loss, used, backtracks, refreshes
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-def test_train_oracle_matches_two_softmax_reference_bytewise():
+def test_train_oracle_matches_the_shifted_reference_bytewise():
     rng = np.random.default_rng(8)
-    early_stops = infinite = 0
+    early_stops = backtracks = refreshes = 0
     for case in range(36):
         n_items, d = int(rng.integers(1, 31)), int(rng.integers(1, 11))
         T = 1 if case % 6 == 0 else int(rng.integers(1, 201))
         lr, tol = (0.05, 5.0, 500.0)[case % 3], (1e-9, 1e-3)[case % 2]
-        scale = (1.0, 10.0, 100.0)[case // 3 % 3]  # large logits make some losses infinite
+        scale = (1.0, 10.0, 100.0)[case // 3 % 3]  # large logits: probabilities underflow
         init = Catalog.from_rows(d, [f"i{k}" for k in range(n_items)],
                                  rng.normal(size=(n_items, d)))
         events = [(rng.normal(scale=scale, size=d), f"i{int(rng.integers(n_items))}")
                   for _ in range(T)]
-        theta, loss, used = _reference_train_oracle(events, init, 40, lr, tol)
+        theta, loss, used, halved, refreshed = _reference_train_oracle(events, init, 40, lr, tol)
         fit = train_oracle(events, init, passes=40, lr=lr, tol=tol)
         assert (fit.passes, fit.loss) == (used, loss)
         assert fit.catalog.matrix().tobytes() == theta.tobytes()
+        assert math.isfinite(fit.loss)
         early_stops += used < 40
-        infinite += not math.isfinite(loss)
-    assert early_stops and infinite
+        backtracks += halved
+        refreshes += refreshed
+    assert early_stops and backtracks and refreshes
+
+
+def test_a_stale_shift_is_refreshed_and_the_loss_stays_finite(monkeypatch):
+    # At lr 1000 a candidate's logits move by more than 745 from the shift the call
+    # starts with, so exp(z - c) would overflow or underflow whole columns.
+    rng = np.random.default_rng(15)
+    init = Catalog.from_rows(3, [f"i{k}" for k in range(4)], rng.normal(size=(4, 3)))
+    events = [(rng.normal(scale=10.0, size=3), f"i{int(rng.integers(4))}") for _ in range(30)]
+    queries = np.stack([q for q, _ in events])
+    labels = np.array([init.ids.index(i) for _, i in events])
+    gaps, losses = [], []
+    original = metrics_module.total_loss
+
+    def recorded(theta, shifted_queries, *args, shifted=False, **kwargs):
+        if shifted:  # the shift this candidate's call starts with
+            z_max = (theta[:, :-1] @ queries.T).max(axis=0)
+            gaps.append(np.abs(z_max + shifted_queries[:, -1]).max())  # |max z - c|
+        losses.append(original(theta, shifted_queries, *args, shifted=shifted, **kwargs))
+        return losses[-1]
+
+    monkeypatch.setattr(metrics_module, "total_loss", recorded)
+    fit = train_oracle(events, init, passes=5, lr=1000.0)
+    monkeypatch.undo()
+    theta, loss, used, _, refreshes = _reference_train_oracle(events, init, 5, 1000.0, 1e-9)
+    assert max(gaps) > 745 and refreshes >= 1
+    assert all(math.isfinite(x) for x in losses)
+    assert fit.loss < total_loss(init.matrix(), queries, labels)
+    assert (fit.passes, fit.loss) == (used, loss)
+    assert fit.catalog.matrix().tobytes() == theta.tobytes()
 
 
 def test_total_loss_matches_the_event_major_formula():
-    # The item-major block comes from another matmul layout and sums each softmax
-    # in another order, so its bits move. On these 60 cases of moderate logits
-    # (|z| < 15), 54% of the probabilities moved, by at most 3.5e-15 relative,
-    # and 1 of the 60 summed losses moved, by 2.1e-16.
+    # The item-major block comes from another matmul layout and sums each column
+    # in another order, and the loss is taken as sum log s - sum (z[y] - c), so its
+    # bits move. `out` holds exp(z - c): normalised, it is the softmax.
     rng = np.random.default_rng(12)
     for _ in range(60):
         n_items, d, T = int(rng.integers(1, 60)), int(rng.integers(1, 20)), int(rng.integers(1, 400))
         theta = rng.normal(size=(n_items, d))
         queries = rng.normal(scale=2.0 / math.sqrt(d), size=(T, d))
         labels = rng.integers(n_items, size=T)
-        p = np.empty((n_items, T))
-        loss = total_loss(theta, queries, labels, out=p)
+        out = np.empty((n_items, T))
+        loss = total_loss(theta, queries, labels, out=out)
         old_p = _event_major_softmax(queries @ theta.T)
-        np.testing.assert_allclose(p.T, old_p, rtol=1e-12)
+        np.testing.assert_allclose((out / out.sum(axis=0)).T, old_p, rtol=1e-12)
         old_loss = float(-np.sum(np.log(old_p[np.arange(T), labels])))
         np.testing.assert_allclose(loss, old_loss, rtol=1e-12)
 

@@ -1,6 +1,7 @@
 """Property-based checks for the algebraic invariants."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -418,3 +419,65 @@ def test_ingest_embedding_dump_fuzz_accepts_or_raises_orag_error(valid_dump, dat
         ingest_embedding_dump(*paths, projection)
     except OragError:
         pass  # any other exception fails the test
+
+
+def _reference_event_line(r: RoundRecord) -> str:
+    """The line the writer built from a dict before it formatted lines itself."""
+    row = {"t": r.t, "query_id": r.query_id, "chosen": r.chosen, "success": bool(r.success),
+           "propensity": r.propensity, "eta": r.eta}
+    for key in ("loss", "generation", "hop"):
+        if getattr(r, key) is not None:
+            row[key] = getattr(r, key)
+    return json.dumps(row, sort_keys=True) + "\n"
+
+
+# Values of other types than a field's own: each goes to the encoder, which writes
+# some (numpy floats, containers, None) and rejects others with a TypeError
+# (numpy ints, bytes, objects, a dict whose keys cannot be sorted).
+_ODD_VALUES = st.sampled_from([
+    None, True, np.float64(2.5), np.float64("nan"), np.float64(-0.0), np.int64(3), b"id",
+    object(), [1, "a", None], {"b": 1.5, "a": [float("inf")]}, {"b": 1, 2: 3}])
+_FLOATS = (st.floats() | st.floats().map(np.float64)
+           | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, float("nan"),
+                              float("inf"), -float("inf")]))
+_IDS = st.text(max_size=12) | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t", " \x85", "é中", "\ud800", "😀"])
+_INTS = st.integers(-2**70, 2**70)
+
+
+@pytest.fixture(scope="module")
+def log_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer")
+
+
+@pytest.mark.parametrize("present", list(itertools.product((False, True), repeat=3)),
+                         ids=lambda p: "".join("lgh"[k] if on else "-" for k, on in enumerate(p)))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_event_log_writer_matches_json_dumps(log_dir, present, data):
+    # `present` says which of loss, generation and hop each record holds.
+    def field(values, optional=False):
+        if not data.draw(st.booleans()):
+            return data.draw(values)
+        odd = _ODD_VALUES.filter(lambda v: v is not None) if optional else _ODD_VALUES
+        return data.draw(values | odd)  # None in an optional field means "absent"
+
+    records = [
+        RoundRecord(t=field(_INTS), query_id=field(_IDS), chosen=field(_IDS),
+                    success=data.draw(st.booleans() | st.integers() | st.just(np.bool_(True))),
+                    propensity=field(_FLOATS), eta=field(_FLOATS),
+                    loss=field(_FLOATS, True) if present[0] else None,
+                    generation=field(_INTS, True) if present[1] else None,
+                    hop=field(_INTS, True) if present[2] else None)
+        for _ in range(data.draw(st.integers(1, 3)))]
+    path = log_dir / "events.jsonl"
+    path.unlink(missing_ok=True)
+    try:
+        expected = "".join(map(_reference_event_line, records))
+    except (TypeError, ValueError) as e:
+        with pytest.raises(type(e)):
+            write_event_log(records, str(path))
+        assert not path.exists()
+        return
+    write_event_log(records, str(path))
+    assert path.read_bytes() == expected.encode("utf-8")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
 import sys
@@ -160,17 +159,6 @@ _EVENT_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(row, sort_keys=T
 _encode_str = json.encoder.encode_basestring_ascii  # the encoder's own string escaping
 
 
-def _line_template(generation: bool, hop: bool, loss: bool) -> str:
-    """The %-template of one line with these optional keys, keys in sorted order."""
-    optional = [k for k, present in zip(("generation", "hop", "loss"), (generation, hop, loss))
-                if present]
-    keys = ["chosen", "eta", *optional, "propensity", "query_id", "success", "t"]
-    return "{" + ", ".join(f'"{k}": %s' for k in keys) + "}\n"
-
-
-_LINE_TEMPLATES = {key: _line_template(*key) for key in itertools.product((False, True), repeat=3)}
-
-
 # `json.dumps(v)`'s text for one field's value: the field's usual exact type is
 # formatted here as the encoder formats it, any other value (a NaN or infinite
 # float, a numpy scalar, ...) by `_EVENT_ENCODER` itself, which may reject it.
@@ -187,23 +175,19 @@ def _json_str(v) -> str:
 
 
 def write_event_log(records: list[RoundRecord], path: str) -> None:
-    """One JSON object per line, keys sorted, `loss`, `generation` and `hop` left out
+    """One JSON object per line, keys sorted, `generation`, `hop` and `loss` left out
     when `None`: each line is `json.dumps(row, sort_keys=True)`'s bytes, formatted
-    from a template for its key set."""
+    as one string with no dict or tuple per record."""
     lines = []
     for r in records:
         generation, hop, loss = r.generation, r.hop, r.loss
-        optional = []
-        if generation is not None:
-            optional.append(_json_int(generation))
-        if hop is not None:
-            optional.append(_json_int(hop))
-        if loss is not None:
-            optional.append(_json_float(loss))
-        template = _LINE_TEMPLATES[generation is not None, hop is not None, loss is not None]
-        lines.append(template % (_json_str(r.chosen), _json_float(r.eta), *optional,
-                                 _json_float(r.propensity), _json_str(r.query_id),
-                                 "true" if r.success else "false", _json_int(r.t)))
+        optional = ((f', "generation": {_json_int(generation)}' if generation is not None else "")
+                    + (f', "hop": {_json_int(hop)}' if hop is not None else "")
+                    + (f', "loss": {_json_float(loss)}' if loss is not None else ""))
+        lines.append(f'{{"chosen": {_json_str(r.chosen)}, "eta": {_json_float(r.eta)}{optional}, '
+                     f'"propensity": {_json_float(r.propensity)}, '
+                     f'"query_id": {_json_str(r.query_id)}, '
+                     f'"success": {"true" if r.success else "false"}, "t": {_json_int(r.t)}}}\n')
     try:
         with open(path, "w", encoding="utf-8") as f:
             f.write("".join(lines))

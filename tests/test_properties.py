@@ -422,7 +422,7 @@ def test_ingest_embedding_dump_fuzz_accepts_or_raises_orag_error(valid_dump, dat
 
 
 def _reference_event_line(r: RoundRecord) -> str:
-    """The line the writer built from a dict before it formatted lines itself."""
+    """`json.dumps` of the record's dict, which the writer must match byte for byte."""
     row = {"t": r.t, "query_id": r.query_id, "chosen": r.chosen, "success": bool(r.success),
            "propensity": r.propensity, "eta": r.eta}
     for key in ("loss", "generation", "hop"):

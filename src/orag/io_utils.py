@@ -54,8 +54,15 @@ class RunConfig:
         field. Frozen, so no field changes after its check."""
         for name, check in _CONFIG_CHECKS.items():
             object.__setattr__(self, name, check(getattr(self, name)))
-        try:  # T, I, d, K, repeat_passes, c and shift_round
-            check_shift_round(self.episode(), self.shift_round)
+        try:  # c, T, I, d, K, repeat_passes, the variants' rules, then shift_round's range
+            episode = self.episode()
+            if self.variant is Variant.DYNAMIC and self.I < 2:
+                raise InvalidConfig(f"dynamic variant withholds half the items: "
+                                    f"I must be >= 2, got {self.I}")
+            if self.variant is Variant.MULTIHOP and self.shift_round is not None:
+                raise InvalidConfig("shift_round: a multihop round's hops bring their own "
+                                    "targets, so there is nothing to shift")
+            check_shift_round(episode, self.shift_round)
         except (InvalidConfig, ValueError) as e:
             raise ValidationError(str(e)) from None
         for name, low, high in _RANGES:
@@ -79,7 +86,6 @@ class RunConfig:
             I=self.I,
             d=self.d,
             K=self.K,
-            variant=self.variant,
             update_mode=self.update_mode,
             schedule=LearningRateSchedule(self.schedule, self.c),
             projection=self.projection,

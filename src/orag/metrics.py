@@ -14,6 +14,7 @@ from .errors import (
     InvalidProbability,
     MissingGroundTruth,
     NoRelevantItems,
+    NonFiniteInput,
     UnknownId,
     WindowTooLarge,
 )
@@ -29,18 +30,6 @@ def cross_entropy_loss(p: ProbabilityVector, i_star: ItemId) -> float:
     if not 0 <= prob <= 1:  # negative, above 1, infinite or NaN: only a hand-built vector
         raise InvalidProbability(f"p[{i_star!r}] is {prob}, not a probability")
     return math.inf if prob == 0 else -math.log(prob)
-
-
-def softmax_columns(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax with max subtraction down each column of an (I, T) logit block, so each
-    reduction and broadcast runs over I contiguous T-long rows, not T rows of I.
-
-    The result goes to `out` when given (it may be `logits` itself), else to a
-    new array; `logits` is changed only through `out`."""
-    z = np.subtract(logits, np.maximum.reduce(logits, axis=0), out=out)
-    np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=0)
-    return z
 
 
 def _labels(items: Sequence[ItemId], catalog: Catalog) -> np.ndarray:
@@ -74,13 +63,13 @@ def _exp_in_place(x: np.ndarray, flat: np.ndarray,
     return x_true, np.add.reduce(x, axis=0, out=sums)
 
 
-def total_loss(
+def _column_terms(
     theta: np.ndarray, queries: np.ndarray, labels: np.ndarray, out: np.ndarray | None = None,
     *, shifted: bool = False, sums: np.ndarray | None = None,
-) -> float:
-    """Summed cross-entropy of `labels` under the column softmax of the item-major
-    (I, T) scores z = `theta @ queries.T`, as sum_t log s_t - sum_t (z[y_t, t] - c_t)
-    with s_t = sum_i exp(z[i, t] - c_t): finite even where a probability underflows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(z[y_t, t] - c_t, s) per column t of the item-major (I, T) scores z = `theta @
+    queries.T`, s_t = sum_i exp(z[i, t] - c_t): event t's cross-entropy is their
+    difference, log s_t - (z[y_t, t] - c_t), finite even where its p underflows.
 
     An (I, T) `out` is left holding exp(z - c), not probabilities, and a (T,) `sums`
     the column sums s. c is each column's exact max. With `shifted`, the caller has
@@ -101,7 +90,18 @@ def total_loss(
         _shift_to_column_max(theta, queries.T, out)
         np.matmul(theta, queries.T, out=out)
         z_true, s = _exp_in_place(out, flat, sums)
-    return float(np.sum(np.log(s)) - np.sum(z_true))
+    return z_true, s
+
+
+def total_loss(
+    theta: np.ndarray, queries: np.ndarray, labels: np.ndarray, out: np.ndarray | None = None,
+    *, shifted: bool = False, sums: np.ndarray | None = None,
+) -> float:
+    """sum_t log s_t - sum_t (z[y_t, t] - c_t) of `_column_terms`: the summed cross-entropy,
+    floored at 0.0 (a one-item shifted block's z - c can miss 0 by ulps); NaN stays NaN."""
+    z_true, s = _column_terms(theta, queries, labels, out, shifted=shifted, sums=sums)
+    loss = float(np.sum(np.log(s)) - np.sum(z_true))
+    return 0.0 if loss < 0 else loss
 
 
 @dataclass
@@ -142,6 +142,9 @@ def train_oracle(
     s, cand_s = np.empty((2, T))  # their column sums
     start = init.matrix().astype(np.float64, copy=False)
     queries = np.array([_as_query(q) for q in queries])
+    finite = np.isfinite(queries).all(axis=1)
+    if not finite.all():
+        raise NonFiniteInput(f"event {int(np.argmin(finite))}: query contains non-finite entries")
     loss = total_loss(start, queries, labels, out=e, sums=s)
     # [theta | 1] and [Q^T; -c], c the start's exact column max: each candidate's
     # matmul arrives shifted.
@@ -217,9 +220,8 @@ def regret_curve(episode_log, oracle: Catalog) -> RegretLedger:
         raise MissingGroundTruth("episode log has no online losses")
     queries = np.asarray(episode_log.queries, dtype=np.float64)
     labels = _labels(episode_log.true_items, oracle)
-    p = oracle.matrix().astype(np.float64, copy=False) @ queries.T
-    softmax_columns(p, out=p)
-    oracle_losses = -np.log(p[labels, np.arange(len(labels))])
+    z_true, s = _column_terms(oracle.matrix().astype(np.float64, copy=False), queries, labels)
+    oracle_losses = np.log(s) - z_true  # >= 0: unshifted, z - c <= 0 and s >= 1 exactly
     gap = online - oracle_losses
     gap[missing] = 0.0
     return RegretLedger(

@@ -31,7 +31,7 @@ from .metrics import cross_entropy_loss
 from .policy import QueryEmbedding, RandomSource, score
 
 
-class Variant(enum.Enum):
+class Variant(enum.Enum):  # a `RunConfig` field; `cli.run_from_config` builds the episode
     PLAIN = "plain"
     RERANK = "rerank"
     DYNAMIC = "dynamic"
@@ -44,7 +44,6 @@ class EpisodeConfig:
     I: int
     d: int
     K: int = 1
-    variant: Variant = Variant.PLAIN
     update_mode: UpdateMode = UpdateMode.FULL
     schedule: LearningRateSchedule = field(
         default_factory=lambda: LearningRateSchedule(ScheduleKind.INVERSE_SQRT, 1e-5)
@@ -60,9 +59,6 @@ class EpisodeConfig:
             raise InvalidConfig(f"K must lie in [1, I]; got K={self.K}, I={self.I}")
         if self.repeat_passes < 1:
             raise InvalidConfig("repeat_passes must be >= 1")
-        if self.variant is Variant.DYNAMIC and self.I < 2:
-            raise InvalidConfig(
-                f"dynamic variant withholds half the items: I must be >= 2, got {self.I}")
 
 
 def _unit(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -120,11 +116,7 @@ class Environment:
 
 
 def check_shift_round(config: EpisodeConfig, shift_round: int | None) -> None:
-    """The one shift rule: a shift falls within the stream, 1 <= shift_round <= T * passes,
-    and a multihop episode, whose hops bring their own targets, takes none."""
-    if shift_round is not None and config.variant is Variant.MULTIHOP:
-        raise InvalidConfig("shift_round: a multihop round's hops bring their own targets, "
-                            "so there is nothing to shift")
+    """The one shift rule: a shift falls within the stream, 1 <= shift_round <= T * passes."""
     if shift_round is not None and not 1 <= shift_round <= config.T * config.repeat_passes:
         raise InvalidConfig(f"shift_round: must lie in [1, {config.T * config.repeat_passes}]")
 
@@ -295,14 +287,15 @@ def run_episode(
     deltas=None,
     multihop_rounds=None,
 ) -> EpisodeLog:
-    """Run the configured variant for `env.total_rounds` rounds, one loop for all.
+    """Run `env.total_rounds` rounds of the episode its arguments make, one loop for all.
 
     `env` is the one stream type, `Environment`: a synthetic stream or an
     ingested dump. `catalog` defaults to `initial_catalog(env, init_noise)`;
     either way it must have the episode's projection. `rng` defaults to one drawn
     from a synthetic stream's seed; a dump has no seed, so a dump run needs one.
-    The rerank variant needs `reranker`; dynamic takes `deltas` (round ->
-    CatalogDelta); multihop takes `multihop_rounds` (round -> MultiHopRound).
+    The parts compose: `deltas[t]` (a CatalogDelta) applies at the start of round t,
+    `multihop_rounds[t]` (a MultiHopRound) gives round t's hops, and a `reranker`
+    makes every hop `variants.step_with_rerank` over `episode.K` candidates.
 
     A round is a list of hops: `(env.query_at(t), env.optimal_item(t))`, won
     when the chosen item is that target, or a multihop round's sub-queries and
@@ -310,16 +303,13 @@ def run_episode(
     scores against (the previous hop's update included), steps at the round's t,
     and logs its record (`hop` set in a multihop round), its query and its target.
     """
-    variant = episode.variant
     if catalog is None:
         catalog = initial_catalog(env, init_noise, projection=episode.projection)
     if catalog.projection is not episode.projection:
         raise InvalidConfig(f"catalog projection {catalog.projection} is not {episode.projection}")
-    if variant is Variant.RERANK and reranker is None:
-        raise InvalidConfig("rerank variant needs a reranker")
-    if variant is Variant.MULTIHOP and not (
-            set(range(1, env.total_rounds + 1)) <= (multihop_rounds or {}).keys()):
-        raise InvalidConfig("multihop variant needs per-round sub-queries")
+    if multihop_rounds is not None and not (
+            set(range(1, env.total_rounds + 1)) <= multihop_rounds.keys()):
+        raise InvalidConfig("multihop_rounds: every round needs its sub-queries")
     if rng is None:
         if env.catalog is not None:
             raise InvalidConfig("rng: a dump run has no seed to derive one from; pass one")
@@ -327,23 +317,23 @@ def run_episode(
 
     rounds, queries, targets, losses = [], [], [], []
     for t in range(1, env.total_rounds + 1):
-        if variant is Variant.MULTIHOP:
+        if multihop_rounds is not None:
             mh = multihop_rounds[t]
             hops = [(q, target, lambda _t, chosen, q=q: int(mh.judge(q, chosen)),
                      q.query_id or f"t{t}h{h}", h)
                     for h, (q, target) in enumerate(zip(mh.subqueries, mh.targets), start=1)]
         else:
             q = env.query_at(t)
-            if variant is Variant.DYNAMIC and deltas and t in deltas:
-                variants.apply_delta(catalog, deltas[t], t)
             target = env.optimal_item(t)
             hops = [(q, target, lambda _t, chosen, target=target: chosen == target,
                      q.query_id, None)]
+        if deltas and t in deltas:  # after `query_at`, which starts a traced round
+            variants.apply_delta(catalog, deltas[t], t)
         for q, target, judge, query_id, hop in hops:
             loss = None
             if record_losses and target in catalog:
                 loss = cross_entropy_loss(score(q, catalog), target)
-            if variant is Variant.RERANK:
+            if reranker is not None:
                 rec = variants.step_with_rerank(
                     q, catalog, episode.K, reranker, rng, episode.schedule, t, judge,
                     update_mode=episode.update_mode,
@@ -351,8 +341,8 @@ def run_episode(
                 )
             else:
                 rec = step(q, catalog, rng, episode.schedule, episode.update_mode, t, judge,
-                           query_id, episode.clip_propensity)
-            rec.loss, rec.hop = loss, hop
+                           clip_propensity=episode.clip_propensity)
+            rec.query_id, rec.loss, rec.hop = query_id, loss, hop
             rounds.append(rec)
             queries.append(q.q)  # float64, as `score` reads it
             targets.append(target)

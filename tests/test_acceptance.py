@@ -33,7 +33,6 @@ from orag.io_utils import read_event_log, write_event_log
 from orag.policy import RandomSource, score
 from orag.simulator import (
     EpisodeConfig,
-    Variant,
     half_withheld_scenario,
     initial_catalog,
     make_environment,
@@ -209,7 +208,7 @@ def test_criterion_06_reranker_acceleration():
     for seed in SEEDS:
         _, plain_succ, _ = _recovery_run(seed, 1.0)
         ep = EpisodeConfig(
-            T=cfg["T"], I=cfg["I"], d=cfg["d"], K=10, variant=Variant.RERANK,
+            T=cfg["T"], I=cfg["I"], d=cfg["d"], K=10,
             schedule=sched, update_mode=UpdateMode.CHOSEN_ONLY,
             clip_propensity=cfg["clip"],
         )
@@ -233,7 +232,7 @@ def test_criterion_07_dynamic_catalog_adaptation():
     gaps, cur_probs, cf_probs = [], [], []
     for seed in SEEDS:
         ep = EpisodeConfig(
-            T=T, I=50, d=16, variant=Variant.DYNAMIC, schedule=sched,
+            T=T, I=50, d=16, schedule=sched,
             update_mode=UpdateMode.CHOSEN_ONLY,
             projection=ProjectionMode.UNIT_BALL, clip_propensity=0.01,
         )
@@ -287,7 +286,7 @@ def test_criterion_08_multihop_improvement():
     gains = []
     for seed in SEEDS:
         ep = EpisodeConfig(
-            T=2000, I=20, d=8, variant=Variant.MULTIHOP, schedule=sched,
+            T=2000, I=20, d=8, schedule=sched,
             update_mode=UpdateMode.CHOSEN_ONLY, clip_propensity=0.01,
         )
         env = make_environment(ep, seed, noise_scale=0.3)

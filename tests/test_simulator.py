@@ -8,10 +8,16 @@ from orag.catalog import Catalog, ProjectionMode
 from orag.errors import InvalidConfig, UndefinedRound
 from orag.learner import LearningRateSchedule, ScheduleKind, UpdateMode
 from orag.metrics import rolling_accuracy
-from orag.variants import MultiHopRound
+from orag.policy import QueryEmbedding, RandomSource
+from orag.variants import (
+    CatalogDelta,
+    MultiHopRound,
+    apply_delta,
+    make_stub_reranker,
+    step_with_rerank,
+)
 from orag.simulator import (
     EpisodeConfig,
-    Variant,
     half_withheld_scenario,
     init_embedder,
     initial_catalog,
@@ -204,7 +210,7 @@ def test_dynamic_episode_dips_then_recovers():
     for seed in range(3):
         T, w = 10_000, 500
         ep = EpisodeConfig(
-            T=T, I=50, d=16, variant=Variant.DYNAMIC,
+            T=T, I=50, d=16,
             schedule=LearningRateSchedule(ScheduleKind.CONSTANT, 0.05),
             update_mode=UpdateMode.CHOSEN_ONLY, clip_propensity=0.01,
         )
@@ -250,7 +256,7 @@ def test_make_multihop_rounds_structure():
 
 
 def test_multihop_episode_logs_one_record_per_hop():
-    ep = EpisodeConfig(T=15, I=6, d=4, variant=Variant.MULTIHOP)
+    ep = EpisodeConfig(T=15, I=6, d=4)
     env = make_environment(ep, 4)
     log = run_episode(
         env, ep, init_noise=0.5, multihop_rounds=make_multihop_rounds(env, hops=2)
@@ -269,14 +275,78 @@ def test_one_hop_multihop_episode_is_the_plain_episode():
     rounds = {t: MultiHopRound([env.query_at(t)], [env.optimal_item(t)],
                                lambda q, chosen, t=t: int(chosen == env.optimal_item(t)))
               for t in range(1, 31)}
-    multi = run_episode(env, dataclasses.replace(ep, variant=Variant.MULTIHOP),
-                        init_noise=0.5, multihop_rounds=rounds)
+    multi = run_episode(env, ep, init_noise=0.5, multihop_rounds=rounds)
     assert [r.hop for r in multi.rounds] == [1] * 30
     assert [dataclasses.replace(r, hop=None) for r in multi.rounds] == plain.rounds
     assert multi.online_losses == plain.online_losses
     assert multi.true_items == plain.true_items
     assert np.array_equal(multi.queries, plain.queries)
     assert multi.final_catalog.matrix().tobytes() == plain.final_catalog.matrix().tobytes()
+
+
+def _churn_deltas(env, seed):
+    """One delta a round that retires a live item other than the round's target and
+    inserts a fresh one, as the churn benchmark does; also returns the live ids."""
+    rng = np.random.default_rng(seed)
+    live, deltas = list(env.ids), {}
+    for t in range(1, env.total_rounds + 1):
+        old = str(rng.choice([i for i in live if i != env.optimal_item(t)]))
+        live[live.index(old)] = f"new{t}"
+        deltas[t] = CatalogDelta(added=[(f"new{t}", rng.normal(size=env.dim))], removed=[old],
+                                 effective_at=t)
+    return deltas, live
+
+
+def test_rerank_with_per_round_deltas_is_the_hand_driven_loop():
+    # The churn benchmark's loop, a delta then a reranked step each round, as one episode.
+    ep = EpisodeConfig(T=40, I=12, d=5, K=3, update_mode=UpdateMode.CHOSEN_ONLY)
+    env = make_environment(ep, 6)
+    deltas, live = _churn_deltas(env, 7)
+    truth = dict(zip(env.query_ids, env.targets))
+    log = run_episode(env, ep, init_noise=0.5, rng=RandomSource(9), deltas=deltas,
+                      reranker=make_stub_reranker(0.8, truth.__getitem__, RandomSource(5)))
+    cat, rng = initial_catalog(env, 0.5), RandomSource(9)
+    reranker = make_stub_reranker(0.8, truth.__getitem__, RandomSource(5))
+    by_hand = []
+    for t in range(1, ep.T + 1):
+        apply_delta(cat, deltas[t], t)
+        by_hand.append(step_with_rerank(
+            env.query_at(t), cat, ep.K, reranker, rng, ep.schedule, t,
+            lambda tt, chosen: chosen == env.optimal_item(tt), update_mode=ep.update_mode))
+    assert [dataclasses.replace(r, loss=None) for r in log.rounds] == by_hand
+    assert list(log.final_catalog.ids) == list(cat.ids) == sorted(live)
+    assert log.final_catalog.matrix().tobytes() == cat.matrix().tobytes()
+    assert 0 < sum(log.successes) < ep.T
+
+
+def test_deltas_without_a_reranker_are_applied():
+    ep = EpisodeConfig(T=6, I=5, d=3)
+    env = make_environment(ep, 2)
+    delta = CatalogDelta(added=[("new", np.ones(3))], removed=["item0000"], effective_at=3)
+    log = run_episode(env, ep, deltas={3: delta})
+    assert list(log.final_catalog.ids) == ["item0001", "item0002", "item0003", "item0004", "new"]
+    assert log.rounds[2].generation > log.rounds[1].generation + 1  # two bumps before round 3
+
+
+def test_reranked_multihop_hops_are_logged_as_unreranked_ones_are():
+    ep = EpisodeConfig(T=3, I=5, d=3, K=2)
+    env = make_environment(ep, 1)
+    rounds = {t: MultiHopRound([QueryEmbedding(env.queries[t - 1])], [env.targets[t - 1]],
+                               lambda q, chosen: 1) for t in (1, 2, 3)}
+    plain = run_episode(env, ep, multihop_rounds=rounds)
+    reranked = run_episode(env, ep, multihop_rounds=rounds, reranker=lambda q, c: c[0])
+    ids = [(r.t, r.hop, r.query_id) for r in plain.rounds]
+    assert ids == [(r.t, r.hop, r.query_id) for r in reranked.rounds]
+    assert ids == [(1, 1, "t1h1"), (2, 1, "t2h1"), (3, 1, "t3h1")]
+
+
+def test_multihop_rounds_must_cover_every_round():
+    ep = EpisodeConfig(T=8, I=5, d=3)
+    env = make_environment(ep, 2)
+    rounds = make_multihop_rounds(env)
+    del rounds[5]
+    with pytest.raises(InvalidConfig, match="multihop_rounds"):
+        run_episode(env, ep, multihop_rounds=rounds)
 
 
 @pytest.mark.parametrize("n_items", [37, 50, 1000, 10_050])

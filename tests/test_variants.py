@@ -20,7 +20,7 @@ from orag.learner import (
 )
 from orag.metrics import cross_entropy_loss
 from orag.policy import QueryEmbedding, RandomSource, score
-from orag.simulator import EpisodeConfig, Variant, make_environment, run_episode
+from orag.simulator import EpisodeConfig, make_environment, run_episode
 from orag.variants import (
     CatalogDelta,
     MultiHopRound,
@@ -244,8 +244,7 @@ def test_late_insertion_benefits_from_competitor_pushback():
 
 def _multihop_episode(cat, rounds, schedule=CONST(0.1), seed=13):
     """Run `rounds` (round -> MultiHopRound) as a multihop episode from `cat`."""
-    ep = EpisodeConfig(T=len(rounds), I=len(cat), d=cat.dim, variant=Variant.MULTIHOP,
-                       schedule=schedule)
+    ep = EpisodeConfig(T=len(rounds), I=len(cat), d=cat.dim, schedule=schedule)
     return run_episode(make_environment(ep, 0), ep, catalog=cat, rng=RandomSource(seed),
                        multihop_rounds=rounds)
 

@@ -55,7 +55,14 @@ def _project_rows(block: np.ndarray, mode: ProjectionMode,
         if not np.logical_and.reduce(np.isfinite(chunk), axis=None):
             raise NonFiniteInput(error)
         if mode is ProjectionMode.UNIT_BALL:
-            chunk /= np.maximum(row_norms(chunk.astype(np.float64, copy=False)), 1.0)
+            wide = chunk.astype(np.float64, copy=False)
+            with np.errstate(over="ignore"):  # a finite row's squared norm can overflow
+                norms = row_norms(wide)
+            big = norms[:, 0] == np.inf
+            if big.any():  # those rows: the norm of row / max|row|, scaled back
+                top = np.maximum.reduce(np.abs(wide[big]), axis=1, keepdims=True)
+                norms[big] = row_norms(wide[big] / top) * top
+            chunk /= np.maximum(norms, 1.0)
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
@@ -137,6 +144,10 @@ class Catalog:
         self.projection = projection
         self.dtype = dtype
         self.generation = 0
+        # (generation, float64 query bytes, weak reference to the read-only
+        # probabilities) of the last `policy.score`, which alone reads and writes
+        # it; empty until then.
+        self._scored: tuple = ()
         self._retired: set[ItemId] = set()
         pairs = list(items)
         self._load([str(i) for i, _ in pairs], [v for _, v in pairs])

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .catalog import Catalog, ItemId, SortedIds
-from .errors import PropensityMismatch, ZeroPropensity
+from .errors import PropensityMismatch, UnknownId, ZeroPropensity
 from .policy import ProbabilityVector, RandomSource, _as_query, sample_one, score
 
 _PROPENSITY_TOL = 1e-12
@@ -163,12 +163,17 @@ def step(
     choose: Callable[[ProbabilityVector, RandomSource], ItemId] | None = None,
 ) -> RoundRecord:
     """One online round: score, pick with `choose(p, rng)` (one `sample_one` draw if None),
-    get feedback, estimate with the single-draw propensity p[chosen], update, record."""
+    get feedback, estimate with the single-draw propensity p[chosen], update, record.
+    A chosen id that p does not hold is `UnknownId`, before the feedback or any write."""
     if t < 1:
         raise ValueError("round index t starts at 1")
     p = score(q, catalog)
     chosen = sample_one(p, rng) if choose is None else choose(p, rng)
-    fb = Feedback(chosen=chosen, success=bool(feedback_oracle(t, chosen)), propensity=p[chosen])
+    try:
+        propensity = p[chosen]
+    except KeyError:
+        raise UnknownId(f"choose returned {chosen!r}, which is not a scored item") from None
+    fb = Feedback(chosen=chosen, success=bool(feedback_oracle(t, chosen)), propensity=propensity)
     estimate = (estimate_gradient_full if update_mode is UpdateMode.FULL
                 else estimate_gradient_chosen_only)
     eta = schedule.eta(t)

@@ -41,6 +41,14 @@ def _labels(items: Sequence[ItemId], catalog: Catalog) -> np.ndarray:
         raise UnknownId(str(e)) from None
 
 
+def _finite_queries(queries: np.ndarray) -> np.ndarray:
+    """The (T, d) `queries`, or `NonFiniteInput` naming the first event with a non-finite one."""
+    finite = np.isfinite(queries).all(axis=1)
+    if not finite.all():
+        raise NonFiniteInput(f"event {int(np.argmin(finite))}: query contains non-finite entries")
+    return queries
+
+
 # While every column sum s_t of exp(z - c) lies here, the largest term of each
 # column is a normal float and no term overflowed, so the shift c is kept.
 _SUM_RANGE = (1e-300, 1e300)
@@ -141,10 +149,7 @@ def train_oracle(
     e, cand_e = np.empty((2, n, T))  # exp(z - c) of the current and the candidate rows
     s, cand_s = np.empty((2, T))  # their column sums
     start = init.matrix().astype(np.float64, copy=False)
-    queries = np.array([_as_query(q) for q in queries])
-    finite = np.isfinite(queries).all(axis=1)
-    if not finite.all():
-        raise NonFiniteInput(f"event {int(np.argmin(finite))}: query contains non-finite entries")
+    queries = _finite_queries(np.array([_as_query(q) for q in queries]))
     loss = total_loss(start, queries, labels, out=e, sums=s)
     # [theta | 1] and [Q^T; -c], c the start's exact column max: each candidate's
     # matmul arrives shifted.
@@ -212,13 +217,13 @@ def regret_curve(episode_log, oracle: Catalog) -> RegretLedger:
     online loss recorded during the run (a multi-hop round logs one record per
     hop). The sum runs over the records that have an online loss: one whose
     target was not in the catalog (an item the dynamic variant still
-    withholds) records NaN and adds nothing.
+    withholds) records NaN and adds nothing. A non-finite query is `NonFiniteInput`.
     """
     online = np.asarray(episode_log.online_losses, dtype=np.float64)
     missing = np.isnan(online)
     if missing.all():  # run with record_losses=False: no regret to sum
         raise MissingGroundTruth("episode log has no online losses")
-    queries = np.asarray(episode_log.queries, dtype=np.float64)
+    queries = _finite_queries(np.asarray(episode_log.queries, dtype=np.float64))
     labels = _labels(episode_log.true_items, oracle)
     z_true, s = _column_terms(oracle.matrix().astype(np.float64, copy=False), queries, labels)
     oracle_losses = np.log(s) - z_true  # >= 0: unshifted, z - c <= 0 and s >= 1 exactly

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import weakref
 from dataclasses import dataclass
-from operator import neg
 
 import numpy as np
 
@@ -69,12 +69,21 @@ class ProbabilityVector:
 
 
 def score(q, catalog: Catalog) -> ProbabilityVector:
-    """Softmax of inner products between the query and every catalog row."""
+    """Softmax of inner products between the query and every catalog row, read-only.
+
+    The catalog keeps a weak reference to its last result: while a caller still holds
+    that array, a repeat call at the same `generation` with a byte-equal float64 query
+    returns it and reads no rows. Every successful mutation bumps `generation`, so a
+    kept result is never stale, and the catalog keeps no array alive.
+    """
     if len(catalog) == 0:
         raise EmptyCatalog("cannot score an empty catalog")
     qv = _as_query(q)
     if qv.shape != (catalog.dim,):
         raise DimensionMismatch(f"query length {qv.shape[0]} != catalog dim {catalog.dim}")
+    key = (catalog.generation, qv.tobytes())
+    if catalog._scored[:2] == key and (kept := catalog._scored[2]()) is not None:
+        return ProbabilityVector(catalog.ids, kept)
     logits = catalog.logits(qv)
     # The ufuncs' own reduce: `.all()`/`.max()`/`.sum()`'s bits without their wrappers.
     top = np.maximum.reduce(logits)
@@ -88,6 +97,8 @@ def score(q, catalog: Catalog) -> ProbabilityVector:
     np.maximum(logits, -700.0, out=logits)
     np.exp(logits, out=logits)
     logits /= np.add.reduce(logits)
+    logits.flags.writeable = False  # shared with every later hit
+    catalog._scored = (*key, weakref.ref(logits))
     return ProbabilityVector(catalog.ids, logits)
 
 
@@ -130,22 +141,23 @@ def sample_k_without_replacement(
     # u·total's dtype. The bound needs a monotone CDF: no negative weight.
     tol = 4 * (n + k + 2) * np.finfo((1.0 * cdf[-1]).dtype).eps * cdf[-1]
     certify = tol < np.inf and np.minimum.reduce(w) >= 0
-    # Over the sorted drawn positions, row c holds below[c], the weight of the c lowest, and
-    # -cut[c], minus the undrawn weight before the (c+1)-th lowest; one assignment shifts both.
-    drawn, bc = [], np.zeros((k, 2), cdf.dtype)
-    below, ncut = bc[:, 0], bc[:, 1]
+    # Over the sorted drawn positions, below[c] is the weight of the c lowest and cut[c] the
+    # undrawn weight before the (c+1)-th lowest, kept as scalars of the CDF's own type.
+    num = float if cdf.dtype == np.float64 else cdf.dtype.type
+    drawn, below, cut, total = [], [num(0)], [], num(cdf[-1])
     last, picks = n - 1, [j]  # last live item: the pick when u * total rounds to total
     while len(picks) < k:
-        r, i = len(drawn), bisect.bisect_left(drawn, j)
+        i, wj = bisect.bisect_left(drawn, j), num(w[j])
         drawn.insert(i, j)
-        bc[i + 1 : r + 2] = bc[i : r + 1] + w[j]  # -cut[r + 1] is not read
-        ncut[i] = below[i + 1] - cdf[j]
+        below[i + 1:] = [b + wj for b in below[i:]]  # one longer: j's weight joins
+        cut[i:] = [c - wj for c in cut[i:]]
+        cut.insert(i, num(cdf[j]) - below[i + 1])
         while i >= 0 and drawn[i] == last:  # the drawn tail is contiguous; step below it
             i, last = i - 1, last - 1
         u, r = rng.uniform(), len(drawn)
-        t = u * (cdf[-1] - below[r])
+        t = u * (total - below[r])
         # The drawn positions whose cut is at most t lie before the pick: pass t plus their weight.
-        j = int(cdf.searchsorted(t + below[bisect.bisect_right(ncut, t, 0, r, key=neg)], "right"))
+        j = int(cdf.searchsorted(t + below[bisect.bisect_right(cut, t)], "right"))
         if not (certify and j < n and cdf[j] - below[bisect.bisect_right(drawn, j)] - t > tol
                 and (j == 0 or t - cdf[j - 1] + below[bisect.bisect_left(drawn, j)] > tol)):
             j = _exact_pick(w, drawn, u)

@@ -332,7 +332,8 @@ def run_episode(
         for q, target, judge, query_id, hop in hops:
             loss = None
             if record_losses and target in catalog:
-                loss = cross_entropy_loss(score(q, catalog), target)
+                p = score(q, catalog)  # held through the step, whose `score` then reuses it
+                loss = cross_entropy_loss(p, target)
             if reranker is not None:
                 rec = variants.step_with_rerank(
                     q, catalog, episode.K, reranker, rng, episode.schedule, t, judge,

@@ -95,6 +95,21 @@ def test_project_row_rejects_non_finite():
         _project(np.array([np.nan, 0.0]), ProjectionMode.UNIT_BALL)
 
 
+def test_a_row_whose_squared_norm_overflows_projects_onto_the_sphere(tmp_path):
+    # 3.4e154 squared overflows, and dividing by an infinite norm zeroed the row.
+    row = np.array([2.04, 3.4e154, 0.418])
+    out = _project(row, ProjectionMode.UNIT_BALL)
+    np.testing.assert_allclose(out, [2.04 / 3.4e154, 1.0, 0.418 / 3.4e154], rtol=1e-15)
+    block = np.array([[1e300, -1e300], [3.0, 4.0], [0.1, 0.2]])
+    _project_rows(block, ProjectionMode.UNIT_BALL)
+    np.testing.assert_allclose(block, [[2**-0.5, -(2**-0.5)], [0.6, 0.8], [0.1, 0.2]],
+                               rtol=1e-15)
+    cat = Catalog.from_rows(3, ["a", "b"], np.array([row, [0.1, 0.2, 0.3]]))
+    write_snapshot(cat, str(tmp_path / "big.orag"))
+    read = read_snapshot(str(tmp_path / "big.orag"), ProjectionMode.UNIT_BALL)
+    assert read.row("a").tobytes() == out.tobytes()
+
+
 def test_project_row_idempotent():
     rng = np.random.default_rng(0)
     for _ in range(50):

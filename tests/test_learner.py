@@ -172,6 +172,19 @@ def test_step_single_item_catalog_never_moves():
     np.testing.assert_array_equal(cat.row("only"), [0.3, 0.4])
 
 
+@pytest.mark.parametrize("mode", [UpdateMode.FULL, UpdateMode.CHOSEN_ONLY])
+def test_step_refuses_a_chosen_id_that_p_does_not_hold(mode):
+    cat = Catalog(2, [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+    before, generation = cat.matrix(), cat.generation
+    asked = []
+    sched = LearningRateSchedule(ScheduleKind.CONSTANT, 0.5)
+    with pytest.raises(UnknownId, match="'zz'"):
+        step(np.array([1.0, 0.5]), cat, RandomSource(0), sched, mode, 1,
+             lambda t, c: asked.append(c) or True, choose=lambda p, rng: "zz")
+    assert asked == []  # the feedback oracle never ran
+    assert cat.generation == generation and cat.matrix().tobytes() == before.tobytes()
+
+
 def test_step_deterministic_across_runs():
     def run():
         ep = EpisodeConfig(T=100, I=8, d=4)

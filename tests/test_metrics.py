@@ -159,6 +159,21 @@ def test_train_oracle_rejects_a_non_finite_query_before_its_first_pass(monkeypat
     assert len(calls) == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_regret_curve_rejects_a_non_finite_query(bad):
+    rng = np.random.default_rng(18)
+    oracle = Catalog(3, [(f"i{k}", rng.normal(size=3)) for k in range(4)])
+
+    class Log:
+        queries = list(rng.normal(size=(10, 3)))
+        true_items = [f"i{k}" for k in rng.integers(4, size=10)]
+        online_losses = [1.0] * 10
+
+    Log.queries[6][2] = bad
+    with pytest.raises(NonFiniteInput, match="event 6: query contains non-finite entries"):
+        regret_curve(Log, oracle)
+
+
 @pytest.mark.parametrize("d", [7, 9, 16])
 def test_a_one_item_oracle_has_loss_exactly_zero(d):
     # One item has probability 1 under any scores, so every loss is exactly 0.

@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -523,6 +524,115 @@ def test_scores_at_one_id_set_share_the_catalog_ids():
     cat.apply_changes([cat.ids[7]], [("fresh", rng.normal(size=8))])
     third = score(rng.normal(size=8), cat)
     assert third.ids is cat.ids and third.ids is not first.ids
+
+
+def _cold(q, cat):
+    """What a catalog that has never scored gives: the same rows built afresh."""
+    return score(q, Catalog.from_rows(cat.dim, cat.ids, cat.matrix())).probs
+
+
+def test_a_repeat_score_reuses_its_probabilities():
+    rng = np.random.default_rng(24)
+    cat = _churned(300, 8, np.float64)
+    q = rng.normal(size=8)
+    first = score(q, cat)
+    again = score(QueryEmbedding(q.copy()), cat)  # another object, the same bytes
+    assert again.probs is first.probs and again.ids is first.ids is cat.ids
+    assert first.probs.tobytes() == _cold(q, cat).tobytes()
+
+
+def test_the_catalog_keeps_no_scored_array_alive(monkeypatch):
+    rng = np.random.default_rng(27)
+    cat = _churned(300, 8, np.float64)
+    q = rng.normal(size=8)
+    p = score(q, cat)
+    held, kept = weakref.ref(p.probs), p.probs.tobytes()
+    del p
+    assert held() is None  # once no caller holds it, the array is freed
+    calls = []
+    logits = Catalog.logits
+    monkeypatch.setattr(Catalog, "logits", lambda c, v: calls.append(1) or logits(c, v))
+    assert score(q, cat).probs.tobytes() == kept and len(calls) == 1  # scored afresh
+
+
+def test_every_mutation_starts_a_fresh_score():
+    rng = np.random.default_rng(25)
+    cat = _churned(300, 8, np.float64)
+    q = rng.normal(size=8)
+    mutations = [
+        lambda: cat.update_rows(cat.ids, rng.normal(size=len(cat)), q, 0.1),  # every row
+        lambda: cat.update_rows((cat.ids[40],), [2.0], q, 0.1),  # one row
+        lambda: cat.apply_changes((), [("added", 5.0 * q)]),
+        lambda: cat.apply_changes([cat.ids[-1], "added"], ()),
+    ]
+    last = score(q, cat).probs
+    for mutate in mutations:
+        mutate()
+        p = score(q, cat)
+        assert p.probs is not last and len(p.probs) == len(cat)
+        assert p.probs.tobytes() == _cold(q, cat).tobytes()
+        last = p.probs
+
+
+def test_a_failed_update_keeps_the_rows_and_the_kept_score():
+    cat = _cat([("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [1.0, 1.0])])
+    q = np.array([1.0, 0.5])
+    p = score(q, cat)
+    kept, before, generation = cat._scored, cat.matrix(), cat.generation
+    with pytest.raises(NonFiniteInput, match="update makes a row non-finite"):
+        cat.update_rows(("b",), [np.inf], q, 1.0)
+    assert cat._scored is kept and cat.generation == generation
+    assert cat.matrix().tobytes() == before.tobytes()
+    assert score(q, cat).probs is p.probs
+
+
+def test_a_byte_different_query_is_scored_afresh():
+    cat = _cat([("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [-2.0, 0.5])])
+    q = np.array([0.0, 0.5])
+    first = score(q, cat).probs
+    for other in (np.array([-0.0, 0.5]), np.array([0.0, np.nextafter(0.5, 1.0)])):
+        p = score(other, cat).probs
+        assert p is not first and p.tobytes() == _cold(other, cat).tobytes()
+        assert score(q, cat).probs is not p  # and the first query misses in turn
+
+
+def test_a_copy_and_its_original_each_score_their_own_rows():
+    rng = np.random.default_rng(26)
+    cat = _churned(200, 6, np.float64)
+    q = rng.normal(size=6)
+    score(q, cat)
+    twin = cat.copy()
+    cat.update_rows((cat.ids[3],), [4.0], q, 0.5)
+    twin.apply_changes([twin.ids[3]], ())
+    assert cat.generation == twin.generation  # one bump each: the keys alone cannot tell
+    mine, theirs = score(q, cat).probs, score(q, twin).probs
+    assert mine.tobytes() == _cold(q, cat).tobytes()
+    assert theirs.tobytes() == _cold(q, twin).tobytes()
+    assert len(mine) == len(theirs) + 1
+
+
+def test_scored_probabilities_are_read_only():
+    cat = _cat([("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+    p = score(np.array([1.0, 0.5]), cat)
+    with pytest.raises(ValueError):
+        p.probs[0] = 0.5
+    with pytest.raises(ValueError):
+        p.probs *= 2.0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_the_checks_run_before_the_kept_score_is_read():
+    cat = _cat([("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+    q = np.array([1.0, 0.5])
+    score(q, cat)
+    with pytest.raises(DimensionMismatch):
+        score(np.array([1.0, 0.5, 0.0]), cat)
+    for _ in range(2):  # a non-finite query is never kept, so it raises every time
+        with pytest.raises(NonFiniteInput, match="query contains non-finite entries"):
+            score(np.array([np.nan, 0.5]), cat)
+    cat.apply_changes(["a", "b"], ())
+    with pytest.raises(EmptyCatalog):
+        score(q, cat)
 
 
 def test_a_p_scored_before_a_change_keeps_its_ids():

@@ -152,6 +152,17 @@ def test_run_episode_reproducible():
     assert all(np.linalg.norm(q) <= 1.0 + 1e-12 for q in a.queries)
 
 
+def test_a_round_with_its_loss_reads_the_rows_once(monkeypatch):
+    # The loss and the step score one query at one generation: the step's is a lookup.
+    calls = []
+    logits = Catalog.logits
+    monkeypatch.setattr(Catalog, "logits", lambda cat, q: calls.append(1) or logits(cat, q))
+    ep = EpisodeConfig(T=40, I=8, d=4)
+    log = run_episode(make_environment(ep, 13), ep, init_noise=0.8)
+    assert len(calls) == ep.T == len(log.rounds)
+    assert not any(math.isnan(x) for x in log.online_losses)
+
+
 def test_plain_episode_improves_rolling_accuracy():
     ep = EpisodeConfig(
         T=5000,

@@ -44,7 +44,7 @@ def _project_rows(block: np.ndarray, mode: ProjectionMode,
     """Check an (n, d) block finite (else `NonFiniteInput(error)`) and project its rows, in place.
 
     UNIT_BALL rescales a row onto the unit sphere only when its norm exceeds 1
-    (see `row_norms`); NONE leaves it. Works 64 KB at a time: a whole-block
+    (see `_finite_row_norms`); NONE leaves it. Works 64 KB at a time: a whole-block
     mask or float32 `astype` would be a quarter to twice the block's size.
     float32 rows are divided by float64 norms, so they get the float64 rule's
     bits rounded once.
@@ -55,19 +55,23 @@ def _project_rows(block: np.ndarray, mode: ProjectionMode,
         if not np.logical_and.reduce(np.isfinite(chunk), axis=None):
             raise NonFiniteInput(error)
         if mode is ProjectionMode.UNIT_BALL:
-            wide = chunk.astype(np.float64, copy=False)
-            with np.errstate(over="ignore"):  # a finite row's squared norm can overflow
-                norms = row_norms(wide)
-            big = norms[:, 0] == np.inf
-            if big.any():  # those rows: the norm of row / max|row|, scaled back
-                top = np.maximum.reduce(np.abs(wide[big]), axis=1, keepdims=True)
-                norms[big] = row_norms(wide[big] / top) * top
-            chunk /= np.maximum(norms, 1.0)
+            chunk /= np.maximum(_finite_row_norms(chunk.astype(np.float64, copy=False)), 1.0)
 
 
 def row_norms(v: np.ndarray) -> np.ndarray:
     """sqrt(v . v) per row, last axis kept; the bits of `np.linalg.norm` of each row alone."""
     return np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
+
+
+def _finite_row_norms(rows: np.ndarray) -> np.ndarray:
+    """`row_norms` of an (n, d) block, finite also for a finite row whose squared norm overflows."""
+    with np.errstate(over="ignore"):  # such a row's squared norm: redone below
+        norms = row_norms(rows)
+    big = norms[:, 0] == np.inf
+    if big.any():  # those rows: the norm of row / max|row|, scaled back
+        top = np.maximum.reduce(np.abs(rows[big]), axis=1, keepdims=True)
+        norms[big] = row_norms(rows[big] / top) * top
+    return norms
 
 
 def row_chunks(n: int, dim: int) -> list[slice]:
@@ -334,7 +338,7 @@ class Catalog:
         return out
 
     def max_row_norm(self) -> float:  # 64 KB of rows at a time; 0.0 when empty
-        return max((float(np.maximum.reduce(row_norms(self._rows[c]), axis=None))
+        return max((float(np.maximum.reduce(_finite_row_norms(self._rows[c]), axis=None))
                     for c in row_chunks(len(self), self.dim)), default=0.0)
 
 

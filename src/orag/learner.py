@@ -158,7 +158,6 @@ def step(
     update_mode: UpdateMode,
     t: int,
     feedback_oracle: FeedbackOracle,
-    query_id: str = "",
     clip_propensity: float | None = None,
     choose: Callable[[ProbabilityVector, RandomSource], ItemId] | None = None,
 ) -> RoundRecord:
@@ -180,7 +179,7 @@ def step(
     apply_update(catalog, estimate(p, q, fb, t=t, clip_propensity=clip_propensity), eta)
     return RoundRecord(
         t=t,
-        query_id=query_id or getattr(q, "query_id", ""),
+        query_id=getattr(q, "query_id", ""),
         chosen=chosen,
         success=fb.success,
         propensity=fb.propensity,

@@ -50,64 +50,54 @@ def _finite_queries(queries: np.ndarray) -> np.ndarray:
 
 
 # While every column sum s_t of exp(z - c) lies here, the largest term of each
-# column is a normal float and no term overflowed, so the shift c is kept.
+# column is a normal float and no term overflowed, so the block can be used as it is.
 _SUM_RANGE = (1e-300, 1e300)
-
-
-def _shift_to_column_max(theta: np.ndarray, qc: np.ndarray, out: np.ndarray) -> None:
-    """Set the last row of the (d+1, T) block `qc` to -c, c the exact column max of
-    `theta @ qc` with that row 0; `out` (I, T) is the scratch."""
-    qc[-1] = 0.0
-    np.matmul(theta, qc, out=out)
-    np.negative(np.maximum.reduce(out, axis=0), out=qc[-1])
 
 
 def _exp_in_place(x: np.ndarray, flat: np.ndarray,
                   sums: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """(x at `flat`, column sums of exp(x)) for an (I, T) block x, left holding exp(x)."""
     x_true = x.take(flat)
-    with np.errstate(over="ignore", under="ignore"):  # a stale shift: the sums show it
+    with np.errstate(over="ignore", under="ignore"):  # an unshifted block: the sums show it
         np.exp(x, out=x)
-    return x_true, np.add.reduce(x, axis=0, out=sums)
+        return x_true, np.add.reduce(x, axis=0, out=sums)
 
 
 def _column_terms(
     theta: np.ndarray, queries: np.ndarray, labels: np.ndarray, out: np.ndarray | None = None,
-    *, shifted: bool = False, sums: np.ndarray | None = None,
+    *, sums: np.ndarray | None = None, exact: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(z[y_t, t] - c_t, s) per column t of the item-major (I, T) scores z = `theta @
     queries.T`, s_t = sum_i exp(z[i, t] - c_t): event t's cross-entropy is their
     difference, log s_t - (z[y_t, t] - c_t), finite even where its p underflows.
 
     An (I, T) `out` is left holding exp(z - c), not probabilities, and a (T,) `sums`
-    the column sums s. c is each column's exact max. With `shifted`, the caller has
-    put a shift in the matmul: `theta` ends in a column of ones and `queries` in
-    the column -c. That c is kept unless a column sum leaves `_SUM_RANGE`; then it
-    is replaced, in place, by this `theta`'s exact column max, and the block redone.
+    the column sums s. c is each column's exact max. With `exact` False, c is 0,
+    which costs no max or subtract pass, unless a column sum leaves `_SUM_RANGE`:
+    then the block is redone with the exact max.
     """
     labels = np.asarray(labels)
     if out is None:
         out = np.empty((len(theta), len(labels)))
     flat = labels * out.shape[1] + np.arange(out.shape[1])  # (y_t, t) in the flat block
     np.matmul(theta, queries.T, out=out)
-    if not shifted:
-        out -= np.maximum.reduce(out, axis=0)
-    z_true, s = _exp_in_place(out, flat, sums)
-    lo, hi = _SUM_RANGE
-    if shifted and not (lo <= s.min(initial=hi) and s.max(initial=lo) <= hi):
-        _shift_to_column_max(theta, queries.T, out)
-        np.matmul(theta, queries.T, out=out)
+    if not exact:
         z_true, s = _exp_in_place(out, flat, sums)
-    return z_true, s
+        lo, hi = _SUM_RANGE
+        if lo <= s.min(initial=hi) and s.max(initial=lo) <= hi:
+            return z_true, s
+        np.matmul(theta, queries.T, out=out)
+    out -= np.maximum.reduce(out, axis=0)
+    return _exp_in_place(out, flat, sums)
 
 
 def total_loss(
     theta: np.ndarray, queries: np.ndarray, labels: np.ndarray, out: np.ndarray | None = None,
-    *, shifted: bool = False, sums: np.ndarray | None = None,
+    *, sums: np.ndarray | None = None,
 ) -> float:
     """sum_t log s_t - sum_t (z[y_t, t] - c_t) of `_column_terms`: the summed cross-entropy,
-    floored at 0.0 (a one-item shifted block's z - c can miss 0 by ulps); NaN stays NaN."""
-    z_true, s = _column_terms(theta, queries, labels, out, shifted=shifted, sums=sums)
+    floored at 0.0 (with c = 0, a one-item block's log s - z can miss 0 by ulps); NaN stays NaN."""
+    z_true, s = _column_terms(theta, queries, labels, out, sums=sums, exact=False)
     loss = float(np.sum(np.log(s)) - np.sum(z_true))
     return 0.0 if loss < 0 else loss
 
@@ -135,11 +125,11 @@ def train_oracle(
     pass would increase the loss, so the final loss never exceeds the initial
     one; stops once the pass-over-pass improvement drops below `tol` or no
     step descends (`converged`), or once the pass budget is exhausted. Each
-    candidate is scored once, item-major, as one (I, T) block exp(z - c) whose
-    shift c rides in the matmul (see `total_loss`); the accepted one's block E and
-    column sums s give the next pass's gradient E @ (Q / s) - S, with
-    S = sum_t e_{y_t} q_t^T taken once. A UNIT_BALL `init.projection` projects each
-    candidate before it is scored.
+    candidate is scored once, item-major, as one (I, T) block exp(z), redone as
+    exp(z - max z) only if a column sum leaves range (see `_column_terms`); the
+    accepted one's block E and column sums s give the next pass's gradient
+    E @ (Q / s) - S, with S = sum_t e_{y_t} q_t^T taken once. A UNIT_BALL
+    `init.projection` projects each candidate before it is scored.
     """
     if len(events) == 0:
         raise EmptyEvents("oracle needs at least one event")
@@ -148,34 +138,27 @@ def train_oracle(
     n, d, T = len(init), init.dim, len(labels)
     e, cand_e = np.empty((2, n, T))  # exp(z - c) of the current and the candidate rows
     s, cand_s = np.empty((2, T))  # their column sums
-    start = init.matrix().astype(np.float64, copy=False)
+    theta = init.matrix().astype(np.float64, copy=False)
     queries = _finite_queries(np.array([_as_query(q) for q in queries]))
-    loss = total_loss(start, queries, labels, out=e, sums=s)
-    # [theta | 1] and [Q^T; -c], c the start's exact column max: each candidate's
-    # matmul arrives shifted.
-    theta = np.ones((n, d + 1))
-    theta[:, :d] = start
-    qc = np.empty((d + 1, T))
-    qc[:d] = queries.T
-    del queries  # the (T, d) stack: qc holds the queries from here on
-    _shift_to_column_max(theta, qc, cand_e)
+    loss = total_loss(theta, queries, labels, out=e, sums=s)
+    qt = np.ascontiguousarray(queries.T)  # (d, T): each candidate's matmul reads it
+    del queries  # qt holds the queries from here on
     label_sums = np.zeros((n, d))  # S
-    np.add.at(label_sums, labels, qc[:d].T)
+    np.add.at(label_sums, labels, qt.T)
     scaled = np.empty((d, T))  # (Q / s)^T
     step = lr
     used = 0
     converged = True
     accepted = None
     for it in range(passes):
-        np.divide(qc[:d], s, out=scaled)
+        np.divide(qt, s, out=scaled)
         grad = e @ scaled.T
         grad -= label_sums
         while True:
-            cand = theta.copy()
-            cand[:, :d] -= step * grad
+            cand = theta - step * grad
             if init.projection is ProjectionMode.UNIT_BALL:
-                _project_rows(cand[:, :d], init.projection)
-            cand_loss = total_loss(cand, qc.T, labels, out=cand_e, shifted=True, sums=cand_s)
+                _project_rows(cand, init.projection)
+            cand_loss = total_loss(cand, qt.T, labels, out=cand_e, sums=cand_s)
             if cand_loss <= loss or step < 1e-16:
                 break
             step *= 0.5
@@ -190,7 +173,7 @@ def train_oracle(
             break
     else:
         converged = False
-    fitted = Catalog.from_rows(d, init.ids, theta[:, :d], projection=init.projection)
+    fitted = Catalog.from_rows(d, init.ids, theta, projection=init.projection)
     grad_norm = math.nan if accepted is None else float(np.linalg.norm(accepted))
     return OracleFit(catalog=fitted, loss=loss, passes=used, converged=converged,
                      grad_norm=grad_norm)
@@ -221,12 +204,12 @@ def regret_curve(episode_log, oracle: Catalog) -> RegretLedger:
     """
     online = np.asarray(episode_log.online_losses, dtype=np.float64)
     missing = np.isnan(online)
-    if missing.all():  # run with record_losses=False: no regret to sum
+    if missing.all():  # no record has an online loss: no regret to sum
         raise MissingGroundTruth("episode log has no online losses")
     queries = _finite_queries(np.asarray(episode_log.queries, dtype=np.float64))
     labels = _labels(episode_log.true_items, oracle)
     z_true, s = _column_terms(oracle.matrix().astype(np.float64, copy=False), queries, labels)
-    oracle_losses = np.log(s) - z_true  # >= 0: unshifted, z - c <= 0 and s >= 1 exactly
+    oracle_losses = np.log(s) - z_true  # >= 0: c the exact max, z - c <= 0 and s >= 1 exactly
     gap = online - oracle_losses
     gap[missing] = 0.0
     return RegretLedger(

@@ -282,7 +282,6 @@ def run_episode(
     catalog: Catalog | None = None,
     init_noise: float = 0.0,
     rng: RandomSource | None = None,
-    record_losses: bool = True,
     reranker=None,
     deltas=None,
     multihop_rounds=None,
@@ -331,7 +330,7 @@ def run_episode(
             variants.apply_delta(catalog, deltas[t], t)
         for q, target, judge, query_id, hop in hops:
             loss = None
-            if record_losses and target in catalog:
+            if target in catalog:
                 p = score(q, catalog)  # held through the step, whose `score` then reuses it
                 loss = cross_entropy_loss(p, target)
             if reranker is not None:

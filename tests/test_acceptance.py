@@ -216,7 +216,7 @@ def test_criterion_06_reranker_acceleration():
         truth = {f"q{t}": env.optimal_item(t) for t in range(1, ep.T + 1)}
         rr_rng = RandomSource(np.random.SeedSequence([seed, 6]).generate_state(1)[0])
         log = run_episode(
-            env, ep, init_noise=1.0, record_losses=False,
+            env, ep, init_noise=1.0,
             reranker=make_stub_reranker(1.0, truth.__getitem__, rr_rng),
         )
         wins.append((_rounds_to_target(log.successes), _rounds_to_target(plain_succ)))
@@ -291,7 +291,7 @@ def test_criterion_08_multihop_improvement():
         )
         env = make_environment(ep, seed, noise_scale=0.3)
         log = run_episode(
-            env, ep, init_noise=1.0, record_losses=False,
+            env, ep, init_noise=1.0,
             multihop_rounds=make_multihop_rounds(env, hops=2),
         )
         by_round = {}

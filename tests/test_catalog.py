@@ -1,4 +1,6 @@
+import math
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +29,21 @@ def test_construction_rejects_wrong_row_length():
         Catalog(2, [("a", [0.0, 0.0, 0.0])])
 
 
+def test_construction_rejects_dimension_zero():
+    with pytest.raises(DimensionMismatch, match="dim must be >= 1"):
+        Catalog(0)
+
+
 def test_empty_catalog_is_valid():
     cat = Catalog(3)
     assert len(cat) == 0
     assert cat.ids == ()
     assert cat.max_row_norm() == 0.0
+
+
+def test_row_of_an_unknown_id_is_unknown_id():
+    with pytest.raises(UnknownId):
+        Catalog(2, [("a", [1.0, 2.0])]).row("zz")
 
 
 def test_add_item_unit_ball_projects():
@@ -108,6 +120,16 @@ def test_a_row_whose_squared_norm_overflows_projects_onto_the_sphere(tmp_path):
     write_snapshot(cat, str(tmp_path / "big.orag"))
     read = read_snapshot(str(tmp_path / "big.orag"), ProjectionMode.UNIT_BALL)
     assert read.row("a").tobytes() == out.tobytes()
+
+
+def test_max_row_norm_of_a_row_whose_squared_norm_overflows_is_finite():
+    # 3.4e154 squared overflows: the norm was inf, with an overflow warning.
+    cat = Catalog(3, [("a", [2.0, 3.4e154, 0.4]), ("b", [0.1, 0.2, 0.3])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = cat.max_row_norm()
+    assert math.isfinite(norm)
+    np.testing.assert_allclose(norm, 3.4e154, rtol=1e-15)
 
 
 def test_project_row_idempotent():

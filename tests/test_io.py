@@ -81,6 +81,13 @@ def test_bad_json_is_a_parse_error(tmp_path):
         load_config(str(path))
 
 
+def test_a_config_that_is_not_an_object_is_a_parse_error(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ParseError, match="single JSON object"):
+        load_config(str(path))
+
+
 def test_non_utf8_config_is_a_parse_error(tmp_path):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe" + '{"I": 3}'.encode("utf-16-le"))
@@ -157,6 +164,18 @@ def test_event_log_corrupt_line_cites_its_number(tmp_path):
     Path(path).write_text("".join(lines))
     with pytest.raises(SchemaError, match="line 2"):
         read_event_log(path)
+
+
+def test_event_log_line_that_is_not_an_object_is_a_schema_error(tmp_path):
+    path = tmp_path / "list.jsonl"
+    path.write_text("[1]\n")
+    with pytest.raises(SchemaError, match="line 1: expected a JSON object"):
+        read_event_log(str(path))
+
+
+def test_event_log_into_a_missing_directory_is_io_error(tmp_path):
+    with pytest.raises(IoError):
+        write_event_log(_records(), str(tmp_path / "missing" / "events.jsonl"))
 
 
 def test_non_utf8_event_log_is_a_schema_error(tmp_path):

@@ -189,7 +189,7 @@ def test_step_deterministic_across_runs():
     def run():
         ep = EpisodeConfig(T=100, I=8, d=4)
         env = make_environment(ep, 17)
-        log = run_episode(env, ep, init_noise=0.8, record_losses=False)
+        log = run_episode(env, ep, init_noise=0.8)
         return log
 
     a, b = run(), run()

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +141,11 @@ def test_oracle_beats_random_search():
 def test_train_oracle_rejects_empty_events():
     with pytest.raises(EmptyEvents):
         train_oracle([], Catalog(2, [("a", [0.0, 0.0])]))
+
+
+def test_train_oracle_rejects_an_item_not_in_the_start_catalog():
+    with pytest.raises(UnknownId, match="zz"):
+        train_oracle([(np.ones(2), "a"), (np.ones(2), "zz")], Catalog(2, [("a", [1.0, 2.0])]))
 
 
 def test_train_oracle_rejects_a_non_finite_query_before_its_first_pass(monkeypatch):
@@ -292,7 +299,8 @@ def test_regret_requires_ground_truth():
 def test_regret_requires_online_losses():
     ep = EpisodeConfig(T=20, I=5, d=3)
     env = make_environment(ep, 4)
-    log = run_episode(env, ep, init_noise=0.8, record_losses=False)
+    log = run_episode(env, ep, init_noise=0.8)
+    log = dataclasses.replace(log, online_losses=[math.nan] * len(log.online_losses))
     with pytest.raises(MissingGroundTruth, match="online losses"):
         regret_curve(log, Catalog(3, zip(env.ids, env.latents)))
 
@@ -340,6 +348,13 @@ def test_metrics_require_relevant_items():
         recall_at_k(_ranked(["a"], set()), 1)
     with pytest.raises(NoRelevantItems):
         ndcg_at_k(_ranked(["a"], set()), 1)
+
+
+def test_metrics_require_k_of_at_least_one():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        recall_at_k(_ranked(["a"], {"a"}), 0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        ndcg_at_k(_ranked(["a"], {"a"}), 0)
 
 
 def test_ranked_list_ties_break_by_id():
@@ -411,13 +426,13 @@ def _event_major_softmax(logits):
 
 
 def _reference_train_oracle(events, init, passes, lr, tol):
-    """`train_oracle` spelled out, which it must match bit for bit: the start scored
-    as exp(z - max z) and each candidate as exp([theta | 1] @ [Q^T; -c]), the shift c
-    the start's exact column max, refreshed from a candidate's own when one of its
-    column sums s leaves [1e-300, 1e300]; the loss sum log s - sum (z[y] - c), floored
-    at 0; the gradient E @ (Q / s) - S, with S summed one event at a time.
+    """`train_oracle` spelled out, which it must match bit for bit: every block, the
+    start's from the (T, d) queries and each candidate's from their (d, T) copy,
+    scored as exp(z), and redone as exp(z - max z) when one of its column sums s
+    leaves [1e-300, 1e300]; the loss sum log s - sum (z[y] - c), floored at 0; the
+    gradient E @ (Q / s) - S, with S summed one event at a time.
 
-    Returns (theta, loss, passes, backtracks, refreshes)."""
+    Returns (theta, loss, passes, backtracks, redos)."""
     queries = np.stack([q for q, _ in events])
     labels = np.array([init.ids.index(i) for _, i in events])
     n_items, T = len(init), len(labels)
@@ -425,41 +440,30 @@ def _reference_train_oracle(events, init, passes, lr, tol):
     label_sums = np.zeros((n_items, init.dim))
     for q, y in zip(queries, labels):
         label_sums[y] += q
+    redos = 0
 
-    def scores(theta, c):
-        return np.hstack([theta, np.ones((n_items, 1))]) @ np.vstack([qt, -c])
-
-    theta = init.matrix()
-    c = scores(theta, np.zeros(T)).max(axis=0)
-    refreshes = 0
-
-    def loss_of(theta):
-        nonlocal c, refreshes
-        z = scores(theta, c)
-        with np.errstate(over="ignore"):  # a stale c: the sums below catch it
+    def loss_of(z):
+        nonlocal redos
+        with np.errstate(over="ignore", under="ignore"):  # c = 0: the sums below catch it
             e = np.exp(z)
-        s = e.sum(axis=0)
+            s = e.sum(axis=0)
         if not np.all((s >= 1e-300) & (s <= 1e300)):
-            refreshes += 1
-            c = scores(theta, np.zeros(T)).max(axis=0)
-            z = scores(theta, c)
+            redos += 1
+            z = z - z.max(axis=0)
             e = np.exp(z)
             s = e.sum(axis=0)
         loss = float(np.sum(np.log(s)) - np.sum(z[labels, np.arange(T)]))
         return (0.0 if loss < 0 else loss), e, s
 
-    z = theta @ queries.T
-    z -= z.max(axis=0)
-    e = np.exp(z)
-    s = e.sum(axis=0)
-    loss = float(np.sum(np.log(s)) - np.sum(z[labels, np.arange(T)]))
+    theta = init.matrix()
+    loss, e, s = loss_of(theta @ queries.T)
     step = lr
     used = backtracks = 0
     for it in range(passes):
         grad = e @ (qt / s).T - label_sums
         while True:
             cand = theta - step * grad
-            cand_loss, cand_e, cand_s = loss_of(cand)
+            cand_loss, cand_e, cand_s = loss_of(cand @ qt)
             if cand_loss <= loss or step < 1e-16:
                 break
             step *= 0.5
@@ -472,12 +476,12 @@ def _reference_train_oracle(events, init, passes, lr, tol):
         step *= 1.05
         if improved < tol:
             break
-    return theta, loss, used, backtracks, refreshes
+    return theta, loss, used, backtracks, redos
 
 
-def test_train_oracle_matches_the_shifted_reference_bytewise():
+def test_train_oracle_matches_the_unshifted_reference_bytewise():
     rng = np.random.default_rng(8)
-    early_stops = backtracks = refreshes = 0
+    early_stops = backtracks = redos = 0
     for case in range(36):
         n_items, d = int(rng.integers(1, 31)), int(rng.integers(1, 11))
         T = 1 if case % 6 == 0 else int(rng.integers(1, 201))
@@ -487,40 +491,44 @@ def test_train_oracle_matches_the_shifted_reference_bytewise():
                                  rng.normal(size=(n_items, d)))
         events = [(rng.normal(scale=scale, size=d), f"i{int(rng.integers(n_items))}")
                   for _ in range(T)]
-        theta, loss, used, halved, refreshed = _reference_train_oracle(events, init, 40, lr, tol)
+        theta, loss, used, halved, redone = _reference_train_oracle(events, init, 40, lr, tol)
         fit = train_oracle(events, init, passes=40, lr=lr, tol=tol)
         assert (fit.passes, fit.loss) == (used, loss)
         assert fit.catalog.matrix().tobytes() == theta.tobytes()
         assert math.isfinite(fit.loss)
         early_stops += used < 40
         backtracks += halved
-        refreshes += refreshed
-    assert early_stops and backtracks and refreshes
+        redos += redone
+    assert early_stops and backtracks and redos
 
 
-def test_a_stale_shift_is_refreshed_and_the_loss_stays_finite(monkeypatch):
-    # At lr 1000 a candidate's logits move by more than 745 from the shift the call
-    # starts with, so exp(z - c) would overflow or underflow whole columns.
+def test_a_block_out_of_range_is_redone_and_the_loss_stays_finite(monkeypatch):
+    # At lr 1000 a candidate's logits pass 745 in size, so exp(z) overflows or
+    # underflows whole columns and the block is redone with its exact column max.
     rng = np.random.default_rng(15)
     init = Catalog.from_rows(3, [f"i{k}" for k in range(4)], rng.normal(size=(4, 3)))
     events = [(rng.normal(scale=10.0, size=3), f"i{int(rng.integers(4))}") for _ in range(30)]
     queries = np.stack([q for q, _ in events])
     labels = np.array([init.ids.index(i) for _, i in events])
-    gaps, losses = [], []
-    original = metrics_module.total_loss
+    losses, blocks = [], []
+    original_loss, original_exp = metrics_module.total_loss, metrics_module._exp_in_place
 
-    def recorded(theta, shifted_queries, *args, shifted=False, **kwargs):
-        if shifted:  # the shift this candidate's call starts with
-            z_max = (theta[:, :-1] @ queries.T).max(axis=0)
-            gaps.append(np.abs(z_max + shifted_queries[:, -1]).max())  # |max z - c|
-        losses.append(original(theta, shifted_queries, *args, shifted=shifted, **kwargs))
+    def recorded(*args, **kwargs):
+        losses.append(original_loss(*args, **kwargs))
         return losses[-1]
 
+    def counted(*args):
+        blocks.append(args[0].shape)
+        return original_exp(*args)
+
     monkeypatch.setattr(metrics_module, "total_loss", recorded)
-    fit = train_oracle(events, init, passes=5, lr=1000.0)
+    monkeypatch.setattr(metrics_module, "_exp_in_place", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = train_oracle(events, init, passes=5, lr=1000.0)
     monkeypatch.undo()
-    theta, loss, used, _, refreshes = _reference_train_oracle(events, init, 5, 1000.0, 1e-9)
-    assert max(gaps) > 745 and refreshes >= 1
+    theta, loss, used, _, redos = _reference_train_oracle(events, init, 5, 1000.0, 1e-9)
+    assert redos >= 1 and len(blocks) - len(losses) == redos  # one extra block per redo
     assert all(math.isfinite(x) for x in losses)
     assert fit.loss < total_loss(init.matrix(), queries, labels)
     assert (fit.passes, fit.loss) == (used, loss)

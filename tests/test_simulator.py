@@ -171,7 +171,7 @@ def test_plain_episode_improves_rolling_accuracy():
         schedule=LearningRateSchedule(ScheduleKind.INVERSE_SQRT, 1e-2),
     )
     env = make_environment(ep, 1)
-    log = run_episode(env, ep, init_noise=0.8, record_losses=False)
+    log = run_episode(env, ep, init_noise=0.8)
     roll = rolling_accuracy(log.successes, 500)
     assert roll[-1] > roll[0]
 
@@ -187,7 +187,7 @@ def test_good_init_drifts_less_than_bad_init():
         for noise in (0.0, 1.0):
             cat = initial_catalog(env, noise)
             theta1 = cat.matrix().copy()
-            run_episode(env, ep, catalog=cat, record_losses=False)
+            run_episode(env, ep, catalog=cat)
             drift[noise] = float(np.linalg.norm(cat.matrix() - theta1))
         assert drift[0.0] < drift[1.0]
 
@@ -228,7 +228,7 @@ def test_dynamic_episode_dips_then_recovers():
         env = make_environment(ep, seed, noise_scale=0.2)
         initial_ids, deltas = half_withheld_scenario(env, new_item_noise=1.0)
         cat = initial_catalog(env, 1.0, restrict_to=initial_ids)
-        log = run_episode(env, ep, catalog=cat, deltas=deltas, record_losses=False)
+        log = run_episode(env, ep, catalog=cat, deltas=deltas)
         s = np.asarray(log.successes, dtype=float)
         ins = T // 2
         pre.append(s[ins - w:ins].mean())
@@ -466,3 +466,8 @@ def test_make_environment_rejects_a_shift_outside_the_stream(shift_round):
     with pytest.raises(InvalidConfig, match=r"shift_round: must lie in \[1, 30\]"):
         make_environment(ep, 0, shift_round=shift_round)
     assert make_environment(ep, 0, shift_round=30).total_rounds == 30  # the last round may shift
+
+
+def test_make_environment_rejects_a_negative_noise_scale():
+    with pytest.raises(InvalidConfig, match="noise_scale must be >= 0"):
+        make_environment(EpisodeConfig(T=10, I=5, d=3), 0, noise_scale=-1)

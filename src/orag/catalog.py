@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import copy
 import enum
+import math
 import os
 import struct
 import weakref
@@ -125,12 +126,15 @@ class Catalog:
     Rows sit in slots [0, n) of a buffer that doubles when full; a dict maps
     id -> slot, `_slot_ids` slot -> id, `_order[:n]` (a buffer as long as the
     rows') lists the slots in id order, and a removal moves the last slot
-    into the hole. Add/remove cost O(d) plus two bisects and O(I) in-place
-    memmoves of the sorted ids and `_order`, with no allocation of O(I)
-    unless a `SortedIds` held outside must be frozen; `update_rows` and `row`
-    one dict lookup per row (none for all rows); `matrix()` one gather
-    (`logits` reads the slots in place). `apply_changes` is the one path that
-    adds and removes rows. Each successful mutation bumps `generation`.
+    into the hole. `_order` is None while slot k holds the k-th id, as in every
+    catalog built from sorted ids: reads and the full update then skip the
+    permutation, and the first change to the id set makes it. Add/remove cost
+    O(d) plus two bisects and O(I) in-place memmoves of the sorted ids and
+    `_order`, with no allocation of O(I) unless a `SortedIds` held outside
+    must be frozen; `update_rows` and `row` one dict lookup per row (none for
+    all rows); `matrix()` one gather or copy (`logits` reads the slots in
+    place). `apply_changes` is the one path that adds and removes rows. Each
+    successful mutation bumps `generation`.
     """
 
     def __init__(
@@ -146,7 +150,7 @@ class Catalog:
             raise TypeError("dtype must be numpy float64 or float32")
         self.dim = int(dim)
         self.projection = projection
-        self.dtype = dtype
+        self.dtype = np.dtype(dtype).type  # the scalar type, whatever equal form was given
         self.generation = 0
         # (generation, float64 query bytes, weak reference to the read-only
         # probabilities) of the last `policy.score`, which alone reads and writes
@@ -181,10 +185,10 @@ class Catalog:
         shared = isinstance(rows, np.ndarray) and np.may_share_memory(v, rows)
         self._rows = v.copy() if copy and shared else v  # copy only a block still the caller's
         _project_rows(self._rows, self.projection)
-        order = sorted(range(n), key=ids.__getitem__)
-        self._ids = [ids[k] for k in order]      # sorted
+        self._ids = sorted(ids)
         self._slot_ids = ids                     # slot -> id
-        self._order = np.array(order, dtype=np.intp)
+        self._order = None if self._ids == ids else np.array(
+            sorted(range(n), key=ids.__getitem__), dtype=np.intp)
         self._shared: SortedIds | None = None  # what `ids` returns until the id set changes
 
     # -- read side ----------------------------------------------------------
@@ -211,16 +215,17 @@ class Catalog:
         # widen 64 KB at a time: a whole-block `astype` would be catalog-sized.
         n = len(self._ids)
         rows, out = self._rows[:n], np.empty(n)
-        if rows.dtype == np.float64:
+        if self.dtype is np.float64:
             np.vecdot(rows, q, out=out)
         else:
             for c in row_chunks(n, self.dim):
                 np.vecdot(rows[c].astype(np.float64), q, out=out[c])
-        return out[self._order[:n]]
+        return out if self._order is None else out[self._order[:n]]
 
     def matrix(self) -> np.ndarray:
         """The rows in id order, as a fresh (I, dim) array the caller owns."""
-        return self._rows[self._order[: len(self)]]
+        n = len(self)
+        return self._rows[:n].copy() if self._order is None else self._rows[self._order[:n]]
 
     def row(self, item_id: ItemId) -> np.ndarray:
         try:
@@ -266,6 +271,8 @@ class Catalog:
             held, self._shared = weakref.ref(self._shared), None  # drop the catalog's reference
             if (shared := held()) is not None:  # still held elsewhere: it keeps the ids it had
                 shared._ids = tuple(self._ids)
+        if self._order is None and (removed or new_ids):  # slots in id order until now
+            self._order = np.arange(len(self._rows), dtype=np.intp)
         order = self._order  # shifted in place: overlapping slice copies are memmoves
         for item_id in removed:
             hole, last = self._slot.pop(item_id), len(self._ids) - 1
@@ -299,19 +306,26 @@ class Catalog:
         the rank-1 row `coeff[k] * q`: (n,) coefficients over one (dim,) query.
 
         The catalog's own `ids` steps the slot block where it sits, with no id
-        lookups. All or nothing: a failed update leaves rows and `generation`
+        lookups. g is formed in float64 and rounded once to the catalog dtype.
+        A finite sum of the new rows' squares proves them all finite with one
+        BLAS dot, which raises no floating-point warning; the rows are checked
+        64 KB at a time only when that sum is not finite (a NaN or infinity, or
+        finite entries whose squares overflow), and projected only under
+        unit_ball. All or nothing: a failed update leaves rows and `generation`
         as they were."""
+        n = len(ids)
         try:
             coeff, q = np.asarray(coeff, np.float64), np.asarray(q, np.float64)
-            if coeff.shape != (len(ids),) or q.shape != (self.dim,):
+            if coeff.shape != (n,) or q.shape != (self.dim,):
                 raise ValueError
         except (TypeError, ValueError):
-            raise DimensionMismatch(f"need ({len(ids)},) and ({self.dim},) arrays") from None
-        n = len(ids)
-        if ids is self._shared:  # every row: the coefficients go into slot order
-            slots, by_slot = slice(0, n), np.empty_like(coeff)
-            by_slot[self._order[:n]] = coeff
-            coeff = by_slot
+            raise DimensionMismatch(f"need ({n},) and ({self.dim},) arrays") from None
+        if ids is self._shared:  # every row
+            slots = slice(0, n)
+            if self._order is not None:  # the coefficients go into slot order
+                by_slot = np.empty_like(coeff)
+                by_slot[self._order[:n]] = coeff
+                coeff = by_slot
         else:
             try:
                 slots = list(map(self._slot.__getitem__, ids))
@@ -321,18 +335,26 @@ class Catalog:
                 slots = slice(slots[0], slots[0] + 1)
             elif len(set(slots)) != n:
                 raise DuplicateId(next(i for k, i in enumerate(ids) if i in ids[:k]))
-        tmp = np.empty((n, self.dim), self.dtype)  # g in float64, rounded once to the catalog dtype
-        np.multiply.outer(coeff, q, out=tmp)
-        tmp *= eta
-        np.subtract(self._rows[slots], tmp, out=tmp)
-        _project_rows(tmp, self.projection, "update makes a row non-finite")
-        self._rows[slots] = tmp
+        if self.dtype is np.float64:
+            new = np.multiply(coeff[:, None], q)
+        else:  # the float64 products, rounded once
+            new = np.multiply(coeff[:, None], q, out=np.empty((n, self.dim), self.dtype))
+        new *= eta
+        whole = n == len(self._rows) and ids is self._shared  # every slot of the buffer
+        np.subtract(self._rows if whole else self._rows[slots], new, out=new)
+        if self.projection is ProjectionMode.UNIT_BALL or not math.isfinite(np.vdot(new, new)):
+            _project_rows(new, self.projection, "update makes a row non-finite")
+        if whole:  # the new block becomes the storage: no copy back
+            self._rows = new
+        else:
+            self._rows[slots] = new
         self.generation += 1
 
     def copy(self) -> "Catalog":
         out = copy.copy(self)
         n = len(self)
-        out._rows, out._order = self._rows[:n].copy(), self._order[:n].copy()
+        out._rows = self._rows[:n].copy()
+        out._order = None if self._order is None else self._order[:n].copy()
         out._slot, out._ids, out._retired = dict(self._slot), list(self._ids), set(self._retired)
         out._slot_ids, out._shared = list(self._slot_ids), None
         return out
@@ -363,8 +385,9 @@ def write_snapshot(catalog: Catalog, path: str) -> None:
             f.write(struct.pack("<IQQB", SNAPSHOT_VERSION, len(catalog), catalog.dim, dtag))
             for raw in raw_ids:
                 f.write(struct.pack("<I", len(raw)) + raw)
+            order = catalog._order
             for chunk in row_chunks(len(catalog), catalog.dim):
-                rows = catalog._rows[catalog._order[chunk]]
+                rows = catalog._rows[chunk if order is None else order[chunk]]
                 f.write(np.ascontiguousarray(rows, dtype="<f8" if dtag == 0 else "<f4"))
             f.flush()
             os.fsync(f.fileno())  # the rename must not land before the data

@@ -31,14 +31,14 @@ from .policy import ProbabilityVector, RandomSource, _as_query, sample_one, scor
 _PROPENSITY_TOL = 1e-12
 
 
-@dataclass
+@dataclass(slots=True)
 class Feedback:
     chosen: ItemId
     success: bool
     propensity: float
 
 
-@dataclass
+@dataclass(slots=True)
 class GradientBatch:
     """Update directions: the row for `ids[k]` is `coeff[k] * q`, (n,) over one (d,) query."""
 
@@ -91,13 +91,11 @@ def _propensity(p: ProbabilityVector, k: int, fb: Feedback,
                 clip_propensity: float | None) -> float:
     """p.probs[k], k the index of the chosen item, checked against the logged
     propensity and floored at `clip_propensity`."""
-    prop = float(p.probs[k])
-    if fb.propensity <= 0:
-        raise ZeroPropensity(f"propensity {fb.propensity}")
-    if abs(prop - fb.propensity) > _PROPENSITY_TOL:
-        raise PropensityMismatch(
-            f"feedback propensity {fb.propensity} != p[{fb.chosen}] = {prop}"
-        )
+    prop, logged = float(p.probs[k]), fb.propensity
+    if logged <= 0:
+        raise ZeroPropensity(f"propensity {logged}")
+    if abs(prop - logged) > _PROPENSITY_TOL:
+        raise PropensityMismatch(f"feedback propensity {logged} != p[{fb.chosen}] = {prop}")
     return prop if clip_propensity is None else max(prop, clip_propensity)
 
 
@@ -134,7 +132,7 @@ def apply_update(catalog: Catalog, g: GradientBatch, eta: float) -> None:
     catalog.update_rows(g.ids, g.coeff, g.q, eta)
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     t: int
     query_id: str
@@ -169,20 +167,13 @@ def step(
     p = score(q, catalog)
     chosen = sample_one(p, rng) if choose is None else choose(p, rng)
     try:
-        propensity = p[chosen]
+        propensity = float(p.probs[p.index_of(chosen)])
     except KeyError:
         raise UnknownId(f"choose returned {chosen!r}, which is not a scored item") from None
-    fb = Feedback(chosen=chosen, success=bool(feedback_oracle(t, chosen)), propensity=propensity)
+    fb = Feedback(chosen, bool(feedback_oracle(t, chosen)), propensity)
     estimate = (estimate_gradient_full if update_mode is UpdateMode.FULL
                 else estimate_gradient_chosen_only)
     eta = schedule.eta(t)
-    apply_update(catalog, estimate(p, q, fb, t=t, clip_propensity=clip_propensity), eta)
-    return RoundRecord(
-        t=t,
-        query_id=getattr(q, "query_id", ""),
-        chosen=chosen,
-        success=fb.success,
-        propensity=fb.propensity,
-        eta=eta,
-        generation=catalog.generation,
-    )
+    apply_update(catalog, estimate(p, q, fb, t, clip_propensity), eta)
+    return RoundRecord(t, getattr(q, "query_id", ""), chosen, fb.success, propensity, eta,
+                       generation=catalog.generation)

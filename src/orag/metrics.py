@@ -265,7 +265,10 @@ def truth_recall_ndcg(p: ProbabilityVector, truth: ItemId, k: int) -> tuple[floa
     truth's rank alone: 1 + #(p > p_truth) + #(p == p_truth at an earlier id)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    pt = p[truth]
+    try:
+        pt = p[truth]
+    except KeyError:
+        raise UnknownId(truth) from None
     rank = 1 + int(np.count_nonzero(p.probs > pt))
     rank += sum(p.ids[j] < truth for j in np.flatnonzero(p.probs == pt).tolist())
     return (1.0, 1.0 / math.log2(rank + 1)) if rank <= k else (0.0, 0.0)

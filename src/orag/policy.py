@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,13 +21,19 @@ from .catalog import Catalog, ItemId, SortedIds
 from .errors import DimensionMismatch, EmptyCatalog, KTooLarge, NonFiniteInput
 
 
-@dataclass
+_FLOAT64 = np.dtype(np.float64)
+
+
+@dataclass(slots=True)
 class QueryEmbedding:
     q: np.ndarray
     query_id: str = ""
 
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=np.float64).ravel()
+    def __post_init__(self):  # q as a flat float64 array; a contiguous one is kept as it is
+        q = self.q
+        if not (type(q) is np.ndarray and q.dtype is _FLOAT64 and q.ndim == 1
+                and q.flags.c_contiguous):
+            self.q = np.asarray(q, dtype=np.float64).ravel()
 
 
 def _as_query(q) -> np.ndarray:
@@ -47,22 +53,30 @@ class RandomSource:
         return float(self._gen.random())
 
 
-@dataclass
+@dataclass(slots=True)
 class ProbabilityVector:
     """Softmax probabilities over the catalog's items, in sorted-id order."""
 
     ids: SortedIds | tuple[ItemId, ...]
     probs: np.ndarray
+    # (ids, id, index) of the last `index_of`: a round looks its chosen id up in
+    # `step` and again in the estimator, and the second lookup is this check.
+    _found: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __getitem__(self, item_id: ItemId) -> float:
         return float(self.probs[self.index_of(item_id)])
 
     def index_of(self, item_id: ItemId) -> int:
         """The ids' own `index`: `SortedIds` bisects, a hand-built tuple scans."""
+        found = self._found
+        if found and found[1] is item_id and found[0] is self.ids:
+            return found[2]
         try:
-            return self.ids.index(item_id)
+            k = self.ids.index(item_id)
         except ValueError:
             raise KeyError(item_id) from None
+        self._found = (self.ids, item_id, k)
+        return k
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -81,12 +95,15 @@ def score(q, catalog: Catalog) -> ProbabilityVector:
     qv = _as_query(q)
     if qv.shape != (catalog.dim,):
         raise DimensionMismatch(f"query length {qv.shape[0]} != catalog dim {catalog.dim}")
-    key = (catalog.generation, qv.tobytes())
-    if catalog._scored[:2] == key and (kept := catalog._scored[2]()) is not None:
+    generation, raw = catalog.generation, qv.tobytes()
+    kept = catalog._scored
+    if kept and kept[0] == generation and kept[1] == raw and (kept := kept[2]()) is not None:
         return ProbabilityVector(catalog.ids, kept)
     logits = catalog.logits(qv)
-    # The ufuncs' own reduce: `.all()`/`.max()`/`.sum()`'s bits without their wrappers.
-    top = np.maximum.reduce(logits)
+    # The largest logit read at its `argmax` (the first NaN, if any), which costs less than
+    # a max's reduce: at a tie of 0.0 and -0.0 either sign gives the same p. The ufuncs'
+    # own reduce: `.all()`/`.sum()`'s bits without their wrappers.
+    top = logits[logits.argmax()]
     if not math.isfinite(top):  # a NaN logit makes the max NaN; a finite q's logits can overflow
         if not np.logical_and.reduce(np.isfinite(qv)):
             raise NonFiniteInput("query contains non-finite entries")
@@ -97,8 +114,8 @@ def score(q, catalog: Catalog) -> ProbabilityVector:
     np.maximum(logits, -700.0, out=logits)
     np.exp(logits, out=logits)
     logits /= np.add.reduce(logits)
-    logits.flags.writeable = False  # shared with every later hit
-    catalog._scored = (*key, weakref.ref(logits))
+    logits.setflags(write=False)  # shared with every later hit
+    catalog._scored = (generation, raw, weakref.ref(logits))
     return ProbabilityVector(catalog.ids, logits)
 
 
@@ -110,9 +127,10 @@ def _inverse_cdf(w: np.ndarray, u: float) -> tuple[np.ndarray, int]:
 
 def sample_one(p: ProbabilityVector, rng: RandomSource) -> ItemId:
     """Draw one item by inverse CDF, K-sampling's first draw; consumes exactly one uniform."""
-    if not len(p.probs):  # a hand-built vector can be empty; raise before drawing
+    probs = p.probs
+    if not len(probs):  # a hand-built vector can be empty; raise before drawing
         raise EmptyCatalog("cannot sample from an empty probability vector")
-    return p.ids[_inverse_cdf(p.probs, rng.uniform())[1]]
+    return p.ids[_inverse_cdf(probs, rng.uniform())[1]]
 
 
 def _exact_pick(w: np.ndarray, drawn: list[int], u: float) -> int:

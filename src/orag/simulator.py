@@ -77,6 +77,8 @@ class RoundIds(Sequence):
         return len(self._rounds)
 
     def __getitem__(self, k):
+        if isinstance(k, slice):  # a tuple of ids, as `SortedIds` gives
+            return tuple(f"q{t}" for t in self._rounds[k])
         return f"q{self._rounds[k]}"
 
 
@@ -110,7 +112,7 @@ class Environment:
         return self.targets[self._row(t)]
 
     def _row(self, t: int) -> int:
-        if not (1 <= t <= self.total_rounds):
+        if not 1 <= t <= len(self.targets):
             raise UndefinedRound(f"round {t} outside 1..{self.total_rounds}")
         return t - 1
 
@@ -315,6 +317,7 @@ def run_episode(
         rng = RandomSource(np.random.SeedSequence([env.seed, 4]).generate_state(1)[0])
 
     rounds, queries, targets, losses = [], [], [], []
+    is_target = lambda t, chosen: chosen == env.optimal_item(t)  # a plain round's judge
     for t in range(1, env.total_rounds + 1):
         if multihop_rounds is not None:
             mh = multihop_rounds[t]
@@ -323,9 +326,7 @@ def run_episode(
                     for h, (q, target) in enumerate(zip(mh.subqueries, mh.targets), start=1)]
         else:
             q = env.query_at(t)
-            target = env.optimal_item(t)
-            hops = [(q, target, lambda _t, chosen, target=target: chosen == target,
-                     q.query_id, None)]
+            hops = ((q, env.optimal_item(t), is_target, q.query_id, None),)
         if deltas and t in deltas:  # after `query_at`, which starts a traced round
             variants.apply_delta(catalog, deltas[t], t)
         for q, target, judge, query_id, hop in hops:

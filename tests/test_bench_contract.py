@@ -4,7 +4,7 @@ names, so the break shows in the unit suite and not only in a benchmark run."""
 
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,30 @@ def test_traced_steps_reach_every_update_layer():
         assert counts["learner.estimate_full"] + counts["learner.estimate_chosen"] == 1
         sampling = [rec[5] for rec in spans if rec[0] in ("policy.sample_one", "policy.sample_k")]
         assert sampling == [uniforms]
+
+
+def test_a_traced_offline_episode_spans_each_layer_once_per_round():
+    # The offline workload's rounds, through `run_episode`: a trim that calls a
+    # layer by a name the tracer does not patch drops its span from every round.
+    ep = tracer.simulator.EpisodeConfig(
+        T=20, I=12, d=4, schedule=LearningRateSchedule(ScheduleKind.CONSTANT, 0.2))
+    env = tracer.simulator.make_environment(ep, 8, noise_scale=0.1)
+    with tracer.Tracer() as tr:
+        tracer.simulator.run_episode(env, ep)
+    counts, drawn, written = defaultdict(Counter), defaultdict(list), defaultdict(list)
+    for name, _, _, _, rnd, n in tr.spans:
+        counts[rnd][name] += 1
+        if name == "policy.sample_one":
+            drawn[rnd].append(n)
+        if name == "catalog.update_rows":
+            written[rnd].append(n)
+    assert sorted(counts) == list(range(21))  # round 0: the build and the episode span
+    for rnd in range(1, 21):
+        assert counts[rnd]["policy.score"] == 2, rnd
+        for layer in ("simulator.query_at", "learner.step", "learner.estimate_full",
+                      "learner.apply_update"):
+            assert counts[rnd][layer] == 1, (rnd, layer)
+        assert drawn[rnd] == [1] and written[rnd] == [ep.I], rnd
 
 
 def test_traced_oracle_evaluates_the_loss_once_per_candidate(monkeypatch):

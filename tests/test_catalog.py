@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 import warnings
@@ -22,6 +23,7 @@ from orag.errors import (
     SnapshotFormatError,
     UnknownId,
 )
+from orag.policy import score
 
 
 def test_construction_rejects_wrong_row_length():
@@ -658,6 +660,13 @@ def test_one_retire_and_one_insert_copy_no_index():
         assert peak < 16 * 1024  # the id index alone is 80 KB
 
 
+def _in_id_order(n, dim, dtype=np.float64, seed=0, projection=ProjectionMode.NONE):
+    """A catalog built from sorted ids: slot k holds the k-th id."""
+    rows = np.random.default_rng(seed).normal(size=(n, dim))
+    return Catalog.from_rows(dim, [f"i{k:05d}" for k in range(n)], rows,
+                             projection=projection, dtype=dtype)
+
+
 def _reference_update(cat, ids, coeff, q, eta):
     """The id-ordered matrix after project(row - eta * g) row by row, with
     g = coeff[k] * q rounded to the catalog dtype."""
@@ -671,11 +680,12 @@ def _reference_update(cat, ids, coeff, q, eta):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("projection", list(ProjectionMode))
 def test_update_rows_matches_row_by_row_reference(dtype, projection):
-    # A churned catalog: slot order is far from id order. 300 rows of width 7
-    # are one 64 KB chunk; of width 64, three.
+    # A churned catalog: slot order is far from id order; and one whose slots
+    # are in id order, whose full update replaces the whole block. 300 rows of
+    # width 7 are one 64 KB chunk; of width 64, three.
     rng = np.random.default_rng(11)
-    for dim in (7, 64):
-        cat = _churned(300, dim, dtype, projection=projection)
+    for dim, build in itertools.product((7, 64), (_churned, _in_id_order)):
+        cat = build(300, dim, dtype, projection=projection)
         sub = [cat.ids[k] for k in rng.choice(len(cat), 40, replace=False)]
         for ids in (cat.ids, list(cat.ids), sub, [cat.ids[17]]):
             coeff, q = rng.normal(size=len(ids)), rng.normal(size=dim)
@@ -771,3 +781,92 @@ def test_max_row_norm_makes_no_catalog_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < cat.matrix().nbytes / 4
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_an_update_to_infinities_changes_nothing(dtype):
+    # q's infinite entry gives +inf and -inf rows with no floating-point
+    # warning, so this runs under the suite's error::RuntimeWarning filter as it is.
+    q = np.array([1.0, 0.0, 0.5])
+    for order in ("abcd", "dbca"):
+        cat = Catalog.from_rows(3, list(order), np.arange(12.0).reshape(4, 3), dtype=dtype)
+        p = score(q, cat)
+        rows, gen = cat.matrix(), cat.generation
+        for ids, coeff in ((cat.ids, [1.0, -2.0, 0.5, 3.0]), (["d", "b"], [1.0, -1.0])):
+            with pytest.raises(NonFiniteInput, match="update makes"):
+                cat.update_rows(ids, np.array(coeff), np.array([np.inf, 1.0, 0.0]), 0.5)
+            _assert_untouched(cat, rows, gen)
+            assert score(q, cat).probs is p.probs  # the kept score is still current
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float64, 1e308), (np.float32, 3e38)])
+def test_an_update_whose_squares_overflow_is_accepted(dtype, big):
+    # Finite rows near the dtype's largest value: the sum of their squares is
+    # infinite, so the rows are checked one by one, and pass.
+    rng = np.random.default_rng(21)
+    n, d = 30, 4
+    for ids in ([f"i{k:02d}" for k in range(n)], [f"i{k:02d}" for k in rng.permutation(n)]):
+        cat = Catalog.from_rows(d, ids, rng.uniform(-1.0, 1.0, size=(n, d)) * big, dtype=dtype)
+        for chosen in (cat.ids, list(cat.ids)[::3]):
+            coeff, q = rng.normal(size=len(chosen)), rng.normal(size=d)
+            expected, gen = _reference_update(cat, chosen, coeff, q, 0.3), cat.generation
+            cat.update_rows(chosen, coeff, q, 0.3)
+            assert not math.isfinite(np.vdot(expected, expected))
+            assert cat.matrix().tobytes() == expected.tobytes()
+            assert cat.generation == gen + 1
+
+
+@pytest.mark.parametrize("dtype, wire", [(np.float64, "<f8"), (np.float32, "<f4")])
+def test_slots_in_id_order_read_as_the_per_id_reference(tmp_path, dtype, wire):
+    # Built from sorted ids (slot k holds the k-th id) and from shuffled ones,
+    # before and after one change to the id set: every read follows the ids.
+    rng = np.random.default_rng(31)
+    n, d = 40, 5
+    names, rows, q = [f"i{k:02d}" for k in range(n)], rng.normal(size=(n, d)), rng.normal(size=d)
+    path = str(tmp_path / "c.orag")
+    for order in (np.arange(n), rng.permutation(n)):
+        cat = Catalog.from_rows(d, [names[k] for k in order], rows[order], dtype=dtype)
+        ref = {names[k]: rows[k].astype(dtype) for k in range(n)}
+        for changed in (False, True):
+            if changed:
+                row = rng.normal(size=d)
+                cat.apply_changes([names[3], names[-1]], [("zz", row), ("a", -row)])
+                del ref[names[3]], ref[names[-1]]
+                ref.update(zz=row.astype(dtype), a=(-row).astype(dtype))
+            keys = sorted(ref)
+            block = np.array([ref[i] for i in keys])
+            logits = np.array([np.vecdot(ref[i].astype(np.float64), q) for i in keys])
+            assert list(cat.ids) == keys
+            assert cat.matrix().tobytes() == block.tobytes()
+            assert cat.logits(q).tobytes() == logits.tobytes()
+            copied = cat.copy()
+            assert copied.ids == cat.ids and copied.matrix().tobytes() == block.tobytes()
+            assert copied.logits(q).tobytes() == logits.tobytes()
+            write_snapshot(cat, path)
+            assert Path(path).read_bytes().endswith(block.astype(wire).tobytes())
+            assert read_snapshot(path).matrix().tobytes() == block.tobytes()
+        coeff = rng.normal(size=len(cat))  # a full update after the change follows the ids too
+        expected = _reference_update(cat, cat.ids, coeff, q, 0.3)
+        cat.update_rows(cat.ids, coeff, q, 0.3)
+        assert cat.matrix().tobytes() == expected.tobytes()
+
+
+def test_a_full_support_step_makes_one_catalog_sized_block():
+    import tracemalloc
+
+    from orag.learner import LearningRateSchedule, ScheduleKind, UpdateMode, step
+    from orag.policy import RandomSource
+
+    cat = _in_id_order(10_000, 64)
+    q, rng = np.random.default_rng(3).normal(size=64), RandomSource(0)
+    schedule = LearningRateSchedule(ScheduleKind.CONSTANT, 0.1)
+    oracle = lambda t, chosen: chosen == "i00042"
+    step(q, cat, rng, schedule, UpdateMode.FULL, 1, oracle)  # warm-up
+    nbytes = cat.matrix().nbytes
+    tracemalloc.start()
+    try:
+        step(q, cat, rng, schedule, UpdateMode.FULL, 2, oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * nbytes

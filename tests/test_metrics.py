@@ -400,6 +400,8 @@ def test_truth_recall_ndcg_matches_the_ranked_list():
     assert straddles > 50
     with pytest.raises(ValueError):
         truth_recall_ndcg(p, truth, 0)
+    with pytest.raises(UnknownId, match="zz"):
+        truth_recall_ndcg(p, "zz", 3)
 
 
 def test_rolling_accuracy_examples():

@@ -60,6 +60,16 @@ def test_same_seed_identical_environments():
         assert a.optimal_item(t) == b.optimal_item(t)
 
 
+def test_query_ids_read_as_a_sequence_of_ids():
+    env = make_environment(EpisodeConfig(T=5, I=3, d=2), 0)
+    ids = env.query_ids
+    assert len(ids) == 5 and list(ids) == ["q1", "q2", "q3", "q4", "q5"]
+    assert ids[1:3] == ("q2", "q3") and ids[::-2] == ("q5", "q3", "q1") and ids[7:] == ()
+    assert ids[-1] == "q5" and ids.index("q4") == 3 and "q6" not in ids
+    with pytest.raises(IndexError):
+        ids[5]
+
+
 def test_round_bounds_checked():
     env = make_environment(EpisodeConfig(T=5, I=3, d=2), 0)
     with pytest.raises(UndefinedRound):

@@ -44,15 +44,18 @@ def _project_rows(block: np.ndarray, mode: ProjectionMode,
                   error: str = "row contains non-finite entries") -> None:
     """Check an (n, d) block finite (else `NonFiniteInput(error)`) and project its rows, in place.
 
-    UNIT_BALL rescales a row onto the unit sphere only when its norm exceeds 1
-    (see `_finite_row_norms`); NONE leaves it. Works 64 KB at a time: a whole-block
-    mask or float32 `astype` would be a quarter to twice the block's size.
-    float32 rows are divided by float64 norms, so they get the float64 rule's
-    bits rounded once.
+    Under NONE, a finite sum of the squares proves the block finite with one BLAS
+    dot, which raises no floating-point warning, and leaves it. Any other block
+    (UNIT_BALL, a NaN or infinity, or finite entries whose squares overflow) is
+    checked 64 KB at a time: a whole-block mask or float32 `astype` would be a
+    quarter to twice the block's size. UNIT_BALL rescales a row onto the unit
+    sphere only when its norm exceeds 1 (see `_finite_row_norms`); float32 rows
+    are divided by float64 norms, so they get the float64 rule's bits rounded once.
     """
-    n, d = block.shape  # a block within one chunk is taken whole, with no slicing
-    chunks = (block,) if n * d <= CHUNK_VALUES else (block[c] for c in row_chunks(n, d))
-    for chunk in chunks:
+    if mode is ProjectionMode.NONE and math.isfinite(np.vdot(block, block)):
+        return
+    for c in row_chunks(*block.shape):
+        chunk = block[c]
         if not np.logical_and.reduce(np.isfinite(chunk), axis=None):
             raise NonFiniteInput(error)
         if mode is ProjectionMode.UNIT_BALL:
@@ -307,12 +310,8 @@ class Catalog:
 
         The catalog's own `ids` steps the slot block where it sits, with no id
         lookups. g is formed in float64 and rounded once to the catalog dtype.
-        A finite sum of the new rows' squares proves them all finite with one
-        BLAS dot, which raises no floating-point warning; the rows are checked
-        64 KB at a time only when that sum is not finite (a NaN or infinity, or
-        finite entries whose squares overflow), and projected only under
-        unit_ball. All or nothing: a failed update leaves rows and `generation`
-        as they were."""
+        `_project_rows` checks and projects the new rows. All or nothing: a
+        failed update leaves rows and `generation` as they were."""
         n = len(ids)
         try:
             coeff, q = np.asarray(coeff, np.float64), np.asarray(q, np.float64)
@@ -342,8 +341,7 @@ class Catalog:
         new *= eta
         whole = n == len(self._rows) and ids is self._shared  # every slot of the buffer
         np.subtract(self._rows if whole else self._rows[slots], new, out=new)
-        if self.projection is ProjectionMode.UNIT_BALL or not math.isfinite(np.vdot(new, new)):
-            _project_rows(new, self.projection, "update makes a row non-finite")
+        _project_rows(new, self.projection, "update makes a row non-finite")
         if whole:  # the new block becomes the storage: no copy back
             self._rows = new
         else:

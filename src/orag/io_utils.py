@@ -56,6 +56,9 @@ class RunConfig:
             object.__setattr__(self, name, check(getattr(self, name)))
         try:  # c, T, I, d, K, repeat_passes, the variants' rules, then shift_round's range
             episode = self.episode()
+            if self.K != 1 and self.variant is not Variant.RERANK:
+                raise InvalidConfig(f"K: only the rerank variant draws K candidates; "
+                                    f"got K={self.K} with variant {self.variant.value}")
             if self.variant is Variant.DYNAMIC and self.I < 2:
                 raise InvalidConfig(f"dynamic variant withholds half the items: "
                                     f"I must be >= 2, got {self.I}")

@@ -59,8 +59,8 @@ class LearningRateSchedule:
     c: float = 1e-5
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c: schedule constant must be positive")
+        if not 0 < self.c < math.inf:  # NaN fails it too
+            raise ValueError("c: schedule constant must be positive and finite")
 
     def eta(self, t: int) -> float:
         if self.kind is ScheduleKind.CONSTANT:

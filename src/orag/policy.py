@@ -21,19 +21,13 @@ from .catalog import Catalog, ItemId, SortedIds
 from .errors import DimensionMismatch, EmptyCatalog, KTooLarge, NonFiniteInput
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
 @dataclass(slots=True)
 class QueryEmbedding:
     q: np.ndarray
     query_id: str = ""
 
-    def __post_init__(self):  # q as a flat float64 array; a contiguous one is kept as it is
-        q = self.q
-        if not (type(q) is np.ndarray and q.dtype is _FLOAT64 and q.ndim == 1
-                and q.flags.c_contiguous):
-            self.q = np.asarray(q, dtype=np.float64).ravel()
+    def __post_init__(self):
+        self.q = np.asarray(self.q, dtype=np.float64).ravel()
 
 
 def _as_query(q) -> np.ndarray:

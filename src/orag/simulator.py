@@ -138,6 +138,8 @@ def make_environment(
     after the first replays the T base queries in a shuffled order."""
     if noise_scale < 0:
         raise InvalidConfig("noise_scale must be >= 0")
+    if not 0 <= shift_fraction <= 1:  # NaN fails it too
+        raise InvalidConfig(f"shift_fraction must lie in [0, 1], got {shift_fraction}")
     check_shift_round(config, shift_round)
     seed, T, I, d = int(seed), config.T, config.I, config.d
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
@@ -216,20 +218,17 @@ def init_embedder(env: Environment, noise: float = 0.3):
     return init
 
 
-def half_withheld_scenario(
-    env: Environment, insert_round: int | None = None, new_item_noise: float = 0.3
-):
+def half_withheld_scenario(env: Environment, new_item_noise: float = 0.3):
     """Withhold half of the items until mid-stream, then insert them.
 
     Returns (initial_ids, deltas) for the dynamic variant: the catalog starts
     with the first half of the sorted ids and the second half arrives as one
-    CatalogDelta at `insert_round` (default: total_rounds // 2), initialized
-    by the stub embedder.
+    CatalogDelta at round max(1, total_rounds // 2), initialized by the stub
+    embedder.
     """
     half = len(env.ids) // 2
     initial_ids, withheld = list(env.ids[:half]), env.ids[half:]
-    if insert_round is None:
-        insert_round = max(1, env.total_rounds // 2)
+    insert_round = max(1, env.total_rounds // 2)
     embed = init_embedder(env, noise=new_item_noise)
     delta = variants.CatalogDelta(
         added=[(i, embed(i)) for i in withheld],
@@ -294,9 +293,10 @@ def run_episode(
     ingested dump. `catalog` defaults to `initial_catalog(env, init_noise)`;
     either way it must have the episode's projection. `rng` defaults to one drawn
     from a synthetic stream's seed; a dump has no seed, so a dump run needs one.
-    The parts compose: `deltas[t]` (a CatalogDelta) applies at the start of round t,
-    `multihop_rounds[t]` (a MultiHopRound) gives round t's hops, and a `reranker`
-    makes every hop `variants.step_with_rerank` over `episode.K` candidates.
+    The parts compose: `deltas[t]` (a CatalogDelta effective at t, 1 <= t <= T)
+    applies at the start of round t, `multihop_rounds[t]` (a MultiHopRound) gives
+    round t's hops, and a `reranker` makes every hop `variants.step_with_rerank`
+    over `episode.K` candidates. Misplaced deltas raise before round 1.
 
     A round is a list of hops: `(env.query_at(t), env.optimal_item(t))`, won
     when the chosen item is that target, or a multihop round's sub-queries and
@@ -311,6 +311,11 @@ def run_episode(
     if multihop_rounds is not None and not (
             set(range(1, env.total_rounds + 1)) <= multihop_rounds.keys()):
         raise InvalidConfig("multihop_rounds: every round needs its sub-queries")
+    for t, delta in (deltas or {}).items():  # before round 1 writes the catalog
+        if not 1 <= t <= env.total_rounds:
+            raise InvalidConfig(f"deltas: round {t} outside 1..{env.total_rounds}")
+        if delta.effective_at != t:
+            raise InvalidConfig(f"deltas: the delta keyed {t} is effective_at={delta.effective_at}")
     if rng is None:
         if env.catalog is not None:
             raise InvalidConfig("rng: a dump run has no seed to derive one from; pass one")

@@ -45,7 +45,7 @@ from orag.policy import RandomSource
 from orag.simulator import EpisodeConfig, make_environment
 
 BASE = {
-    "T": 60, "I": 12, "d": 6, "K": 3, "schedule": "constant", "c": 0.5,
+    "T": 60, "I": 12, "d": 6, "schedule": "constant", "c": 0.5,
     "sigma_init": 0.8, "alpha": 0.7, "seed": 7,
 }
 VARIANTS = ("plain", "rerank", "dynamic", "multihop")
@@ -73,6 +73,8 @@ def simulate(case: str, tmp_path):
     """Run `orag simulate` on the case's config; the output directory."""
     _, variant, mode, projection = case.split("-")
     cfg = dict(BASE, variant=variant, update_mode=mode, projection=projection)
+    if variant == "rerank":  # K is a rerank-only field
+        cfg["K"] = 3
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"

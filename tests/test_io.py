@@ -58,8 +58,18 @@ def test_config_episode_bridge(tmp_path):
 
 
 def test_k_larger_than_catalog_names_the_field(tmp_path):
-    with pytest.raises(ValidationError, match="K"):
+    with pytest.raises(ValidationError, match=r"K must lie in \[1, I\]; got K=4, I=3"):
         load_config(_write_config(tmp_path, {"I": 3, "d": 2, "T": 10, "seed": 0, "K": 4}))
+
+
+@pytest.mark.parametrize("variant", ["plain", "dynamic", "multihop"])
+def test_k_is_refused_outside_rerank(tmp_path, variant):
+    # Only a reranked round draws K candidates; elsewhere K would be read by nothing.
+    payload = {"I": 6, "d": 2, "T": 10, "seed": 0, "K": 3, "variant": variant}
+    with pytest.raises(ValidationError, match=f"K: only the rerank variant .* variant {variant}"):
+        load_config(_write_config(tmp_path, payload))
+    assert load_config(_write_config(tmp_path, dict(payload, variant="rerank"))).K == 3
+    assert load_config(_write_config(tmp_path, dict(payload, K=1))).K == 1
 
 
 def test_unknown_key_rejected(tmp_path):

@@ -116,6 +116,14 @@ def test_schedules():
         LearningRateSchedule(ScheduleKind.CONSTANT, 0.0)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", list(ScheduleKind))
+def test_schedule_rejects_a_constant_that_is_not_finite(kind, c):
+    # NaN passed a `c <= 0` check, and every update then failed as a non-finite row.
+    with pytest.raises(ValueError, match="c: schedule constant must be positive and finite"):
+        LearningRateSchedule(kind, c)
+
+
 def test_horizon_tuned_eta_formula():
     theta_bar, p_low, q_bar, horizon = 4.0, 0.2, 1.5, 1000
     expected = math.sqrt(

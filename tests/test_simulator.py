@@ -370,6 +370,26 @@ def test_multihop_rounds_must_cover_every_round():
         run_episode(env, ep, multihop_rounds=rounds)
 
 
+@pytest.mark.parametrize("key, effective_at, match", [
+    (0, 0, r"deltas: round 0 outside 1\.\.10"),
+    (11, 11, r"deltas: round 11 outside 1\.\.10"),
+    (50, 50, r"deltas: round 50 outside 1\.\.10"),
+    (6, 4, "deltas: the delta keyed 6 is effective_at=4"),
+])
+def test_misplaced_deltas_are_refused_before_round_one(key, effective_at, match):
+    # A delta no round would apply, or one that would raise only at its own round after
+    # earlier rounds wrote the catalog: both raise before the first round.
+    ep = EpisodeConfig(T=10, I=6, d=3)
+    env = make_environment(ep, 1)
+    cat = initial_catalog(env, 0.5)
+    before = cat.matrix().tobytes()
+    deltas = {2: CatalogDelta(added=[("early", np.ones(3))], effective_at=2),
+              key: CatalogDelta(added=[("late", np.ones(3))], effective_at=effective_at)}
+    with pytest.raises(InvalidConfig, match=match):
+        run_episode(env, ep, catalog=cat, deltas=deltas)
+    assert (cat.generation, cat.matrix().tobytes()) == (0, before)
+
+
 @pytest.mark.parametrize("n_items", [37, 50, 1000, 10_050])
 @pytest.mark.parametrize("noise", [0.0, 0.7])
 @pytest.mark.parametrize("projection", list(ProjectionMode))
@@ -470,8 +490,8 @@ def test_restricted_catalog_builds_only_the_kept_rows(noise):
 
 @pytest.mark.parametrize("shift_round", [-1, 0, 31, 500])
 def test_make_environment_rejects_a_shift_outside_the_stream(shift_round):
-    with pytest.raises(InvalidConfig, match="shift_round"):
-        make_environment(EpisodeConfig(T=10, I=5, d=3), 0, shift_round=500)
+    with pytest.raises(InvalidConfig, match=r"shift_round: must lie in \[1, 10\]"):
+        make_environment(EpisodeConfig(T=10, I=5, d=3), 0, shift_round=shift_round)
     ep = EpisodeConfig(T=10, I=5, d=3, repeat_passes=3)
     with pytest.raises(InvalidConfig, match=r"shift_round: must lie in \[1, 30\]"):
         make_environment(ep, 0, shift_round=shift_round)
@@ -481,3 +501,12 @@ def test_make_environment_rejects_a_shift_outside_the_stream(shift_round):
 def test_make_environment_rejects_a_negative_noise_scale():
     with pytest.raises(InvalidConfig, match="noise_scale must be >= 0"):
         make_environment(EpisodeConfig(T=10, I=5, d=3), 0, noise_scale=-1)
+
+
+@pytest.mark.parametrize("fraction", [1.5, -0.5, math.nan])
+def test_make_environment_rejects_a_shift_fraction_outside_zero_to_one(fraction):
+    ep = EpisodeConfig(T=10, I=5, d=3)
+    with pytest.raises(InvalidConfig, match=r"shift_fraction must lie in \[0, 1\]"):
+        make_environment(ep, 0, shift_round=4, shift_fraction=fraction)
+    for edge in (0.0, 1.0):  # the ends hold: no cluster shifts, or every one does
+        assert make_environment(ep, 0, shift_round=4, shift_fraction=edge).total_rounds == 10

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,11 @@ from orag.errors import (
     UnknownId,
 )
 from orag.learner import (
+    Feedback,
     LearningRateSchedule,
     ScheduleKind,
     UpdateMode,
+    estimate_gradient_full,
     step,
 )
 from orag.metrics import cross_entropy_loss
@@ -124,6 +128,62 @@ def test_reranker_escaping_candidate_set_is_rejected():
 def test_stub_reranker_alpha_validation():
     with pytest.raises(InvalidConfig):
         make_stub_reranker(1.5, lambda qid: "x", RandomSource(0))
+
+
+class _Uniforms:
+    """A uniform source that returns the given draws in order."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def uniform(self) -> float:
+        return self.draws.pop(0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rerank_estimate_in_expectation_over_every_draw_and_rerank_branch(k, alpha):
+    # What the rerank round's full-support estimate, which keeps the single-draw
+    # propensity p(c), is unbiased for. Exact expectation over every ordered K-draw, at
+    # its sequential renormalised probability, and every branch of the stub reranker,
+    # with the exact-match feedback s = 1{c = i*}: the truth's coefficient is
+    # p(i*) - pi_K(i*) (alpha + (1 - alpha) / K) / p(i*), where pi_K(i*) is the
+    # probability that i* is among the K candidates; the others keep p(j).
+    cat = _cat(seed=3, n=6)
+    q = QueryEmbedding(np.array([0.9, -0.4, 0.7]), query_id="q1")
+    p = score(q, cat)
+    ids, probs = list(p.ids), p.probs
+    star, truth = 2, ids[2]
+    expected, inclusion, total = np.zeros(len(ids)), 0.0, 0.0
+    for draw in itertools.permutations(range(len(ids)), k):
+        prob, left = 1.0, 1.0
+        for j in draw:
+            prob, left = prob * probs[j] / left, left - probs[j]
+        candidates = [ids[j] for j in draw]
+        present = truth in candidates
+        inclusion += prob * present
+        # (weight, uniforms) of each branch: keep the truth (a uniform below alpha),
+        # else take candidate c by index (a uniform of (c + 0.5) / K).
+        branches = [((1 - alpha if present else 1.0) / k,
+                     ([alpha] if present else []) + [(c + 0.5) / k]) for c in range(k)]
+        if present:
+            branches.append((alpha, [0.0]))
+        for weight, draws in branches:
+            if weight == 0:
+                continue
+            uniforms = _Uniforms(draws)
+            chosen = make_stub_reranker(alpha, {"q1": truth}.__getitem__, uniforms)(q, candidates)
+            assert uniforms.draws == []
+            fb = Feedback(chosen, chosen == truth, p[chosen])
+            expected += prob * weight * estimate_gradient_full(p, q, fb).coeff
+            total += prob * weight
+    assert abs(total - 1.0) < 1e-12
+    others = np.arange(len(ids)) != star
+    np.testing.assert_allclose(expected[others], probs[others], rtol=0, atol=1e-12)
+    want = probs[star] - inclusion * (alpha + (1 - alpha) / k) / probs[star]
+    assert abs(expected[star] - want) < 1e-12
+    if k == 1:  # a single draw: unbiased for the full-information gradient p - e_{i*}
+        np.testing.assert_allclose(expected, probs - np.eye(len(ids))[star], rtol=0, atol=1e-12)
 
 
 def test_catalog_delta_overlap_rejected():

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import enum
 import json
 import math
-import sys
-from dataclasses import MISSING, dataclass, fields
-from typing import Optional, get_args, get_type_hints
-
-import numpy as np
+from dataclasses import field, fields, make_dataclass
+from typing import Optional, get_type_hints
 
 from .catalog import ItemId, ProjectionMode, read_snapshot
 from .errors import (
@@ -21,37 +17,20 @@ from .errors import (
     SchemaError,
     UnknownId,
     ValidationError,
+    check_range,
+    field_checks,
 )
-from .learner import LearningRateSchedule, RoundRecord, ScheduleKind, UpdateMode
+from .learner import LearningRateSchedule, RoundRecord, ScheduleKind
 from .simulator import Environment, EpisodeConfig, Variant, check_shift_round
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    T: int
-    I: int
-    d: int
-    seed: int
-    K: int = 1
-    variant: Variant = Variant.PLAIN
-    update_mode: UpdateMode = UpdateMode.FULL
-    schedule: ScheduleKind = ScheduleKind.INVERSE_SQRT
-    c: float = 1e-5
-    projection: ProjectionMode = ProjectionMode.NONE
-    repeat_passes: int = 1
-    sigma: float = 0.3
-    sigma_init: float = 0.0
-    alpha: float = 1.0
-    shift_round: Optional[int] = None
-    shift_fraction: float = 0.5
-    queries_path: Optional[str] = None
-    items_path: Optional[str] = None
-    labels_path: Optional[str] = None
+class _RunRules:
+    """`RunConfig`'s checks and its episode; `RunConfig` adds the fields."""
 
     def __post_init__(self):
-        """The one home of the config rules: a config built here gets exactly
-        the checks a JSON file gets, each failure a `ValidationError` naming its
-        field. Frozen, so no field changes after its check."""
+        """Every config rule runs from here: a config built here gets exactly the
+        checks a JSON file gets, each failure a `ValidationError` naming its field.
+        Frozen, so no field changes after its check."""
         for name, check in _CONFIG_CHECKS.items():
             object.__setattr__(self, name, check(getattr(self, name)))
         try:  # c, T, I, d, K, repeat_passes, the variants' rules, then shift_round's range
@@ -68,10 +47,10 @@ class RunConfig:
             check_shift_round(episode, self.shift_round)
         except (InvalidConfig, ValueError) as e:
             raise ValidationError(str(e)) from None
-        for name, low, high in _RANGES:
-            value = getattr(self, name)
-            if value is not None and not low <= value <= high:
-                raise ValidationError(f"{name}: must lie in [{low}, {high}]")
+        check_range("seed", self.seed, 0, tp=int)
+        for name, high in [("sigma", math.inf), ("sigma_init", math.inf), ("alpha", 1),
+                           ("shift_fraction", 1)]:
+            check_range(name, getattr(self, name), 0, high)
         paths = (self.queries_path, self.items_path, self.labels_path)
         if paths == (None, None, None):
             return
@@ -84,49 +63,25 @@ class RunConfig:
                                       "pass of a plain or rerank episode")
 
     def episode(self) -> EpisodeConfig:
-        return EpisodeConfig(
-            T=self.T,
-            I=self.I,
-            d=self.d,
-            K=self.K,
-            update_mode=self.update_mode,
-            schedule=LearningRateSchedule(self.schedule, self.c),
-            projection=self.projection,
-            repeat_passes=self.repeat_passes,
-        )
+        return EpisodeConfig(**{key: getattr(self, key) for key in _KEYS if type(key) is str},
+                             schedule=LearningRateSchedule(self.schedule, self.c))
 
 
-def _field_checks(cls) -> tuple[dict, set[str]]:
-    """(field name -> check, required field names) of a dataclass read from JSON.
-
-    A check returns its value (an enum by value) or raises `ValidationError` naming
-    the field: int rejects bool, float needs a finite number, Optional takes None."""
-    checks = {}
-    for name, tp in get_type_hints(cls).items():
-        args = [a for a in get_args(tp) if a is not type(None)]
-        checks[name] = _check_as(name, args[0] if args else tp, optional=bool(args))
-    return checks, {f.name for f in fields(cls) if f.default is MISSING}
-
-
-def _check_as(name: str, tp: type, optional: bool):
-    values = [e.value for e in tp] if issubclass(tp, enum.Enum) else None
-
-    def check(value):
-        if type(value) is tp or tp is float and type(value) is int:
-            if tp is not float or abs(value) <= sys.float_info.max:
-                return value
-        elif value is None and optional:
-            return None
-        elif values is not None and value in values:
-            return tp(value)
-        raise ValidationError(f"{name}: expected {values or tp.__name__}, got {value!r}")
-    return check
-
-
-_CONFIG_CHECKS, _CONFIG_REQUIRED = _field_checks(RunConfig)
-# Ranges that neither `config.episode()` nor `check_shift_round` checks.
-_RANGES = [("seed", 0, np.inf), ("sigma", 0, np.inf), ("sigma_init", 0, np.inf),
-           ("alpha", 0, 1), ("shift_fraction", 0, 1)]
+# The config keys in order. A bare name is an episode field, with the type and
+# default `EpisodeConfig` declares. `make_dataclass` keeps this order, where a
+# shared base class would put the episode fields first.
+_KEYS = ["T", "I", "d", ("seed", int), "K", ("variant", Variant, Variant.PLAIN), "update_mode",
+         ("schedule", ScheduleKind, ScheduleKind.INVERSE_SQRT), ("c", float, 1e-5),
+         "projection", "repeat_passes", ("sigma", float, 0.3), ("sigma_init", float, 0.0),
+         ("alpha", float, 1.0), ("shift_round", Optional[int], None),
+         ("shift_fraction", float, 0.5), ("queries_path", Optional[str], None),
+         ("items_path", Optional[str], None), ("labels_path", Optional[str], None)]
+_TYPES = get_type_hints(EpisodeConfig)
+_EPISODE = {f.name: (f.name, _TYPES[f.name], field(default=f.default))
+            for f in fields(EpisodeConfig)}
+RunConfig = make_dataclass("RunConfig", [_EPISODE.get(key, key) for key in _KEYS],
+                           bases=(_RunRules,), namespace={"__module__": __name__}, frozen=True)
+_CONFIG_CHECKS, _CONFIG_REQUIRED = field_checks(RunConfig)
 
 
 def _read_text(path: str, error: type[OragError]) -> str:
@@ -163,7 +118,7 @@ def load_config(path: str, seed: int | None = None) -> RunConfig:
 
 # -- JSONL event logs -------------------------------------------------------
 
-_EVENT_CHECKS, _EVENT_REQUIRED = _field_checks(RoundRecord)
+_EVENT_CHECKS, _EVENT_REQUIRED = field_checks(RoundRecord)
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(row, sort_keys=True)
 _encode_str = json.encoder.encode_basestring_ascii  # the encoder's own string escaping
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .catalog import Catalog, ItemId, SortedIds
-from .errors import PropensityMismatch, UnknownId, ZeroPropensity
+from .errors import PropensityMismatch, UnknownId, ZeroPropensity, check_as
 from .policy import ProbabilityVector, RandomSource, _as_query, sample_one, score
 
 _PROPENSITY_TOL = 1e-12
@@ -59,6 +59,7 @@ class LearningRateSchedule:
     c: float = 1e-5
 
     def __post_init__(self):
+        self.kind = check_as("kind", ScheduleKind)(self.kind)  # "constant" by value, as in JSON
         if not 0 < self.c < math.inf:  # NaN fails it too
             raise ValueError("c: schedule constant must be positive and finite")
 
@@ -82,8 +83,8 @@ def horizon_tuned_eta(theta_bar: float, p_low: float, q_bar: float, horizon: int
     """
     if not (0 < p_low < 1):
         raise ValueError("p_low must lie in (0, 1)")
-    if theta_bar <= 0 or q_bar <= 0 or horizon < 1:
-        raise ValueError("theta_bar, q_bar must be positive and horizon >= 1")
+    if not (0 < theta_bar < math.inf and 0 < q_bar < math.inf and horizon >= 1):  # NaN fails
+        raise ValueError("theta_bar, q_bar must be positive and finite and horizon >= 1")
     return math.sqrt(p_low * theta_bar / (q_bar * (1 - p_low) * (1 + 2 * p_low) * horizon))
 
 

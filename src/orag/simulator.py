@@ -19,14 +19,8 @@ import numpy as np
 
 from . import variants
 from .catalog import Catalog, ItemId, ProjectionMode, row_chunks, row_norms
-from .errors import InvalidConfig, UndefinedRound
-from .learner import (
-    LearningRateSchedule,
-    RoundRecord,
-    ScheduleKind,
-    UpdateMode,
-    step,
-)
+from .errors import InvalidConfig, UndefinedRound, ValidationError, check_range, field_checks
+from .learner import LearningRateSchedule, RoundRecord, UpdateMode, step
 from .metrics import cross_entropy_loss
 from .policy import QueryEmbedding, RandomSource, score
 
@@ -40,25 +34,33 @@ class Variant(enum.Enum):  # a `RunConfig` field; `cli.run_from_config` builds t
 
 @dataclass
 class EpisodeConfig:
+    """The one declaration of the fields `io_utils.RunConfig` shares with an episode.
+    Each field meets a JSON config's type rule (an enum by value), then its range."""
+
     T: int
     I: int
     d: int
     K: int = 1
     update_mode: UpdateMode = UpdateMode.FULL
-    schedule: LearningRateSchedule = field(
-        default_factory=lambda: LearningRateSchedule(ScheduleKind.INVERSE_SQRT, 1e-5)
-    )
+    schedule: LearningRateSchedule = field(default_factory=LearningRateSchedule)
     projection: ProjectionMode = ProjectionMode.NONE
     repeat_passes: int = 1
     clip_propensity: float | None = None
 
     def __post_init__(self):
+        for name, check in _EPISODE_CHECKS.items():
+            setattr(self, name, check(getattr(self, name)))
         if self.T < 1 or self.I < 1 or self.d < 1:
-            raise InvalidConfig("T, I, d must all be >= 1")
+            raise ValidationError("T, I, d must all be >= 1")
         if not (1 <= self.K <= self.I):
-            raise InvalidConfig(f"K must lie in [1, I]; got K={self.K}, I={self.I}")
+            raise ValidationError(f"K must lie in [1, I]; got K={self.K}, I={self.I}")
         if self.repeat_passes < 1:
-            raise InvalidConfig("repeat_passes must be >= 1")
+            raise ValidationError("repeat_passes must be >= 1")
+        if self.clip_propensity is not None and not 0 < self.clip_propensity <= 1:
+            raise ValidationError("clip_propensity: must lie in (0, 1]")
+
+
+_EPISODE_CHECKS = field_checks(EpisodeConfig)[0]
 
 
 def _unit(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -119,8 +121,8 @@ class Environment:
 
 def check_shift_round(config: EpisodeConfig, shift_round: int | None) -> None:
     """The one shift rule: a shift falls within the stream, 1 <= shift_round <= T * passes."""
-    if shift_round is not None and not 1 <= shift_round <= config.T * config.repeat_passes:
-        raise InvalidConfig(f"shift_round: must lie in [1, {config.T * config.repeat_passes}]")
+    if shift_round is not None:
+        check_range("shift_round", shift_round, 1, config.T * config.repeat_passes, int)
 
 
 def make_environment(
@@ -136,10 +138,8 @@ def make_environment(
     From `shift_round` on, a `shift_fraction` of the query clusters answer to
     new ground-truth items: queries keep their geometry, labels move. Each pass
     after the first replays the T base queries in a shuffled order."""
-    if noise_scale < 0:
-        raise InvalidConfig("noise_scale must be >= 0")
-    if not 0 <= shift_fraction <= 1:  # NaN fails it too
-        raise InvalidConfig(f"shift_fraction must lie in [0, 1], got {shift_fraction}")
+    check_range("noise_scale", noise_scale, 0)  # the rule of a config's sigma
+    check_range("shift_fraction", shift_fraction, 0, 1)
     check_shift_round(config, shift_round)
     seed, T, I, d = int(seed), config.T, config.I, config.d
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .catalog import Catalog, ItemId
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_range
 from .learner import LearningRateSchedule, RoundRecord, UpdateMode, step
 from .policy import QueryEmbedding, RandomSource, sample_k_without_replacement
 # Unused here, but the benchmark's tracer patches them at this module's names.
@@ -36,8 +36,7 @@ def make_stub_reranker(
     candidates; otherwise (and with probability 1 - alpha) a uniform
     candidate.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidConfig("reranker accuracy alpha must lie in [0, 1]")
+    check_range("alpha", alpha, 0, 1)  # the rule of a config's alpha
 
     def rerank(q: QueryEmbedding, candidates: Sequence[ItemId]) -> ItemId:
         truth = truth_for_query(q.query_id)

@@ -1,12 +1,17 @@
+import ast
 import dataclasses
 import json
+import math
 import re
+from collections import Counter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
-from orag.catalog import Catalog, read_snapshot, write_snapshot
+import orag
+from orag.catalog import Catalog, ProjectionMode, read_snapshot, write_snapshot
 from orag.cli import cli_main
 from orag.errors import (
     DimensionMismatch,
@@ -120,6 +125,119 @@ def test_bad_enum_value_names_field(tmp_path):
         load_config(
             _write_config(tmp_path, {"I": 3, "d": 2, "T": 10, "seed": 0, "variant": "x"})
         )
+
+
+# The config surface, key by key, in field order: its default (or REQUIRED), then a
+# value of the wrong type and an out-of-range value, each with its exact message.
+REQUIRED = object()
+_BASE = {"T": 10, "I": 4, "d": 2, "seed": 0}
+_DIMS = "T, I, d must all be >= 1"
+_DUMP = ("queries_path, items_path, labels_path: a dump run takes all three paths and is "
+         "one pass of a plain or rerank episode")
+_SURFACE = {
+    "T": (REQUIRED, "x", "T: expected int, got 'x'", 0, _DIMS),
+    "I": (REQUIRED, 2.0, "I: expected int, got 2.0", -1, _DIMS),
+    "d": (REQUIRED, True, "d: expected int, got True", 0, _DIMS),
+    "seed": (REQUIRED, 1.5, "seed: expected int, got 1.5", -1, "seed: must lie in [0, inf]"),
+    "K": (1, None, "K: expected int, got None", 5, "K must lie in [1, I]; got K=5, I=4"),
+    "variant": (Variant.PLAIN, 1, "variant: expected ['plain', 'rerank', 'dynamic', 'multihop'], "
+                "got 1", "all", "variant: expected ['plain', 'rerank', 'dynamic', 'multihop'], "
+                "got 'all'"),
+    "update_mode": (UpdateMode.FULL, 0, "update_mode: expected ['full', 'chosen_only'], got 0",
+                    "both", "update_mode: expected ['full', 'chosen_only'], got 'both'"),
+    "schedule": (ScheduleKind.INVERSE_SQRT, None,
+                 "schedule: expected ['constant', 'inverse_sqrt'], got None", "linear",
+                 "schedule: expected ['constant', 'inverse_sqrt'], got 'linear'"),
+    "c": (1e-5, "0.1", "c: expected float, got '0.1'", 0,
+          "c: schedule constant must be positive and finite"),
+    "projection": (ProjectionMode.NONE, [], "projection: expected ['none', 'unit_ball'], got []",
+                   "ball", "projection: expected ['none', 'unit_ball'], got 'ball'"),
+    "repeat_passes": (1, 1.0, "repeat_passes: expected int, got 1.0", 0,
+                      "repeat_passes must be >= 1"),
+    "sigma": (0.3, math.inf, "sigma: expected float, got inf", -0.1, "sigma: must lie in [0, inf]"),
+    "sigma_init": (0.0, False, "sigma_init: expected float, got False", -1,
+                   "sigma_init: must lie in [0, inf]"),
+    "alpha": (1.0, math.nan, "alpha: expected float, got nan", 1.5, "alpha: must lie in [0, 1]"),
+    "shift_round": (None, 2.5, "shift_round: expected int, got 2.5", 11,
+                    "shift_round: must lie in [1, 10]"),
+    "shift_fraction": (0.5, "half", "shift_fraction: expected float, got 'half'", -0.5,
+                       "shift_fraction: must lie in [0, 1]"),
+    "queries_path": (None, 1, "queries_path: expected str, got 1", "q.orag", _DUMP),
+    "items_path": (None, {}, "items_path: expected str, got {}", "i.orag", _DUMP),
+    "labels_path": (None, ["l"], "labels_path: expected str, got ['l']", "l.txt", _DUMP),
+}
+
+
+def _config_error(tmp_path, payload) -> str:
+    """The message a payload fails with, the same for a JSON file and a direct build."""
+    messages = []
+    for build in (lambda: load_config(_write_config(tmp_path, payload)),
+                  lambda: RunConfig(**payload)):
+        with pytest.raises(ValidationError) as e:
+            build()
+        messages.append(str(e.value))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
+@pytest.mark.parametrize("key", list(_SURFACE))
+def test_config_surface(tmp_path, key):
+    assert [f.name for f in dataclasses.fields(RunConfig)] == list(_SURFACE)
+    default, wrong_type, type_message, out_of_range, range_message = _SURFACE[key]
+    if default is REQUIRED:
+        payload = {k: v for k, v in _BASE.items() if k != key}
+        with pytest.raises(ValidationError, match=re.escape(f"missing required keys: ['{key}']")):
+            load_config(_write_config(tmp_path, payload))
+    else:
+        value = getattr(load_config(_write_config(tmp_path, _BASE)), key)
+        assert value == default and type(value) is type(default)
+    assert _config_error(tmp_path, {**_BASE, key: wrong_type}) == type_message
+    assert _config_error(tmp_path, {**_BASE, key: out_of_range}) == range_message
+    # Type faults come first, in field order, then range faults; an enum's unknown
+    # value is a type fault.
+    other = "T" if key == "labels_path" else "labels_path"
+    two = {**_BASE, key: out_of_range, other: _SURFACE[other][1]}
+    first = range_message if range_message.startswith(f"{key}: expected") else _SURFACE[other][2]
+    assert _config_error(tmp_path, two) == first
+
+
+@pytest.mark.parametrize("first, second", [
+    ("c", "T"), ("T", "K"), ("K", "repeat_passes"), ("repeat_passes", "shift_round"),
+    ("shift_round", "seed"), ("seed", "sigma"), ("sigma", "alpha"), ("alpha", "shift_fraction"),
+    ("shift_fraction", "queries_path"),
+])
+def test_config_range_faults_are_reported_in_check_order(tmp_path, first, second):
+    payload = {**_BASE, first: _SURFACE[first][3], second: _SURFACE[second][3]}
+    assert _config_error(tmp_path, payload) == _SURFACE[first][4]
+
+
+def test_each_episode_field_is_declared_once():
+    # `RunConfig` takes the fields it shares with `EpisodeConfig` from `EpisodeConfig`.
+    # A second declaration anywhere in the package, as a class annotation or as a typed
+    # `(name, type, ...)` field entry, could drift from the first.
+    run, episode = (get_type_hints(cls) for cls in (RunConfig, EpisodeConfig))
+    shared = {name for name in run.keys() & episode.keys() if run[name] == episode[name]}
+    assert shared == {"T", "I", "d", "K", "update_mode", "projection", "repeat_passes"}
+    declared = Counter()
+    for path in Path(orag.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                declared.update(s.target.id for s in node.body if isinstance(s, ast.AnnAssign))
+            elif (isinstance(node, ast.Tuple) and len(node.elts) in (2, 3)
+                  and isinstance(node.elts[0], ast.Constant)
+                  and isinstance(node.elts[1], (ast.Name, ast.Subscript))):
+                declared[node.elts[0].value] += 1
+    assert {name: declared[name] for name in shared} == dict.fromkeys(shared, 1)
+
+
+def test_readme_lists_each_config_key_once_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+            for line in readme.splitlines() if line.startswith("| `")]
+    assert [key.strip("`") for key, _, _ in rows] == list(_SURFACE)
+    for (_, _, default), (key, (value, *_)) in zip(rows, _SURFACE.items()):
+        expected = "required" if value is REQUIRED else f"`{json.dumps(getattr(value, 'value', value))}`"
+        assert default == expected, key
 
 
 def _records():

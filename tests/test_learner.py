@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orag.catalog import Catalog, ProjectionMode
-from orag.errors import PropensityMismatch, UnknownId, ZeroPropensity
+from orag.errors import InvalidConfig, PropensityMismatch, UnknownId, ZeroPropensity
 from orag.learner import (
     Feedback,
     GradientBatch,
@@ -124,6 +124,15 @@ def test_schedule_rejects_a_constant_that_is_not_finite(kind, c):
         LearningRateSchedule(kind, c)
 
 
+def test_schedule_takes_its_kind_by_value():
+    # Taken by value: an unconverted "constant" is not `ScheduleKind.CONSTANT` and
+    # decays as inverse_sqrt.
+    assert LearningRateSchedule(kind="constant", c=0.1).eta(4) == 0.1
+    assert LearningRateSchedule(kind="inverse_sqrt", c=0.1).eta(4) == 0.05
+    with pytest.raises(InvalidConfig, match=r"^kind: expected \['constant', 'inverse_sqrt'\]"):
+        LearningRateSchedule(kind="linear", c=0.1)
+
+
 def test_horizon_tuned_eta_formula():
     theta_bar, p_low, q_bar, horizon = 4.0, 0.2, 1.5, 1000
     expected = math.sqrt(
@@ -134,6 +143,11 @@ def test_horizon_tuned_eta_formula():
         horizon_tuned_eta(4.0, 1.5, 1.0, 10)
     with pytest.raises(ValueError):
         horizon_tuned_eta(-1.0, 0.5, 1.0, 10)
+    for bad in (math.nan, math.inf):  # the formula would return nan or inf
+        with pytest.raises(ValueError, match="positive and finite"):
+            horizon_tuned_eta(bad, 0.5, 1.0, 10)
+        with pytest.raises(ValueError, match="positive and finite"):
+            horizon_tuned_eta(4.0, 0.5, bad, 10)
 
 
 def test_horizon_tuned_eta_minimizes_the_regret_bound():

@@ -36,6 +36,55 @@ def test_config_validation():
         EpisodeConfig(T=10, I=5, d=2, repeat_passes=0)
 
 
+def _final_rows(**episode):
+    ep = EpisodeConfig(T=30, I=6, d=3, **episode)
+    return run_episode(make_environment(ep, 1), ep).final_catalog.matrix()
+
+
+def test_an_episode_takes_update_mode_by_value():
+    # Taken by value, as from JSON: an unconverted "full" fails `is UpdateMode.FULL`
+    # and runs chosen-only updates.
+    sched = LearningRateSchedule(ScheduleKind.CONSTANT, 0.5)
+    for text, mode in [("full", UpdateMode.FULL), ("chosen_only", UpdateMode.CHOSEN_ONLY)]:
+        assert EpisodeConfig(T=1, I=1, d=1, update_mode=text).update_mode is mode
+        assert (_final_rows(update_mode=text, schedule=sched).tobytes()
+                == _final_rows(update_mode=mode, schedule=sched).tobytes())
+    with pytest.raises(InvalidConfig, match=r"^update_mode: expected \['full', 'chosen_only'\]"):
+        EpisodeConfig(T=1, I=1, d=1, update_mode="both")
+
+
+def test_an_episode_takes_projection_by_value():
+    # Taken by value: an unconverted "unit_ball" is not `ProjectionMode.UNIT_BALL`,
+    # and the rows grow unprojected (to a max norm of 32.9 here).
+    sched = LearningRateSchedule(ScheduleKind.CONSTANT, 5.0)
+    rows = _final_rows(projection="unit_ball", schedule=sched)
+    assert np.linalg.norm(rows, axis=1).max() <= 1.0
+    assert rows.tobytes() == _final_rows(projection=ProjectionMode.UNIT_BALL,
+                                         schedule=sched).tobytes()
+    with pytest.raises(InvalidConfig, match=r"^projection: expected \['none', 'unit_ball'\]"):
+        EpisodeConfig(T=1, I=1, d=1, projection="ball")
+
+
+@pytest.mark.parametrize("key, value", [("T", 1.5), ("T", True), ("I", 2.0), ("d", "3"),
+                                        ("K", False), ("repeat_passes", None)])
+def test_an_episode_takes_ints_only(key, value):
+    # The JSON int rule: no float, no bool.
+    with pytest.raises(InvalidConfig, match=f"^{key}: expected int, got {value!r}$"):
+        EpisodeConfig(**{"T": 2, "I": 2, "d": 2, key: value})
+
+
+@pytest.mark.parametrize("clip", [math.inf, 2.0, math.nan, -1.0, 0.0],
+                         ids=["inf", "two", "nan", "minus-one", "zero"])
+def test_an_episode_refuses_a_clip_outside_zero_to_one(clip):
+    # Outside (0, 1] a clip misweights the estimate: inf makes a success update a
+    # failure's, 2.0 pushes the chosen row away on success (coefficient +0.5), and
+    # NaN and -1 are ignored.
+    with pytest.raises(InvalidConfig, match="^clip_propensity: "):
+        EpisodeConfig(T=1, I=1, d=1, clip_propensity=clip)
+    for kept in (None, 1, 1.0, 0.01):
+        assert EpisodeConfig(T=1, I=1, d=1, clip_propensity=kept).clip_propensity == kept
+
+
 def test_noiseless_queries_equal_latents():
     ep = EpisodeConfig(T=20, I=4, d=3)
     env = make_environment(ep, 0, noise_scale=0.0)
@@ -498,15 +547,27 @@ def test_make_environment_rejects_a_shift_outside_the_stream(shift_round):
     assert make_environment(ep, 0, shift_round=30).total_rounds == 30  # the last round may shift
 
 
-def test_make_environment_rejects_a_negative_noise_scale():
-    with pytest.raises(InvalidConfig, match="noise_scale must be >= 0"):
-        make_environment(EpisodeConfig(T=10, I=5, d=3), 0, noise_scale=-1)
+def test_make_environment_takes_an_int_shift_round():
+    # The range rule's int rule: a round of 2.5 would cut the stream at a fraction.
+    with pytest.raises(InvalidConfig, match="^shift_round: expected int, got 2.5$"):
+        make_environment(EpisodeConfig(T=10, I=5, d=3), 0, shift_round=2.5)
 
 
-@pytest.mark.parametrize("fraction", [1.5, -0.5, math.nan])
-def test_make_environment_rejects_a_shift_fraction_outside_zero_to_one(fraction):
+@pytest.mark.parametrize("noise, message", [
+    (-1, r"noise_scale: must lie in \[0, inf\]"), (math.nan, "noise_scale: expected float, got nan"),
+    (math.inf, "noise_scale: expected float, got inf")], ids=["negative", "nan", "inf"])
+def test_make_environment_rejects_a_negative_noise_scale(noise, message):
+    # A config sigma's rule: NaN or infinite noise makes every query NaN.
+    with pytest.raises(InvalidConfig, match=f"^{message}$"):
+        make_environment(EpisodeConfig(T=10, I=5, d=3), 0, noise_scale=noise)
+
+
+@pytest.mark.parametrize("fraction, message", [
+    (1.5, r"must lie in \[0, 1\]"), (-0.5, r"must lie in \[0, 1\]"),
+    (math.nan, "expected float, got nan")], ids=["above", "below", "nan"])
+def test_make_environment_rejects_a_shift_fraction_outside_zero_to_one(fraction, message):
     ep = EpisodeConfig(T=10, I=5, d=3)
-    with pytest.raises(InvalidConfig, match=r"shift_fraction must lie in \[0, 1\]"):
+    with pytest.raises(InvalidConfig, match=f"^shift_fraction: {message}$"):
         make_environment(ep, 0, shift_round=4, shift_fraction=fraction)
     for edge in (0.0, 1.0):  # the ends hold: no cluster shifts, or every one does
         assert make_environment(ep, 0, shift_round=4, shift_fraction=edge).total_rounds == 10
